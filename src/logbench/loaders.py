@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 import re
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date as _date
@@ -98,15 +98,16 @@ def load_raw(path) -> EventTable:
     """Load an unstructured text file: one line, one event.
 
     There is no timestamp in the data, so every row is stamped with the
-    wall-clock time at which the load ran (a single stamp for the whole
-    table). Nothing is dropped; empty lines become empty messages.
+    file's modification time (a single stamp for the whole table), which
+    keeps repeated loads of one file identical. Nothing is dropped; empty
+    lines become empty messages.
     """
     messages = []
     with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as f:
         for line in f:
             messages.append(line.rstrip("\n"))
-    now_us = time.time_ns() // 1000
-    ts = np.full(len(messages), now_us, dtype=np.int64) \
+    mtime_us = os.stat(path).st_mtime_ns // 1000
+    ts = np.full(len(messages), mtime_us, dtype=np.int64) \
         .view(np.dtype("datetime64[us]"))
     meta = {"source": str(path), "lines_read": len(messages),
             "dropped_lines": 0, "merged_continuations": 0}

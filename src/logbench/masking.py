@@ -4,6 +4,10 @@ Masking replaces things like addresses and counters with fixed placeholder
 tokens before template mining, so that lines produced by the same code path
 collapse onto one template. Rules apply in list order and each rule runs a
 plain ``re.sub`` over the message.
+
+Logs repeat heavily, so ``normalize`` masks each distinct message of a
+column once and maps the result back to every row; the output is exactly
+``[mask_one(m, rules) for m in messages]``.
 """
 
 from __future__ import annotations
@@ -95,14 +99,25 @@ def normalize(messages, rules: list[MaskingRule] | None = None) -> list[str]:
 
     Returns a new list of the same length; input order is preserved and the
     operation is idempotent for the built-in rules (placeholders do not match
-    any rule). When every rule is blob-safe and no message contains a
-    newline, the rules run once over a newline-joined blob, which is much
-    faster than a per-message loop; otherwise it falls back to the loop with
-    identical results.
+    any rule). Masking is a pure function of the message, so each distinct
+    message is masked once and the result is mapped back to every row that
+    repeats it. When every rule is blob-safe and no message contains a
+    newline, the rules run once over a newline-joined blob of the distinct
+    messages, which is much faster than a per-message loop; otherwise it
+    falls back to the loop with identical results.
     """
     if rules is None:
         rules = default_rules()
     msgs = list(messages)
+    distinct = list(dict.fromkeys(msgs))
+    masked = _normalize_distinct(distinct, rules)
+    if len(distinct) == len(msgs):
+        return masked
+    lookup = dict(zip(distinct, masked))
+    return [lookup[m] for m in msgs]
+
+
+def _normalize_distinct(msgs: list[str], rules: list[MaskingRule]) -> list[str]:
     if msgs and rules and all(r.blob_safe for r in rules) \
             and not any("\n" in m for m in msgs):
         blob = "\n".join(msgs)

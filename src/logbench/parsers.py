@@ -10,6 +10,18 @@ Masked placeholder tokens such as ``<IP>`` are ordinary tokens here. A parser
 can optionally run masking rules itself (``masking_rules=...``), which is the
 expensive way to do it; the intended flow masks the whole column once with
 ``masking.normalize`` and feeds the parser clean text.
+
+``parse`` mines each distinct message once while the parser state stands
+still. ``parse_one`` is a deterministic function of the parser state and the
+message, and it bumps a state version at every point where it changes what
+a later match reads: a new cluster, a Drain template token turned into a
+wildcard, a new Spell template and state, a new LenMa length vector. Cluster
+counts never influence a decision. So while the version is
+unchanged, a message seen before gets the same event id, and ``parse`` takes
+it from a memo and only increments the cluster count. The memo is cleared
+whenever the version moves, which makes the batch result identical to a
+fresh ``parse_one`` per message. Templates only move toward wildcards, so
+changes stop once the store settles and memo hits then dominate.
 """
 
 from __future__ import annotations
@@ -108,13 +120,18 @@ class TemplateStore:
 
 
 class _ParserBase:
-    """Shared plumbing: optional internal masking, batch parse loop."""
+    """Shared plumbing: optional internal masking, memoized batch parse."""
 
     kind = "base"
 
     def __init__(self, masking_rules: list[MaskingRule] | None = None):
         self.masking_rules = masking_rules
         self.store = TemplateStore(self.kind)
+        # bumped by parse_one on every state change that can alter an answer
+        self._version = 0
+        # message -> event id, valid while _version == _memo_version
+        self._memo: dict[str, int] = {}
+        self._memo_version = 0
 
     def _prepare(self, message: str) -> list[str]:
         if self.masking_rules:
@@ -125,9 +142,31 @@ class _ParserBase:
         raise NotImplementedError
 
     def parse(self, messages) -> list[int]:
-        """Assign an event id to every message, updating the store."""
+        """Assign an event id to every message, updating the store.
+
+        Same ids and store as calling ``parse_one`` on each message in turn.
+        """
+        memo = self._memo
+        if self._memo_version != self._version:
+            memo.clear()
+        clusters = self.store.clusters
         one = self.parse_one
-        return [one(m) for m in messages]
+        ids = []
+        append = ids.append
+        for m in messages:
+            event_id = memo.get(m)
+            if event_id is None:
+                version = self._version
+                event_id = one(m)
+                if self._version == version:
+                    memo[m] = event_id
+                else:
+                    memo.clear()
+            else:
+                clusters[event_id].count += 1
+            append(event_id)
+        self._memo_version = self._version
+        return ids
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +249,16 @@ class DrainParser(_ParserBase):
         if best is not None and best_sim >= self.sim_threshold:
             template = best.template
             for i, tok in enumerate(tokens):
-                if template[i] != tok:
+                if template[i] != tok and template[i] != WILDCARD:
                     template[i] = WILDCARD
+                    self._version += 1
             best.count += 1
             return best.event_id
+        # a new routing node always ends in an empty leaf, so tree growth
+        # happens only here
         cluster = self.store._new_cluster(list(tokens))
         leaf.append(cluster)
+        self._version += 1
         return cluster.event_id
 
 
@@ -313,6 +356,7 @@ class SpellParser(_ParserBase):
                 cluster = self.store._new_cluster([])
                 self._states.append(_SpellState([]))
                 self._empty_id = cluster.event_id
+                self._version += 1
             else:
                 self.store.clusters[self._empty_id].count += 1
             return self._empty_id
@@ -345,10 +389,12 @@ class SpellParser(_ParserBase):
             if new_template != best.template:
                 best.template[:] = new_template
                 self._states[best.event_id] = _SpellState(new_template)
+                self._version += 1
             best.count += 1
             return best.event_id
         cluster = self.store._new_cluster(list(tokens))
         self._states.append(_SpellState(tokens))
+        self._version += 1
         return cluster.event_id
 
 
@@ -409,15 +455,20 @@ class LenMaParser(_ParserBase):
         if best is not None and best_sim >= self.threshold:
             cluster, state = best
             template = cluster.template
+            # matching reads only the length vectors, so a template rewrite
+            # is not a state change here
             for i, tok in enumerate(tokens):
                 if template[i] != tok:
                     template[i] = WILDCARD
-            state.lengths = lengths
-            state.norm = norm
+            if state.lengths != lengths:
+                state.lengths = lengths
+                state.norm = norm
+                self._version += 1
             cluster.count += 1
             return cluster.event_id
         cluster = self.store._new_cluster(list(tokens))
         bucket.append((cluster, _LenState(tokens)))
+        self._version += 1
         return cluster.event_id
 
 

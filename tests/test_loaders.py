@@ -22,12 +22,23 @@ def test_load_raw(tmp_path):
     t = load_raw(p)
     assert list(t["m_message"]) == ["first line", "", "third line"]
     assert t["m_timestamp"].dtype == np.dtype("datetime64[us]")
-    # one shared stamp, taken at load time
+    # one shared stamp, taken from the file
     assert len(set(t["m_timestamp"].tolist())) == 1
     assert t.meta["dropped_lines"] == 0
     events, seqs = load(LoaderSpec("raw", p))
     assert seqs is None
     assert len(events) == 3
+
+
+def test_load_raw_is_deterministic(tmp_path):
+    p = tmp_path / "notes.log"
+    p.write_text("first line\nsecond line\n")
+    a, b = load_raw(p), load_raw(p)
+    assert list(a["m_message"]) == list(b["m_message"])
+    assert np.array_equal(a["m_timestamp"], b["m_timestamp"])
+    assert a.meta == b.meta
+    mtime_us = os.stat(p).st_mtime_ns // 1000
+    assert a["m_timestamp"][0] == np.datetime64(mtime_us, "us")
 
 
 # ---------------------------------------------------------------------------

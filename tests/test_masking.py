@@ -79,6 +79,20 @@ def test_normalize_fallback_on_newlines():
     assert out[1] == "two\nparts <HEX>"
 
 
+_REPEATED = ["took 35 ms block 0xF3A2", "from 10.0.0.1 port 88",
+             "took 35 ms block 0xF3A2", "", "took 36 ms block 0xF3A2", ""]
+
+
+@pytest.mark.parametrize("msgs", [
+    _REPEATED * 50,                                  # heavy repeats
+    _REPEATED * 3 + ["two\nparts 0xff", "end 3"] * 3,  # loop fallback
+    [],
+], ids=["repeats", "newline", "empty"])
+def test_normalize_dedup_matches_mask_one(msgs):
+    rules = default_rules()
+    assert normalize(msgs, rules) == [mask_one(m, rules) for m in msgs]
+
+
 def test_normalize_fallback_unsafe_rule():
     rules = [MaskingRule(r"^\d+", "<LEAD>")]
     msgs = ["12 x", "y 34"]

@@ -301,6 +301,87 @@ def test_parser_invariants(kind):
         assert parser2.store.template_strings() == store.template_strings()
 
 
+def _parse_one_each(kind, msgs):
+    parser = make_parser(kind)
+    return [parser.parse_one(m) for m in msgs], parser.store
+
+
+@pytest.mark.parametrize("kind", ["drain", "spell", "lenma"])
+def test_memoized_parse_matches_parse_one(kind):
+    # a small pool drawn with replacement: exact repeats arrive both before
+    # and after the templates they hit generalize
+    rng = random.Random(kind)
+    for trial in range(15):
+        pool = _random_corpus(rng, 25)
+        msgs = [rng.choice(pool) for _ in range(300)]
+        ref_ids, ref = _parse_one_each(kind, msgs)
+
+        parser = make_parser(kind)
+        assert parser.parse(msgs) == ref_ids, f"{kind} trial {trial}"
+        assert parser.store.templates == ref.templates
+        assert parser.store.counts == ref.counts
+
+        # parse -> parse_one -> parse on one parser
+        parser = make_parser(kind)
+        ids = parser.parse(msgs[:100])
+        ids += [parser.parse_one(m) for m in msgs[100:150]]
+        ids += parser.parse(msgs[150:])
+        assert ids == ref_ids, f"{kind} trial {trial}"
+        assert parser.store.templates == ref.templates
+        assert parser.store.counts == ref.counts
+
+
+@pytest.mark.parametrize("msgs,expected", [
+    # "a b x y z" generalizes cluster 0 to "a b <*> <*> <*>", so the
+    # repeated "a b c s t" now matches cluster 1 better (3/5 against 2/5)
+    (["a b c d e", "a q r s t", "a b c s t", "a b x y z", "a b c s t"],
+     [0, 1, 0, 0, 1]),
+    # the repeat joins cluster 0 at 2/4; "a q c d" founds cluster 1, which
+    # matches the repeat at 3/4
+    (["a b x y", "a b z w", "a b c d", "a q c d", "a b c d"],
+     [0, 0, 0, 1, 1]),
+], ids=["rewrite", "new-cluster"])
+def test_drain_memo_drops_stale_answer(msgs, expected):
+    # depth 3 routes on the first token only, so all messages share a leaf
+    parser = DrainParser(depth=3, sim_threshold=0.4)
+    assert [parser.parse_one(m) for m in msgs] == expected
+    assert DrainParser(depth=3, sim_threshold=0.4).parse(msgs) == expected
+
+
+def test_spell_memo_drops_stale_answer():
+    # "a b x y" generalizes cluster 0 to "a b <*>" without founding a
+    # cluster; the repeated "a b c d" must then move to cluster 1 (LCS 3)
+    msgs = ["a b c d", "b c d q r s t u", "a b c d", "a b x y", "a b c d"]
+    assert _parse_one_each("spell", msgs)[0] == [0, 1, 0, 0, 1]
+    assert SpellParser().parse(msgs) == [0, 1, 0, 0, 1]
+
+    parser = SpellParser()
+    assert parser.parse(msgs[:3]) == [0, 1, 0]
+    assert parser.parse_one("a b x y") == 0
+    assert parser.parse(["a b c d"]) == [1]
+
+
+def test_lenma_memo_follows_length_vector():
+    # position 1 is already a wildcard, so the joins below change only the
+    # cluster's length vector; it drifts from (5, 1) to (5, 6) and the
+    # repeated "hello u" no longer reaches the threshold
+    msgs = ["hello w", "hello v", "hello u", "hello uu", "hello uuu",
+            "hello uuuu", "hello uuuuuu", "hello u"]
+    expected = [0, 0, 0, 0, 0, 0, 0, 1]
+    assert _parse_one_each("lenma", msgs)[0] == expected
+    assert LenMaParser().parse(msgs) == expected
+
+
+def test_lenma_memo_skips_message_that_founded_a_cluster():
+    # cosine of (9, 5) with itself rounds to just below 1.0, so at
+    # threshold 1.0 every repeat founds a new cluster; a memo entry for
+    # the founding message would wrongly send repeats to cluster 0
+    msgs = ["abcdefghi abcde"] * 3
+    parser = LenMaParser(threshold=1.0)
+    assert [parser.parse_one(m) for m in msgs] == [0, 1, 2]
+    assert LenMaParser(threshold=1.0).parse(msgs) == [0, 1, 2]
+
+
 def test_matches_positional_and_subsequence():
     drain = TemplateStore("drain")
     drain._new_cluster(["a", WILDCARD, "c"])
