@@ -5,7 +5,16 @@ rows; unsupervised models (k-means distance, isolation forest) produce scores
 and get their decision threshold from a contamination quantile frozen at fit
 time. Two token-statistics detectors (out-of-vocabulary fraction, rarity)
 work directly on documents without a feature matrix. Everything here is
-implemented with numpy; no external learning library is involved.
+implemented with numpy and scipy.sparse; no external learning library is
+involved.
+
+The matrix detectors are sparse-native: they take dense or sparse input,
+convert it once to a float64 CSR without duplicate entries, and never
+densify it, so memory grows with nnz rather than rows x vocabulary. The
+decision tree and the isolation forest give the same models and scores,
+bit for bit, as a dense implementation would; k-means gives the same
+assignments, with floats that may differ in the last bits because sparse
+products sum in another order than dense BLAS.
 """
 
 from __future__ import annotations
@@ -30,11 +39,35 @@ def _as_matrix(X):
     return X
 
 
-def _as_dense(X) -> np.ndarray:
+def _as_csr(X) -> sparse.csr_array:
+    """X as a float64 CSR array with no duplicate entries.
+
+    Never densifies: a sparse input keeps its nnz, a dense one is stored
+    by its nonzeros. A caller's non-canonical matrix is copied, not
+    rewritten in place.
+    """
     M = _as_matrix(X)
-    if sparse.issparse(M):
-        return np.asarray(M.todense(), dtype=np.float64)
-    return np.asarray(M, dtype=np.float64)
+    if not sparse.issparse(M):
+        M = np.asarray(M, dtype=np.float64)
+    M = sparse.csr_array(M, dtype=np.float64)
+    if not M.has_canonical_format:
+        M = M.copy()
+        M.sum_duplicates()
+    return M
+
+
+def _column_at(Xc: sparse.csc_array, j: int, rows: np.ndarray) -> np.ndarray:
+    """Dense values of column j of a canonical CSC array at ascending rows."""
+    out = np.zeros(len(rows), dtype=np.float64)
+    a, b = Xc.indptr[j], Xc.indptr[j + 1]
+    if a == b or len(rows) == 0:
+        return out
+    stored = Xc.indices[a:b]
+    pos = np.searchsorted(rows, stored)
+    hit = pos < len(rows)
+    hit[hit] = rows[pos[hit]] == stored[hit]
+    out[pos[hit]] = Xc.data[a:b][hit]
+    return out
 
 
 def _as_labels(y) -> np.ndarray:
@@ -170,8 +203,18 @@ def evaluate(predictions, truth, scores=None,
     return EvalReport(tp, fp, fn, tn, auc_roc=auc, wall_clock_ms=wall_clock_ms)
 
 
+def _flagged_count(contamination: float, n: int) -> int:
+    """Rows a contamination rate flags among n: ``ceil(contamination * n)``.
+
+    The product is rounded to 9 decimals first, so a rate that is exact in
+    decimal gives the exact count: 0.07 * 100 is 7.000000000000001 in
+    floats, and flags 7 rows, not 8.
+    """
+    return min(n, math.ceil(round(contamination * n, 9)))
+
+
 def scores_to_labels(scores, contamination: float = 0.03) -> np.ndarray:
-    """Flag the top ``ceil(contamination * n)`` scores as anomalies.
+    """Flag the top :func:`_flagged_count` scores as anomalies.
 
     Ties at the cut are broken by row order (earlier rows win), so the
     result is deterministic.
@@ -183,7 +226,7 @@ def scores_to_labels(scores, contamination: float = 0.03) -> np.ndarray:
     out = np.zeros(n, dtype=bool)
     if n == 0 or contamination == 0.0:
         return out
-    k = min(n, math.ceil(contamination * n))
+    k = _flagged_count(contamination, n)
     order = np.argsort(-scores, kind="mergesort")
     out[order[:k]] = True
     return out
@@ -316,7 +359,7 @@ class _TreeNode:
         return self.left is None
 
 
-def _best_split(X: np.ndarray, y: np.ndarray):
+def _best_split(X, y: np.ndarray):
     """Best (feature, threshold, gain) under Gini, or None.
 
     Features are scanned in index order and only a strictly larger gain
@@ -324,39 +367,87 @@ def _best_split(X: np.ndarray, y: np.ndarray):
     within a feature, to the lowest threshold. An impure node accepts even a
     zero-gain split: the gain of an exclusive-or pattern is zero at the root
     and only the children can realize it.
+
+    X may be dense or sparse; the scan reads only its stored entries. A
+    column's sorted values are its stored values plus one block of
+    ``n - nnz_j`` implicit zeros, placed by value, so each distinct-value cut
+    has the same left count and left positives as a sort of the full dense
+    column. Columns with a single distinct value are skipped.
     """
+    X = _as_csr(X)
+    y = _as_labels(y)
     n = len(y)
     pos = int(y.sum())
     p = pos / n
     parent = 2.0 * p * (1.0 - p)
     if parent == 0.0:
         return None
+    cols = X.indices
+    y_entry = y[np.repeat(np.arange(n), np.diff(X.indptr))]
+    stored = np.bincount(cols, minlength=X.shape[1])
+    stored_pos = np.bincount(cols[y_entry], minlength=X.shape[1])
+    zero_cols = np.flatnonzero((stored > 0) & (stored < n))
+    # one entry per stored value plus one weighted entry per zero block,
+    # sorted by (column, value) and merged into distinct-value groups
+    col = np.concatenate((cols, zero_cols))
+    if len(col) == 0:
+        return None
+    val = np.concatenate((X.data, np.zeros(len(zero_cols))))
+    cnt = np.concatenate((np.ones(len(cols), dtype=np.int64),
+                          n - stored[zero_cols]))
+    npos = np.concatenate((y_entry.astype(np.int64),
+                           pos - stored_pos[zero_cols]))
+    order = np.lexsort((val, col))
+    col, val, cnt, npos = col[order], val[order], cnt[order], npos[order]
+    new_group = np.ones(len(col), dtype=bool)
+    new_group[1:] = (col[1:] != col[:-1]) | (val[1:] != val[:-1])
+    starts = np.flatnonzero(new_group)
+    g_col, g_val = col[starts], val[starts]
+    g_cnt = np.add.reduceat(cnt, starts)
+    g_pos = np.add.reduceat(npos, starts)
+    # running totals restart at each column's first group
+    first = np.ones(len(g_col), dtype=bool)
+    first[1:] = g_col[1:] != g_col[:-1]
+    seg = np.cumsum(first) - 1
+    cum_cnt, cum_pos = np.cumsum(g_cnt), np.cumsum(g_pos)
+    left_cnt = cum_cnt - (cum_cnt - g_cnt)[first][seg]
+    left_pos = cum_pos - (cum_pos - g_pos)[first][seg]
+    # a cut follows every group that is not the last of its column
+    cut = np.flatnonzero(~first[1:])
+    if len(cut) == 0:
+        return None
+    left_n = left_cnt[cut].astype(np.float64)
+    left_pos = left_pos[cut].astype(np.float64)
+    right_n = n - left_n
+    right_pos = pos - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    weighted = (left_n * 2.0 * pl * (1.0 - pl)
+                + right_n * 2.0 * pr * (1.0 - pr)) / n
+    gains = parent - weighted
+    # per column, the first cut reaching the column's largest gain
+    cut_col = g_col[cut]
+    col_start = np.flatnonzero(np.r_[True, cut_col[1:] != cut_col[:-1]])
+    col_max = np.maximum.reduceat(gains, col_start)
+    col_len = np.diff(np.r_[col_start, len(cut)])
+    at_max = np.flatnonzero(gains == np.repeat(col_max, col_len))
+    _, first_at = np.unique(np.repeat(np.arange(len(col_start)), col_len)
+                            [at_max], return_index=True)
+    col_arg = at_max[first_at]
+    # the scan in index order: every gain seen so far stays at most
+    # best_gain + 1e-12, so only a column beating all columns before it
+    # can replace the incumbent, and the scan visits only those
+    before = np.r_[-math.inf, np.maximum.accumulate(col_max)[:-1]]
     best = None
     best_gain = -math.inf
-    yf = y.astype(np.float64)
-    for j in range(X.shape[1]):
-        x = X[:, j]
-        order = np.argsort(x, kind="mergesort")
-        xs = x[order]
-        if xs[0] == xs[-1]:
-            continue
-        ys = yf[order]
-        cut = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-        left_n = cut.astype(np.float64)
-        left_pos = np.cumsum(ys)[cut - 1]
-        right_n = n - left_n
-        right_pos = pos - left_pos
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        weighted = (left_n * 2.0 * pl * (1.0 - pl)
-                    + right_n * 2.0 * pr * (1.0 - pr)) / n
-        gains = parent - weighted
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain + 1e-12:
-            best_gain = float(gains[k])
-            threshold = 0.5 * (xs[cut[k] - 1] + xs[cut[k]])
-            best = (j, float(threshold), best_gain)
-    return best
+    for c in np.flatnonzero(col_max > before).tolist():
+        gain = float(col_max[c])
+        if gain > best_gain + 1e-12:
+            best_gain = gain
+            best = c
+    k = cut[col_arg[best]]
+    threshold = 0.5 * (g_val[k] + g_val[k + 1])
+    return int(g_col[k]), float(threshold), best_gain
 
 
 class DecisionTreeDetector:
@@ -371,9 +462,9 @@ class DecisionTreeDetector:
         self.root: _TreeNode | None = None
 
     def fit(self, X, y, seed: int = 0):
-        Xd = _as_dense(X)
+        M = _as_csr(X)
         y = _as_labels(y)
-        if len(Xd) != len(y):
+        if M.shape[0] != len(y):
             raise ValueError("X and y differ in length")
         if len(y) == 0:
             raise ValueError("cannot fit on zero rows")
@@ -381,22 +472,29 @@ class DecisionTreeDetector:
             warnings.warn("decision tree trained on a single class; "
                           "it will predict a constant", RuntimeWarning,
                           stacklevel=2)
-        self.root = self._grow(Xd, y, 0)
+        self.root = self._grow(M, M.tocsc(), y, np.arange(len(y)), 0)
         return self
 
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> _TreeNode:
-        node = _TreeNode(prob=float(y.mean()), n=len(y))
-        if depth >= self.max_depth or len(y) < 2:
+    def _grow(self, X: sparse.csr_array, Xc: sparse.csc_array,
+              y: np.ndarray, rows: np.ndarray, depth: int) -> _TreeNode:
+        """Grow the subtree over the ascending row indices ``rows``.
+
+        Only the node's rows are copied out of X, and the copy is dropped
+        before the children grow, so memory stays within a few times nnz.
+        """
+        y_node = y[rows]
+        node = _TreeNode(prob=float(y_node.mean()), n=len(rows))
+        if depth >= self.max_depth or len(rows) < 2:
             return node
-        split = _best_split(X, y)
+        split = _best_split(X[rows], y_node)
         if split is None:
             return node
         j, threshold, _ = split
-        mask = X[:, j] <= threshold
+        mask = _column_at(Xc, j, rows) <= threshold
         node.feature = j
         node.threshold = threshold
-        node.left = self._grow(X[mask], y[mask], depth + 1)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1)
+        node.left = self._grow(X, Xc, y, rows[mask], depth + 1)
+        node.right = self._grow(X, Xc, y, rows[~mask], depth + 1)
         return node
 
     @property
@@ -407,17 +505,21 @@ class DecisionTreeDetector:
             return 1 + max(walk(node.left), walk(node.right))
         return walk(self.root)
 
-    def _leaf_for(self, row: np.ndarray) -> _TreeNode:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold \
-                else node.right
-        return node
-
     def score(self, X) -> np.ndarray:
-        Xd = _as_dense(X)
-        return np.asarray([self._leaf_for(r).prob for r in Xd],
-                          dtype=np.float64)
+        """Leaf probability per row; each internal node reads one column
+        for all the rows that reach it."""
+        Xc = _as_csr(X).tocsc()
+        out = np.empty(Xc.shape[0], dtype=np.float64)
+        stack = [(self.root, np.arange(Xc.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out[rows] = node.prob
+                continue
+            left = _column_at(Xc, node.feature, rows) <= node.threshold
+            stack.append((node.left, rows[left]))
+            stack.append((node.right, rows[~left]))
+        return out
 
     def predict(self, X) -> np.ndarray:
         return self.score(X) >= 0.5
@@ -473,44 +575,46 @@ class KMeansDetector:
         self.seed = 0
 
     @staticmethod
-    def _distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        # squared euclidean via the expansion trick, clipped at zero
-        sq = (X * X).sum(axis=1)[:, None] \
+    def _distances(X: sparse.csr_array, centroids: np.ndarray) -> np.ndarray:
+        # squared euclidean via the expansion trick, clipped at zero; X stays
+        # sparse and X @ C.T is a small dense (rows x clusters) result
+        sq = X.multiply(X).sum(axis=1)[:, None] \
             + (centroids * centroids).sum(axis=1)[None, :] \
             - 2.0 * (X @ centroids.T)
         return np.maximum(sq, 0.0)
 
     def fit(self, X, seed: int = 0):
-        Xd = _as_dense(X)
-        n = len(Xd)
+        M = _as_csr(X)
+        n = M.shape[0]
         if n < 2:
             raise ValueError("k-means needs at least 2 rows")
         self.seed = seed
         rng = np.random.default_rng(seed)
-        centroids = [Xd[int(rng.integers(n))]]
+        centroids = M[[int(rng.integers(n))]].toarray()
         while len(centroids) < self.n_clusters:
-            d = self._distances(Xd, np.asarray(centroids)).min(axis=1)
-            centroids.append(Xd[int(np.argmax(d))])
-        centroids = np.asarray(centroids, dtype=np.float64)
+            d = self._distances(M, centroids).min(axis=1)
+            centroids = np.vstack((centroids,
+                                   M[[int(np.argmax(d))]].toarray()))
 
         assign = None
         for _ in range(self.max_iter):
-            new_assign = np.argmin(self._distances(Xd, centroids), axis=1)
+            new_assign = np.argmin(self._distances(M, centroids), axis=1)
             if assign is not None and np.array_equal(new_assign, assign):
                 break
             assign = new_assign
             for c in range(self.n_clusters):
-                members = Xd[assign == c]
-                if len(members):
-                    centroids[c] = members.mean(axis=0)
+                members = assign == c
+                count = int(members.sum())
+                if count:
+                    centroids[c] = M[members].sum(axis=0) / count
         self.centroids = centroids
-        train_scores = self.score(Xd)
+        train_scores = self.score(M)
         self.threshold = _quantile_threshold(train_scores, self.contamination)
         return self
 
     def score(self, X) -> np.ndarray:
-        Xd = _as_dense(X)
-        return np.sqrt(self._distances(Xd, self.centroids).min(axis=1))
+        M = _as_csr(X)
+        return np.sqrt(self._distances(M, self.centroids).min(axis=1))
 
     def predict(self, X) -> np.ndarray:
         return self.score(X) >= self.threshold
@@ -532,11 +636,11 @@ class KMeansDetector:
 
 
 def _quantile_threshold(scores: np.ndarray, contamination: float) -> float:
-    """The k-th largest training score, k = ceil(contamination * n)."""
+    """The k-th largest training score, k = :func:`_flagged_count`."""
     n = len(scores)
-    if n == 0 or contamination <= 0.0:
+    k = _flagged_count(contamination, n)
+    if k <= 0:
         return float("inf")
-    k = min(n, math.ceil(contamination * n))
     return float(np.sort(scores)[n - k])
 
 
@@ -580,29 +684,49 @@ class IsolationForestDetector:
         self.threshold = 0.0
         self.seed = 0
 
-    def _build(self, X: np.ndarray, depth: int, limit: int,
+    def _build(self, S: sparse.csc_array, cols: np.ndarray,
+               rows: np.ndarray, depth: int, limit: int,
                rng: np.random.Generator) -> dict:
-        n = len(X)
+        """Grow a tree over the ascending subsample rows ``rows``.
+
+        S is the subsample in CSC form, reduced to the columns that store
+        an entry in it; ``cols`` holds their feature indices. Any other
+        feature is all zero in the subsample and can never be drawn. A
+        column's range over the node is that of its stored values there,
+        widened to 0 when some node row stores nothing: the range of the
+        dense column.
+        """
+        n = len(rows)
         if depth >= limit or n <= 1:
             return {"size": n}
-        lo = X.min(axis=0)
-        hi = X.max(axis=0)
+        in_node = np.zeros(S.shape[0], dtype=bool)
+        in_node[rows] = True
+        keep = in_node[S.indices]
+        first = S.indptr[:-1]
+        lo = np.minimum.reduceat(np.where(keep, S.data, np.inf), first)
+        hi = np.maximum.reduceat(np.where(keep, S.data, -np.inf), first)
+        has_zero = np.add.reduceat(keep, first, dtype=np.int64) < n
+        lo[has_zero] = np.minimum(lo[has_zero], 0.0)
+        hi[has_zero] = np.maximum(hi[has_zero], 0.0)
         spread = np.flatnonzero(hi > lo)
         if spread.size == 0:
             return {"size": n}
-        feature = int(spread[rng.integers(spread.size)])
-        split = float(rng.uniform(lo[feature], hi[feature]))
-        mask = X[:, feature] < split
+        k = int(spread[rng.integers(spread.size)])
+        split = float(rng.uniform(lo[k], hi[k]))
+        x = _column_at(S, k, rows)
+        mask = x < split
         if not mask.any() or mask.all():
             # degenerate uniform draw at the boundary; isolate the extremes
-            mask = X[:, feature] <= lo[feature]
-        return {"feature": feature, "split": split,
-                "left": self._build(X[mask], depth + 1, limit, rng),
-                "right": self._build(X[~mask], depth + 1, limit, rng)}
+            mask = x <= lo[k]
+        return {"feature": int(cols[k]), "split": split,
+                "left": self._build(S, cols, rows[mask], depth + 1, limit,
+                                    rng),
+                "right": self._build(S, cols, rows[~mask], depth + 1, limit,
+                                     rng)}
 
     def fit(self, X, seed: int = 0):
-        Xd = _as_dense(X)
-        n = len(Xd)
+        M = _as_csr(X)
+        n = M.shape[0]
         if n < 2:
             raise ValueError("isolation forest needs at least 2 rows")
         self.seed = seed
@@ -611,33 +735,45 @@ class IsolationForestDetector:
         self.trees = []
         for child_seed in np.random.SeedSequence(seed).spawn(self.n_trees):
             rng = np.random.default_rng(child_seed)
-            idx = rng.choice(n, size=self.psi, replace=False)
-            self.trees.append(self._build(Xd[idx], 0, limit, rng))
-        train_scores = self.score(Xd)
+            sample = M[rng.choice(n, size=self.psi, replace=False)]
+            cols = np.unique(sample.indices)
+            self.trees.append(self._build(sample[:, cols].tocsc(), cols,
+                                          np.arange(self.psi), 0, limit, rng))
+        train_scores = self.score(M)
         self.threshold = _quantile_threshold(train_scores, self.contamination)
         return self
 
     @staticmethod
-    def _path_length(tree: dict, row: np.ndarray) -> float:
-        depth = 0
-        node = tree
-        while "feature" in node:
-            node = node["left"] if row[node["feature"]] < node["split"] \
-                else node["right"]
-            depth += 1
-        return depth + _avg_path_length(node["size"])
+    def _path_lengths(tree: dict, Xc: sparse.csc_array) -> np.ndarray:
+        """Path length of every row through one tree."""
+        out = np.empty(Xc.shape[0], dtype=np.float64)
+        stack = [(tree, np.arange(Xc.shape[0]), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            if len(rows) == 0:
+                continue
+            if "feature" not in node:
+                out[rows] = depth + _avg_path_length(node["size"])
+                continue
+            left = _column_at(Xc, node["feature"], rows) < node["split"]
+            stack.append((node["left"], rows[left], depth + 1))
+            stack.append((node["right"], rows[~left], depth + 1))
+        return out
 
     def score(self, X) -> np.ndarray:
-        Xd = _as_dense(X)
+        Xc = _as_csr(X).tocsc()
         c = _avg_path_length(self.psi)
         if c <= 0.0:
             c = 1.0
-        out = np.empty(len(Xd), dtype=np.float64)
-        for i, row in enumerate(Xd):
-            mean_path = sum(self._path_length(t, row) for t in self.trees) \
-                / len(self.trees)
-            out[i] = 2.0 ** (-mean_path / c)
-        return out
+        # summed tree by tree from zero: the order of Python's sum per row
+        total = np.zeros(Xc.shape[0], dtype=np.float64)
+        for tree in self.trees:
+            total += self._path_lengths(tree, Xc)
+        exponents = -(total / len(self.trees)) / c
+        # Python's float pow, not np.exp2/np.power, which can differ from it
+        # in the last bit and would move the saved threshold
+        return np.asarray([2.0 ** v for v in exponents.tolist()],
+                          dtype=np.float64)
 
     def predict(self, X) -> np.ndarray:
         return self.score(X) >= self.threshold

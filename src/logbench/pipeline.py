@@ -13,6 +13,8 @@ import logging
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import detectors, enhancers, features, loaders, masking
 from .ngram import ngram_train
 from .parsers import make_parser
@@ -271,6 +273,7 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
         model, predictions, scores = _detect(
             config, train, test, train_docs, test_docs, X_train, X_test)
         detectors.save_model(model, out / "model.json")
+    _warn_degenerate(train, X_test, predictions)
 
     with _stage("evaluate", timings):
         if "label" not in test:
@@ -292,6 +295,28 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
             seq_table.write_csv(out / "sequences.csv")
     logger.info("pipeline done: %r", eval_report)
     return eval_report
+
+
+def _warn_degenerate(train, X_test, predictions) -> None:
+    """Log outcomes that leave the report without meaning; the run goes on
+    and report.json is unchanged."""
+    if "label" in train:
+        labels = np.asarray(train["label"], dtype=bool)
+        if labels.all() or not labels.any():
+            logger.warning("degenerate: training has a single class (%s)",
+                           "all anomalous" if labels.any() else "all normal")
+    if X_test.matrix.nnz == 0 and X_test.oov_counts.sum() > 0:
+        logger.warning("degenerate: every test document is out of "
+                       "vocabulary (%d terms, none in the %d-term "
+                       "vocabulary)", int(X_test.oov_counts.sum()),
+                       len(X_test.vocabulary))
+    predictions = np.asarray(predictions, dtype=bool)
+    if predictions.all():
+        logger.warning("degenerate: all %d test rows predicted positive",
+                       len(predictions))
+    elif not predictions.any():
+        logger.warning("degenerate: all %d test rows predicted negative",
+                       len(predictions))
 
 
 def _documents(table, config: PipelineConfig) -> list[list[str]]:

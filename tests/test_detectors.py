@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +9,9 @@ from scipy import sparse
 from logbench.detectors import (DecisionTreeDetector, EvalReport,
                                 IsolationForestDetector, KMeansDetector,
                                 LogisticRegressionDetector, OOVDetector,
-                                RarityDetector, _avg_path_length,
-                                _best_split, _harmonic, auc_roc, evaluate,
+                                RarityDetector, _avg_path_length, _TreeNode,
+                                _best_split, _harmonic, _quantile_threshold,
+                                auc_roc, evaluate,
                                 load_model, logistic_gradient, logistic_loss,
                                 oov_detect, rarity_score, save_model,
                                 scores_to_labels, short_sequence_baseline,
@@ -111,6 +114,14 @@ def test_scores_to_labels():
 def test_scores_to_labels_tie_prefers_earlier_rows():
     out = scores_to_labels([1.0, 1.0, 1.0, 1.0], contamination=0.25)
     assert out.tolist() == [True, False, False, False]
+
+
+def test_contamination_count_is_exact_for_decimal_rates():
+    # 0.07 * 100 is 7.000000000000001 in floats; ceil of that flags 8
+    assert scores_to_labels(range(100), 0.07).sum() == 7
+    assert _quantile_threshold(np.arange(100.0), 0.07) == 93.0
+    assert _quantile_threshold(np.arange(100.0), 0.071) == 92.0
+    assert _quantile_threshold(np.arange(5.0), 0.0) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +468,276 @@ def test_load_model_unknown_kind(tmp_path):
     p.write_text('{"kind": "wat"}')
     with pytest.raises(ValueError):
         load_model(p)
+
+
+# ---------------------------------------------------------------------------
+# sparse-native detectors against the dense implementations they replaced
+
+
+def _dense(X):
+    return X.toarray() if sparse.issparse(X) else np.asarray(X, float)
+
+
+def _dense_best_split(X, y):
+    n = len(y)
+    pos = int(y.sum())
+    p = pos / n
+    parent = 2.0 * p * (1.0 - p)
+    if parent == 0.0:
+        return None
+    best = None
+    best_gain = -math.inf
+    yf = y.astype(np.float64)
+    for j in range(X.shape[1]):
+        x = X[:, j]
+        order = np.argsort(x, kind="mergesort")
+        xs = x[order]
+        if xs[0] == xs[-1]:
+            continue
+        ys = yf[order]
+        cut = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+        left_n = cut.astype(np.float64)
+        left_pos = np.cumsum(ys)[cut - 1]
+        right_n = n - left_n
+        right_pos = pos - left_pos
+        pl = left_pos / left_n
+        pr = right_pos / right_n
+        weighted = (left_n * 2.0 * pl * (1.0 - pl)
+                    + right_n * 2.0 * pr * (1.0 - pr)) / n
+        gains = parent - weighted
+        k = int(np.argmax(gains))
+        if gains[k] > best_gain + 1e-12:
+            best_gain = float(gains[k])
+            threshold = 0.5 * (xs[cut[k] - 1] + xs[cut[k]])
+            best = (j, float(threshold), best_gain)
+    return best
+
+
+class _DenseTree(DecisionTreeDetector):
+    """Reference: CART on the densified matrix, one Python walk per row."""
+
+    def fit(self, X, y, seed=0):
+        self.root = self._grow_dense(_dense(X), np.asarray(y, bool), 0)
+        return self
+
+    def _grow_dense(self, X, y, depth):
+        node = _TreeNode(prob=float(y.mean()), n=len(y))
+        if depth >= self.max_depth or len(y) < 2:
+            return node
+        split = _dense_best_split(X, y)
+        if split is None:
+            return node
+        node.feature, node.threshold, _ = split
+        mask = X[:, node.feature] <= node.threshold
+        node.left = self._grow_dense(X[mask], y[mask], depth + 1)
+        node.right = self._grow_dense(X[~mask], y[~mask], depth + 1)
+        return node
+
+    def score(self, X):
+        out = []
+        for row in _dense(X):
+            node = self.root
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold \
+                    else node.right
+            out.append(node.prob)
+        return np.asarray(out)
+
+
+class _DenseForest(IsolationForestDetector):
+    """Reference: trees on dense copies, scores summed row by row."""
+
+    def _build_dense(self, X, depth, limit, rng):
+        n = len(X)
+        if depth >= limit or n <= 1:
+            return {"size": n}
+        lo = X.min(axis=0)
+        hi = X.max(axis=0)
+        spread = np.flatnonzero(hi > lo)
+        if spread.size == 0:
+            return {"size": n}
+        feature = int(spread[rng.integers(spread.size)])
+        split = float(rng.uniform(lo[feature], hi[feature]))
+        mask = X[:, feature] < split
+        if not mask.any() or mask.all():
+            mask = X[:, feature] <= lo[feature]
+        return {"feature": feature, "split": split,
+                "left": self._build_dense(X[mask], depth + 1, limit, rng),
+                "right": self._build_dense(X[~mask], depth + 1, limit, rng)}
+
+    def fit(self, X, seed=0):
+        Xd = _dense(X)
+        n = len(Xd)
+        self.seed = seed
+        self.psi = min(self.max_samples, n)
+        limit = math.ceil(math.log2(self.psi)) if self.psi > 1 else 1
+        self.trees = []
+        for child_seed in np.random.SeedSequence(seed).spawn(self.n_trees):
+            rng = np.random.default_rng(child_seed)
+            idx = rng.choice(n, size=self.psi, replace=False)
+            self.trees.append(self._build_dense(Xd[idx], 0, limit, rng))
+        self.threshold = _quantile_threshold(self.score(Xd),
+                                             self.contamination)
+        return self
+
+    def score(self, X):
+        c = _avg_path_length(self.psi)
+        out = []
+        for row in _dense(X):
+            paths = []
+            for node in self.trees:
+                depth = 0
+                while "feature" in node:
+                    node = node["left"] if row[node["feature"]] < \
+                        node["split"] else node["right"]
+                    depth += 1
+                paths.append(depth + _avg_path_length(node["size"]))
+            out.append(2.0 ** (-(sum(paths) / len(self.trees)) / c))
+        return np.asarray(out)
+
+
+class _DenseKMeans(KMeansDetector):
+    """Reference: k-means on the densified matrix."""
+
+    def fit(self, X, seed=0):
+        Xd = _dense(X)
+        n = len(Xd)
+        rng = np.random.default_rng(seed)
+        self.seed = seed
+        centroids = [Xd[int(rng.integers(n))]]
+        while len(centroids) < self.n_clusters:
+            d = self._sq(Xd, np.asarray(centroids)).min(axis=1)
+            centroids.append(Xd[int(np.argmax(d))])
+        centroids = np.asarray(centroids, dtype=np.float64)
+        assign = None
+        for _ in range(self.max_iter):
+            new_assign = np.argmin(self._sq(Xd, centroids), axis=1)
+            if assign is not None and np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for c in range(self.n_clusters):
+                if (assign == c).any():
+                    centroids[c] = Xd[assign == c].mean(axis=0)
+        self.centroids = centroids
+        self.assign = assign
+        self.threshold = _quantile_threshold(self.score(Xd),
+                                             self.contamination)
+        return self
+
+    @staticmethod
+    def _sq(X, C):
+        return np.maximum((X * X).sum(1)[:, None] + (C * C).sum(1)[None, :]
+                          - 2.0 * (X @ C.T), 0.0)
+
+    def score(self, X):
+        return np.sqrt(self._sq(_dense(X), self.centroids).min(axis=1))
+
+
+def _parity_matrix(seed, fmt, n=300, d=14):
+    """Seeded matrix with negatives, repeated values, an all-zero column, a
+    constant nonzero column and one far row, as dense, CSR, CSC, or CSR that
+    also stores explicit zeros and duplicate entries."""
+    rng = np.random.default_rng(seed)
+    values = np.array([-2.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 3.5])
+    X = rng.choice(values, size=(n, d))
+    X[5] = 40.0
+    X[:, 2] = 0.0
+    X[:, d - 1] = 1.5
+    y = (X[:, 0] + X[:, 4] > 0.5) ^ (rng.random(n) < 0.1)
+    if fmt == "dense":
+        return X, y
+    if fmt == "csr":
+        return sparse.csr_matrix(X), y
+    if fmt == "csc":
+        return sparse.csc_matrix(X), y
+    # CSR built from raw triplets: every value split in halves (exact in
+    # binary) plus a stored zero at every fourth zero position
+    r, c = np.nonzero(X)
+    zr, zc = np.nonzero(X == 0.0)
+    zr, zc = zr[::4], zc[::4]
+    rows = np.concatenate((r, r, zr))
+    cols = np.concatenate((c, c, zc))
+    data = np.concatenate((X[r, c] / 2, X[r, c] / 2, np.zeros(len(zr))))
+    order = np.argsort(rows, kind="stable")
+    indptr = np.searchsorted(rows[order], np.arange(n + 1))
+    M = sparse.csr_matrix((data[order], cols[order], indptr), shape=(n, d))
+    assert not M.has_canonical_format
+    return M, y
+
+
+PARITY_FORMATS = ["dense", "csr", "csc", "csr-stored-zeros-and-duplicates"]
+
+
+@pytest.mark.parametrize("fmt", PARITY_FORMATS)
+def test_dt_matches_dense_reference(fmt):
+    for seed in range(4):
+        X, y = _parity_matrix(seed, fmt)
+        Xte, _ = _parity_matrix(seed + 100, fmt)
+        before = X.copy()
+        for depth in (3, 20):
+            new = DecisionTreeDetector(depth).fit(X, y)
+            ref = _DenseTree(depth).fit(X, y)
+            assert json.dumps(new.to_dict()) == json.dumps(ref.to_dict())
+            assert np.array_equal(new.score(Xte), ref.score(Xte))
+            assert np.array_equal(new.score(X), ref.score(X))
+        # the caller's matrix is read, never canonicalized in place
+        assert np.array_equal(_dense(X), _dense(before))
+        if sparse.issparse(X):
+            assert X.nnz == before.nnz
+
+
+@pytest.mark.parametrize("fmt", PARITY_FORMATS)
+def test_best_split_matches_dense_reference(fmt):
+    for seed in range(10):
+        X, y = _parity_matrix(seed, fmt, n=40, d=6)
+        assert _best_split(X, y) == _dense_best_split(_dense(X), y)
+
+
+@pytest.mark.parametrize("fmt", PARITY_FORMATS)
+def test_iforest_matches_dense_reference(fmt):
+    for seed, n in ((0, 300), (1, 90)):  # psi 256 subsamples; psi n doesn't
+        X, _ = _parity_matrix(seed, fmt, n=n)
+        Xte, _ = _parity_matrix(seed + 100, fmt, n=50)
+        new = IsolationForestDetector(n_trees=20).fit(X, seed=seed)
+        ref = _DenseForest(n_trees=20).fit(X, seed=seed)
+        assert json.dumps(new.to_dict()) == json.dumps(ref.to_dict())
+        assert np.array_equal(new.score(Xte), ref.score(Xte))
+
+
+@pytest.mark.parametrize("fmt", PARITY_FORMATS)
+def test_kmeans_matches_dense_reference(fmt):
+    # dense BLAS and sparse products sum in different orders, so the
+    # floats may differ in the last bits; assignments may not
+    for seed in range(4):
+        X, _ = _parity_matrix(seed, fmt)
+        Xte, _ = _parity_matrix(seed + 100, fmt, n=50)
+        new = KMeansDetector(contamination=0.05).fit(X, seed=seed)
+        ref = _DenseKMeans(contamination=0.05).fit(X, seed=seed)
+        assign = np.argmin(ref._sq(_dense(X), new.centroids), axis=1)
+        assert np.array_equal(assign, ref.assign)
+        np.testing.assert_allclose(new.centroids, ref.centroids,
+                                   rtol=1e-9, atol=1e-12)
+        assert new.threshold == pytest.approx(ref.threshold, rel=1e-9)
+        np.testing.assert_allclose(new.score(Xte), ref.score(Xte),
+                                   rtol=1e-9)
+
+
+def test_sparse_detectors_memory_is_bounded_by_nnz():
+    # 2000 x 25000 at 0.1% density stores 50k values; its dense float64
+    # form alone is 400 MB, so any densifying path fails the bound
+    rng = np.random.default_rng(0)
+    X = sparse.random(2000, 25000, density=0.001, format="csr",
+                      random_state=rng,
+                      data_rvs=lambda k: rng.integers(1, 4, size=k) * 1.0)
+    y = rng.random(2000) < 0.1
+    fits = {"dt": lambda: DecisionTreeDetector().fit(X, y),
+            "kmeans": lambda: KMeansDetector().fit(X, seed=0),
+            "iforest": lambda: IsolationForestDetector().fit(X, seed=0)}
+    for kind, fit in fits.items():
+        tracemalloc.start()
+        try:
+            fit().score(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20, (kind, peak)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -206,3 +207,52 @@ def test_split_empty_side_fails_in_stage(tmp_path):
     with pytest.raises(StageError) as err:
         run_pipeline(config)
     assert err.value.stage == "split"
+
+
+def _hdfs_config(tmp_path, data, **kw):
+    settings = dict(loader_spec=LoaderSpec("hdfs", data["log"],
+                                           data["labels"]),
+                    chain=["normalize", "tokenize", "drain", "aggregate"],
+                    out_dir=tmp_path / "out", feature_source="event_ids")
+    settings.update(kw)
+    return PipelineConfig(**settings)
+
+
+def _degenerate_warnings(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "logbench.pipeline" and r.levelname == "WARNING"
+            and r.getMessage().startswith("degenerate:")]
+
+
+@pytest.mark.parametrize("settings, expected", [
+    (dict(detector="oov", oov_threshold=-1.0), "predicted positive"),
+    (dict(detector="oov", oov_threshold=1.0), "predicted negative"),
+    (dict(detector="rarity", feature_source="words", min_count=10 ** 9),
+     "every test document is out of vocabulary"),
+], ids=["all-positive", "all-negative", "all-oov"])
+def test_degenerate_outcome_warns(tmp_path, synth_hdfs, caplog, settings,
+                                  expected):
+    caplog.set_level(logging.WARNING, logger="logbench.pipeline")
+    run_pipeline(_hdfs_config(tmp_path, synth_hdfs, **settings))
+    warnings = _degenerate_warnings(caplog)
+    assert len(warnings) == 1 and expected in warnings[0], warnings
+
+
+def test_single_class_training_warns(tmp_path, caplog):
+    data = generate_synthetic(tmp_path / "data", format="hdfs",
+                              n_templates=4, n_lines=600, anomaly_rate=0.0,
+                              seed=4)
+    caplog.set_level(logging.WARNING, logger="logbench.pipeline")
+    run_pipeline(_hdfs_config(tmp_path, data, detector="rarity"))
+    assert _degenerate_warnings(caplog) == [
+        "degenerate: training has a single class (all normal)"]
+
+
+def test_healthy_run_warns_nothing(tmp_path, synth_hdfs, caplog):
+    caplog.set_level(logging.WARNING, logger="logbench.pipeline")
+    report = run_pipeline(_hdfs_config(tmp_path, synth_hdfs, detector="dt"))
+    assert report.f1_binary >= 0.95
+    assert _degenerate_warnings(caplog) == []
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert set(saved) == {"tp", "fp", "fn", "tn", "accuracy", "precision",
+                          "recall", "f1_binary", "auc_roc", "wall_clock_ms"}
