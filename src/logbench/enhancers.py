@@ -13,7 +13,7 @@ import numpy as np
 
 from . import masking
 from .ngram import NGramModel, ngram_score
-from .tables import EventTable, SequenceTable, Table
+from .tables import EventTable, SequenceTable, Table, object_column
 
 
 def add_normalized(events: Table, rules=None,
@@ -31,7 +31,8 @@ def _text_source(events: Table) -> str:
 def add_tokens(events: Table) -> Table:
     """Token lists as ``e_words``, from the normalized text when present."""
     tokens = masking.tokenize(events[_text_source(events)])
-    return events.with_column("e_words", tokens)
+    # the lists are fresh, so the table may hold them without a copy
+    return events.with_column("e_words", object_column(tokens))
 
 
 def add_event_ids(events: Table, parser) -> Table:

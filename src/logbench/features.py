@@ -80,9 +80,6 @@ class FeatureMatrix:
     def shape(self):
         return self.matrix.shape
 
-    def to_dense(self) -> np.ndarray:
-        return np.asarray(self.matrix.todense())
-
     def total_count(self) -> int:
         """In-vocabulary plus out-of-vocabulary term occurrences."""
         return int(self.matrix.sum()) + int(self.oov_counts.sum())

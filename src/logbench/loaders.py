@@ -26,7 +26,7 @@ from sys import intern
 
 import numpy as np
 
-from .tables import EventTable, SequenceTable
+from .tables import EventTable, SequenceTable, object_column
 
 logger = logging.getLogger("logbench.loaders")
 
@@ -75,13 +75,6 @@ def _to_timestamps(epoch_us: list) -> np.ndarray:
             .view(np.dtype("datetime64[us]")))
 
 
-def _object_column(values: list) -> np.ndarray:
-    out = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        out[i] = v
-    return out
-
-
 def _warn_counts(name: str, meta: dict) -> None:
     issues = {k: v for k, v in meta.items()
               if k.startswith(("dropped", "merged", "rows_without",
@@ -111,7 +104,7 @@ def load_raw(path) -> EventTable:
         .view(np.dtype("datetime64[us]"))
     meta = {"source": str(path), "lines_read": len(messages),
             "dropped_lines": 0, "merged_continuations": 0}
-    return EventTable({"m_message": _object_column(messages),
+    return EventTable({"m_message": object_column(messages),
                        "m_timestamp": ts}, meta=meta)
 
 
@@ -190,13 +183,13 @@ def load_hdfs(log_path, label_path=None):
             "dropped_lines": dropped, "merged_continuations": merged,
             "rows_without_seq_id": no_seq}
     events = EventTable({
-        "seq_id": _object_column(seqs),
-        "m_message": _object_column(messages),
+        "seq_id": object_column(seqs),
+        "m_message": object_column(messages),
         "m_timestamp": _to_timestamps(epochs),
         "pid": np.asarray(pids, dtype=np.int64) if pids
                else np.zeros(0, dtype=np.int64),
-        "level": _object_column(levels),
-        "component": _object_column(comps),
+        "level": object_column(levels),
+        "component": object_column(comps),
     }, meta=meta)
 
     labels = read_hdfs_labels(label_path) if label_path is not None else {}
@@ -212,7 +205,7 @@ def load_hdfs(log_path, label_path=None):
         if label_path is not None else 0
     seq_meta = {"source": str(log_path), "sequences_unlabeled": unlabeled}
     sequences = SequenceTable({
-        "seq_id": _object_column(seq_ids),
+        "seq_id": object_column(seq_ids),
         "label": np.asarray([labels.get(s, False) for s in seq_ids],
                             dtype=bool),
         "seq_len": np.asarray([seq_counts[s] for s in seq_ids],
@@ -312,16 +305,16 @@ def _load_bgl(log_path) -> EventTable:
     label = np.asarray([a != "-" for a in alerts], dtype=bool)
     table = EventTable({
         "label": label,
-        "alert_tag": _object_column(alerts),
+        "alert_tag": object_column(alerts),
         "m_timestamp": _to_timestamps(epochs),
-        "date": _object_column(dates),
-        "node": _object_column(nodes),
-        "time_full": _object_column(fulltimes),
-        "node_repeat": _object_column(nodereps),
-        "type": _object_column(types_),
-        "component": _object_column(comps),
-        "level": _object_column(levels),
-        "m_message": _object_column(messages),
+        "date": object_column(dates),
+        "node": object_column(nodes),
+        "time_full": object_column(fulltimes),
+        "node_repeat": object_column(nodereps),
+        "type": object_column(types_),
+        "component": object_column(comps),
+        "level": object_column(levels),
+        "m_message": object_column(messages),
     }, meta=meta)
     _warn_counts("bgl", meta)
     return table
@@ -364,15 +357,15 @@ def _load_tbird_family(log_path, format: str) -> EventTable:
     label = np.asarray([a != "-" for a in alerts], dtype=bool)
     table = EventTable({
         "label": label,
-        "alert_tag": _object_column(alerts),
+        "alert_tag": object_column(alerts),
         "m_timestamp": _to_timestamps(epochs),
-        "date": _object_column(dates),
-        "admin": _object_column(admins),
-        "month": _object_column(months),
-        "day": _object_column(days),
-        "time": _object_column(times),
-        "location": _object_column(locations),
-        "m_message": _object_column(messages),
+        "date": object_column(dates),
+        "admin": object_column(admins),
+        "month": object_column(months),
+        "day": object_column(days),
+        "time": object_column(times),
+        "location": object_column(locations),
+        "m_message": object_column(messages),
     }, meta=meta)
     _warn_counts(format, meta)
     return table
@@ -509,17 +502,17 @@ def load_hadoop(root_dir, app_labels):
             "dropped_lines": dropped, "merged_continuations": merged,
             "sequences": len(apps)}
     events = EventTable({
-        "seq_id": _object_column([intern(s) for s in seqs]),
-        "m_message": _object_column(messages),
+        "seq_id": object_column([intern(s) for s in seqs]),
+        "m_message": object_column(messages),
         "m_timestamp": _to_timestamps(epochs),
-        "level": _object_column(levels),
-        "component": _object_column(comps),
+        "level": object_column(levels),
+        "component": object_column(comps),
     }, meta=meta)
 
     unlabeled = sum(1 for a in apps if a not in labels)
     seq_meta = {"source": str(root), "sequences_unlabeled": unlabeled}
     sequences = SequenceTable({
-        "seq_id": _object_column(apps),
+        "seq_id": object_column(apps),
         "label": np.asarray([labels.get(a, False) for a in apps], dtype=bool),
         "seq_len": np.asarray([per_app_counts[a] for a in apps],
                               dtype=np.int64),

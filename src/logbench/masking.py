@@ -143,8 +143,12 @@ def split_tokens(text: str) -> list[str]:
 
 
 def tokenize(messages) -> list[list[str]]:
-    """Token lists for a message column (ASCII whitespace splitting)."""
-    return [split_tokens(m) for m in messages]
+    """Token lists for a message column (ASCII whitespace splitting).
+
+    Each list is copied to its exact size: ``str.split`` leaves room for 12
+    tokens, which a table of short messages would keep for its lifetime.
+    """
+    return [list(split_tokens(m)) for m in messages]
 
 
 def load_masking_rules(path) -> list[MaskingRule]:

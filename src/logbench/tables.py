@@ -9,7 +9,8 @@ treated as immutable after construction; every operation returns a new table.
 from __future__ import annotations
 
 import json
-from typing import Iterator, Mapping
+import re
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -18,21 +19,32 @@ import numpy as np
 EVENT_MANDATORY = ("m_message", "m_timestamp")
 SEQUENCE_MANDATORY = ("seq_id",)
 
-_TIMESTAMP_DTYPE = np.dtype("datetime64[us]")
-_DURATION_DTYPE = np.dtype("timedelta64[us]")
-
-# dtype tags used by the JSON table format
+# numpy dtype kind -> (column dtype, tag in the JSON table format); object
+# columns are tagged by their values
+_KINDS = {
+    "M": (np.dtype("datetime64[us]"), "timestamp_us"),
+    "m": (np.dtype("timedelta64[us]"), "duration_us"),
+    "i": (np.dtype(np.int64), "int"),
+    "f": (np.dtype(np.float64), "float"),
+    "b": (np.dtype(np.bool_), "bool"),
+}
+_TAG_DTYPES = {tag: dtype for dtype, tag in _KINDS.values()}
 _TAG_STR = "str"
-_TAG_INT = "int"
-_TAG_FLOAT = "float"
-_TAG_BOOL = "bool"
-_TAG_TIMESTAMP = "timestamp_us"
-_TAG_DURATION = "duration_us"
 _TAG_STR_LIST = "str_list"
 _TAG_INT_LIST = "int_list"
 
 _FORMAT_NAME = "logbench.table"
 _FORMAT_VERSION = 1
+_NAT_INT = np.iinfo(np.int64).min
+
+# characters that make csv's QUOTE_MINIMAL quote a cell (excel dialect)
+_CSV_QUOTE_CHARS = ',"\r\n'
+_CSV_QUOTE_RE = re.compile("[" + _CSV_QUOTE_CHARS + "]")
+
+
+def object_column(values: Sequence) -> np.ndarray:
+    """1-d object array holding ``values`` as they are (lists stay lists)."""
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def _coerce_column(values) -> np.ndarray:
@@ -42,24 +54,11 @@ def _coerce_column(values) -> np.ndarray:
         if arr.ndim != 1:
             raise ValueError("columns must be one dimensional")
         kind = arr.dtype.kind
-        if kind == "M":
-            arr = arr.astype(_TIMESTAMP_DTYPE)
-        elif kind == "m":
-            arr = arr.astype(_DURATION_DTYPE)
-        elif kind == "i":
-            arr = arr.astype(np.int64)
-        elif kind == "f":
-            arr = arr.astype(np.float64)
-        elif kind == "b":
-            arr = arr.astype(np.bool_)
-        elif kind == "U":
-            out = np.empty(len(arr), dtype=object)
-            for i, v in enumerate(arr):
-                out[i] = str(v)
-            arr = out
-        elif kind == "O":
-            pass
-        else:
+        if kind in _KINDS:
+            return arr.astype(_KINDS[kind][0])
+        if kind == "U":
+            return arr.astype(object)
+        if kind != "O":
             raise TypeError(f"unsupported column dtype: {arr.dtype}")
         return arr
 
@@ -67,20 +66,14 @@ def _coerce_column(values) -> np.ndarray:
     if values and isinstance(values[0], (list, tuple)):
         # list-valued column (token lists, event id traces); keep as object
         # and never let numpy guess a 2-d shape
-        out = np.empty(len(values), dtype=object)
-        for i, v in enumerate(values):
-            out[i] = list(v)
-        return out
+        return object_column([list(v) for v in values])
     if values and all(isinstance(v, bool) for v in values):
         return np.asarray(values, dtype=np.bool_)
     if values and all(isinstance(v, int) and not isinstance(v, bool) for v in values):
         return np.asarray(values, dtype=np.int64)
     if values and all(isinstance(v, float) for v in values):
         return np.asarray(values, dtype=np.float64)
-    out = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        out[i] = v
-    return out
+    return object_column(values)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -141,10 +134,6 @@ class Table:
         cols[name] = values
         return type(self)(cols, meta=self.meta)
 
-    def drop_column(self, name: str) -> "Table":
-        cols = {k: v for k, v in self._columns.items() if k != name}
-        return type(self)(cols, meta=self.meta)
-
     def take(self, indices) -> "Table":
         idx = np.asarray(indices, dtype=np.int64)
         cols = {name: arr[idx] for name, arr in self._columns.items()}
@@ -163,7 +152,7 @@ class Table:
             if a.dtype.kind == "O":
                 if any(x != y for x, y in zip(a, b)):
                     return False
-            elif a.dtype.kind == "f":
+            elif a.dtype.kind in "fMm":
                 if not np.array_equal(a, b, equal_nan=True):
                     return False
             else:
@@ -174,52 +163,28 @@ class Table:
     # -- serialization ---------------------------------------------------
 
     def _column_tag(self, arr: np.ndarray) -> str:
-        kind = arr.dtype.kind
-        if kind == "M":
-            return _TAG_TIMESTAMP
-        if kind == "m":
-            return _TAG_DURATION
-        if kind == "i":
-            return _TAG_INT
-        if kind == "f":
-            return _TAG_FLOAT
-        if kind == "b":
-            return _TAG_BOOL
-        # object column: look at the first non-null value
+        if arr.dtype.kind in _KINDS:
+            return _KINDS[arr.dtype.kind][1]
+        # object column: the first non-null value decides; a list column
+        # takes its element type from its first non-empty list
+        tag = None
         for v in arr:
-            if v is None:
-                continue
             if isinstance(v, list):
-                if v and isinstance(v[0], str):
-                    return _TAG_STR_LIST
-                return _TAG_INT_LIST
-            return _TAG_STR
-        return _TAG_STR
+                if v:
+                    return _TAG_STR_LIST if isinstance(v[0], str) \
+                        else _TAG_INT_LIST
+                tag = _TAG_INT_LIST
+            elif v is not None and tag is None:
+                return _TAG_STR
+        return tag or _TAG_STR
 
     def to_dict(self) -> dict:
         """Plain-python representation used by the JSON table format."""
         cols = []
         for name, arr in self._columns.items():
             tag = self._column_tag(arr)
-            if tag == _TAG_TIMESTAMP:
-                ints = arr.astype(np.int64)
-                nat = np.isnat(arr)
-                vals = [None if nat[i] else int(ints[i]) for i in range(len(arr))]
-            elif tag == _TAG_DURATION:
-                ints = arr.astype(np.int64)
-                nat = np.isnat(arr)
-                vals = [None if nat[i] else int(ints[i]) for i in range(len(arr))]
-            elif tag == _TAG_INT:
-                vals = [int(v) for v in arr]
-            elif tag == _TAG_FLOAT:
-                vals = [None if np.isnan(v) else float(v) for v in arr]
-            elif tag == _TAG_BOOL:
-                vals = [bool(v) for v in arr]
-            elif tag in (_TAG_STR_LIST, _TAG_INT_LIST):
-                vals = [None if v is None else list(v) for v in arr]
-            else:
-                vals = [None if v is None else str(v) for v in arr]
-            cols.append({"name": name, "dtype": tag, "values": vals})
+            cols.append({"name": name, "dtype": tag,
+                         "values": _json_values(arr, tag)})
         return {
             "format": _FORMAT_NAME,
             "version": _FORMAT_VERSION,
@@ -241,25 +206,14 @@ class Table:
 
     @staticmethod
     def _decode_column(tag: str, vals: list) -> np.ndarray:
-        if tag == _TAG_TIMESTAMP:
-            ints = np.asarray([np.iinfo(np.int64).min if v is None else int(v)
-                               for v in vals], dtype=np.int64)
-            return ints.view(_TIMESTAMP_DTYPE)
-        if tag == _TAG_DURATION:
-            ints = np.asarray([np.iinfo(np.int64).min if v is None else int(v)
-                               for v in vals], dtype=np.int64)
-            return ints.view(_DURATION_DTYPE)
-        if tag == _TAG_INT:
-            return np.asarray(vals, dtype=np.int64)
-        if tag == _TAG_FLOAT:
-            return np.asarray([np.nan if v is None else v for v in vals],
-                              dtype=np.float64)
-        if tag == _TAG_BOOL:
-            return np.asarray(vals, dtype=np.bool_)
-        out = np.empty(len(vals), dtype=object)
-        for i, v in enumerate(vals):
-            out[i] = v
-        return out
+        dtype = _TAG_DTYPES.get(tag)
+        if dtype is None:
+            return object_column(vals)
+        if dtype.kind in "Mm":
+            if None in vals:
+                vals = [_NAT_INT if v is None else v for v in vals]
+            return np.asarray(vals, dtype=np.int64).view(dtype)
+        return np.asarray(vals, dtype=dtype)  # a null float becomes NaN
 
     @classmethod
     def load(cls, path) -> "Table":
@@ -267,35 +221,80 @@ class Table:
             obj = json.load(f)
         if obj.get("format") != _FORMAT_NAME:
             raise ValueError(f"{path}: not a {_FORMAT_NAME} file")
-        kind = obj.get("kind", "table")
-        target = {"event": EventTable, "sequence": SequenceTable}.get(kind, Table)
-        cols = {c["name"]: cls._decode_column(c["dtype"], c["values"])
-                for c in obj["columns"]}
-        table = target.__new__(target)
-        Table.__init__(table, cols)
-        return table
+        if obj.get("version") != _FORMAT_VERSION:
+            raise ValueError(f"{path}: unsupported {_FORMAT_NAME} version "
+                             f"{obj.get('version')!r}")
+        rows = obj.get("rows")
+        cols = {}
+        for c in obj["columns"]:
+            if len(c["values"]) != rows:
+                raise ValueError(f"{path}: column {c['name']!r} has "
+                                 f"{len(c['values'])} values, rows is {rows}")
+            cols[c["name"]] = cls._decode_column(c["dtype"], c["values"])
+        target = {"event": EventTable, "sequence": SequenceTable}
+        return target.get(obj.get("kind"), Table)(cols)
 
     def write_csv(self, path) -> None:
-        """Human-inspectable CSV export. Lists are rendered space separated."""
-        import csv
-
+        """Human-inspectable CSV export, byte for byte as ``csv.writer`` writes
+        it: lists space separated, None and NaT empty, other values ``str``.
+        Each column is rendered once and the rows are streamed to the file.
+        """
+        cols = [_csv_quoted([name] + _csv_cells(arr))
+                for name, arr in self._columns.items()]
+        if len(cols) == 1:
+            # csv quotes the empty field of a one-field row
+            cols = [[c or '""' for c in cols[0]]]
         with open(path, "w", encoding="utf-8", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(self.column_names)
-            cols = [self._columns[name] for name in self.column_names]
-            for i in range(self._n):
-                row = []
-                for arr in cols:
-                    v = arr[i]
-                    if arr.dtype.kind in "Mm":
-                        row.append("" if np.isnat(v) else str(v))
-                    elif isinstance(v, list):
-                        row.append(" ".join(str(x) for x in v))
-                    elif v is None:
-                        row.append("")
-                    else:
-                        row.append(v)
-                w.writerow(row)
+            f.writelines(",".join(r) + "\r\n"
+                         for r in (zip(*cols) if cols else [()]))
+
+
+def _json_values(arr: np.ndarray, tag: str) -> list:
+    """Column values as JSON-ready Python objects, nulls as None."""
+    kind = arr.dtype.kind
+    if kind in "Mmf":
+        vals = (arr.astype(object) if kind == "f"
+                else arr.view(np.int64).astype(object))
+        vals[np.isnan(arr)] = None
+        return vals.tolist()
+    vals = arr.tolist()
+    if kind == "O":
+        cast = str if tag == _TAG_STR else list
+        if not set(map(type, vals)) <= {cast, type(None)}:
+            vals = [None if v is None else cast(v) for v in vals]
+    return vals
+
+
+def _csv_cells(arr: np.ndarray) -> list[str]:
+    """Unquoted CSV text of every cell of one column."""
+    kind = arr.dtype.kind
+    if kind in "Mm":
+        cells = (np.datetime_as_string(arr) if kind == "M" else np.char.add(
+            arr.view(np.int64).astype(str), " microseconds"))
+        cells[np.isnat(arr)] = ""
+        return cells.tolist()
+    vals = arr.tolist()
+    if kind != "O":
+        return list(map(str, vals))
+    types = set(map(type, vals))
+    if types <= {str}:
+        return vals
+    if types <= {list, type(None)}:
+        try:
+            return ["" if v is None else " ".join(v) for v in vals]
+        except TypeError:  # elements that are not str
+            pass
+    return ["" if v is None else " ".join(map(str, v))
+            if isinstance(v, list) else str(v) for v in vals]
+
+
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """csv QUOTE_MINIMAL: quote, doubling ``"``, cells with , " \\r or \\n."""
+    text = "".join(cells)
+    if not any(c in text for c in _CSV_QUOTE_CHARS):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _CSV_QUOTE_RE.search(c) else c
+            for c in cells]
 
 
 class EventTable(Table):

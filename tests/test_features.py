@@ -29,7 +29,7 @@ def test_min_count_is_corpus_frequency():
 def test_vectorize_counts_and_oov():
     vocab = fit_vocabulary([["a", "b"]])
     fm = vectorize([["a", "a", "b"], ["a", "z", "z"], []], vocab)
-    dense = fm.to_dense()
+    dense = fm.matrix.toarray()
     assert dense.tolist() == [[2, 1], [1, 0], [0, 0]]
     assert fm.oov_counts.tolist() == [0, 2, 0]
     assert fm.matrix.dtype == np.int64
@@ -40,7 +40,7 @@ def test_vectorize_counts_and_oov():
 def test_vectorize_binary():
     vocab = fit_vocabulary([["a", "b"]])
     fm = vectorize([["a", "a", "b", "z"]], vocab, binary=True)
-    assert fm.to_dense().tolist() == [[1, 1]]
+    assert fm.matrix.toarray().tolist() == [[1, 1]]
     assert fm.oov_counts.tolist() == [1]  # oov stays a real count
 
 
@@ -60,7 +60,7 @@ def test_vectorize_against_brute_force():
                                     if c >= min_count}
 
         fm = vectorize(test, vocab)
-        dense = fm.to_dense()
+        dense = fm.matrix.toarray()
         for i, doc in enumerate(test):
             c = Counter(doc)
             for term, cnt in c.items():

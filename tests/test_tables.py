@@ -1,7 +1,10 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from logbench.tables import (EventTable, SequenceTable, Table,
+from logbench.tables import (EventTable, SequenceTable, Table, object_column,
                              split_train_test, validate_event_table)
 
 
@@ -65,6 +68,10 @@ def test_equals():
     assert a.equals(b)
     assert not a.equals(b.with_column("x", [0, 0, 0]))
     assert not a.equals(b.take([0, 1, 1]))
+    nat = EventTable({"t": np.array(["NaT", "2020-01-01"],
+                                    dtype="datetime64[us]")})
+    assert nat.equals(nat.take([0, 1]))
+    assert not nat.equals(nat.take([1, 0]))
 
 
 def test_validate_ok_and_missing():
@@ -132,6 +139,166 @@ def test_write_csv(tmp_path):
     assert lines[0].startswith("m_message,")
     assert len(lines) == 4
     assert "a b" in lines[1]
+
+
+def test_list_column_tag_looks_past_empty_lists():
+    def tag(values):
+        return Table({"w": values}).to_dict()["columns"][0]["dtype"]
+
+    assert tag([[], ["a", "b"]]) == "str_list"
+    assert tag(object_column([None, [], [1]])) == "int_list"
+    assert tag([["a"], []]) == "str_list"
+
+
+def test_load_rejects_unknown_version(tmp_path):
+    p = tmp_path / "t.table.json"
+    small_events().save(p)
+    obj = json.loads(p.read_text(encoding="utf-8"))
+    obj["version"] = 2
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match="version 2") as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+def test_load_rejects_column_shorter_than_rows(tmp_path):
+    p = tmp_path / "t.table.json"
+    small_events().save(p)
+    obj = json.loads(p.read_text(encoding="utf-8"))
+    obj["columns"][3]["values"].pop()
+    p.write_text(json.dumps(obj), encoding="utf-8")
+    with pytest.raises(ValueError, match="'count' has 2 values") as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+# -- reference copies of the per-cell serializers that the column-at-a-time
+# code replaced; their files are the reference bytes of the v1 format
+
+def _reference_tag(arr):
+    kind = arr.dtype.kind
+    if kind in "Mmifb":
+        return {"M": "timestamp_us", "m": "duration_us", "i": "int",
+                "f": "float", "b": "bool"}[kind]
+    for v in arr:
+        if v is None:
+            continue
+        if isinstance(v, list):
+            if v and isinstance(v[0], str):
+                return "str_list"
+            return "int_list"
+        return "str"
+    return "str"
+
+
+def _reference_to_dict(table):
+    cols = []
+    for name in table.column_names:
+        arr = table[name]
+        tag = _reference_tag(arr)
+        if tag in ("timestamp_us", "duration_us"):
+            ints = arr.astype(np.int64)
+            nat = np.isnat(arr)
+            vals = [None if nat[i] else int(ints[i]) for i in range(len(arr))]
+        elif tag == "int":
+            vals = [int(v) for v in arr]
+        elif tag == "float":
+            vals = [None if np.isnan(v) else float(v) for v in arr]
+        elif tag == "bool":
+            vals = [bool(v) for v in arr]
+        elif tag in ("str_list", "int_list"):
+            vals = [None if v is None else list(v) for v in arr]
+        else:
+            vals = [None if v is None else str(v) for v in arr]
+        cols.append({"name": name, "dtype": tag, "values": vals})
+    return {"format": "logbench.table", "version": 1,
+            "kind": table._kind_name(), "rows": len(table), "columns": cols}
+
+
+def _reference_save(table, path):
+    text = json.dumps(_reference_to_dict(table), ensure_ascii=False,
+                      separators=(",", ":"))
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+        f.write("\n")
+
+
+def _reference_write_csv(table, path):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(table.column_names)
+        cols = [table[name] for name in table.column_names]
+        for i in range(len(table)):
+            row = []
+            for arr in cols:
+                v = arr[i]
+                if arr.dtype.kind in "Mm":
+                    row.append("" if np.isnat(v) else str(v))
+                elif isinstance(v, list):
+                    row.append(" ".join(str(x) for x in v))
+                elif v is None:
+                    row.append("")
+                else:
+                    row.append(v)
+            w.writerow(row)
+
+
+def every_tag_columns():
+    """One column per tag, with nulls, empty lists and text csv must quote.
+
+    Empty lists never come first in a list column, where the reference tag
+    differs (see test_list_column_tag_looks_past_empty_lists).
+    """
+    nat = np.iinfo(np.int64).min
+    return {
+        "m_message": ["plain", "a,b", 'say "hi"', "line\r\nbreak",
+                      " leading space", "\u00fcn\u00efcode \u2603"],
+        "m_timestamp": np.array([0, nat, 1_600_000_000_123_456, -5, 1, 2],
+                                dtype="datetime64[us]"),
+        "duration": np.array([1, nat, 0, -7, 10**12, 3],
+                             dtype="timedelta64[us]"),
+        "score": [1.5, float("nan"), 1e-05, float("inf"), -0.0, 1e16],
+        "count": [1, -2, 3, 2**62, 0, 7],
+        "flag": [True, False, True, True, False, False],
+        "level": object_column(["INFO", None, "", "x\ny", "a,\"b\"", "W"]),
+        "e_words": object_column([["a", "b,c"], [], None, ['"q"'],
+                                  ["\u00fc"], ["x", "y"]]),
+        "ids": object_column([[1, 2], [], None, [3], [4, 5], [6]]),
+        "mixed": object_column(["x", 5, None, 2.5, True, "y"]),
+        **{f"only_{name}": ["x", f"a{ch}b", "", "y", None, ch]
+           for name, ch in (("comma", ","), ("quote", '"'), ("cr", "\r"),
+                            ("lf", "\n"))},
+    }
+
+
+@pytest.mark.parametrize("columns", [
+    every_tag_columns(),
+    {"only": ["", "a", None, "b,c"]},
+    {k: v[:0] for k, v in every_tag_columns().items()},
+    {},
+], ids=["every-tag", "one-column-empty-cell", "zero-rows", "no-columns"])
+def test_table_files_match_reference_serializers(tmp_path, columns):
+    t = EventTable(columns)
+    t.save(tmp_path / "t.table.json")
+    _reference_save(t, tmp_path / "ref.table.json")
+    assert (tmp_path / "t.table.json").read_bytes() == \
+        (tmp_path / "ref.table.json").read_bytes()
+    t.write_csv(tmp_path / "t.csv")
+    _reference_write_csv(t, tmp_path / "ref.csv")
+    assert (tmp_path / "t.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+def test_load_reads_file_written_by_reference_serializer(tmp_path):
+    columns = every_tag_columns()
+    del columns["mixed"]  # its int would come back as the str "5"
+    t = EventTable(columns)
+    _reference_save(t, tmp_path / "t.table.json")
+    back = Table.load(tmp_path / "t.table.json")
+    assert isinstance(back, EventTable)
+    assert back.equals(t)
+    assert back["score"].dtype == np.float64 and np.isnan(back["score"][1])
+    assert np.isnat(back["m_timestamp"][1]) and np.isnat(back["duration"][1])
 
 
 def test_split_fraction_bounds():
