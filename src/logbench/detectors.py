@@ -15,6 +15,12 @@ decision tree and the isolation forest give the same models and scores,
 bit for bit, as a dense implementation would; k-means gives the same
 assignments, with floats that may differ in the last bits because sparse
 products sum in another order than dense BLAS.
+
+Logistic regression trains on the distinct (feature row, label) pairs of
+its training set, each weighted by its count, rather than on every row:
+the loss and gradient are the same in real arithmetic, and a repetitive log
+holds few distinct rows. Its weights may differ from a per-row fit in the
+last bits, since the sums run in another order.
 """
 
 from __future__ import annotations
@@ -154,19 +160,20 @@ class EvalReport:
 
 
 def _tie_average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
+    """1-based ranks with ties sharing their average rank.
+
+    Runs of equal values are found on the mergesort order; NaN equals
+    nothing, so each NaN is a run of its own.
+    """
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    n = len(values)
     sorted_vals = values[order]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        ranks[order[i:j + 1]] = avg
-        i = j + 1
+    n = len(values)
+    new_run = np.ones(n, dtype=bool)
+    new_run[1:] = sorted_vals[1:] != sorted_vals[:-1]
+    starts = np.flatnonzero(new_run)
+    ends = np.r_[starts[1:], n] - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -236,25 +243,66 @@ def scores_to_labels(scores, contamination: float = 0.03) -> np.ndarray:
 # logistic regression (full-batch gradient descent)
 
 
+def _distinct_rows(X, y: np.ndarray):
+    """Group rows into distinct (feature row, label) pairs.
+
+    Returns ``(U, labels, counts)``: a float64 CSR with one row per group,
+    the group's label and its row count. Equal rows are brought next to
+    each other by a sort on label, row nnz and two fixed-seed projections,
+    and a group starts wherever adjacent rows differ in label or in any
+    entry. Two rows that differ are never merged; equal rows may stay in
+    separate groups when a projection tie interleaves them.
+    """
+    M = _as_csr(X)
+    if not M.data.all():
+        M = M.copy()  # never rewrite a caller's arrays in place
+        M.eliminate_zeros()
+    rng = np.random.default_rng(0)
+    proj = M @ rng.standard_normal((M.shape[1], 2))
+    order = np.lexsort((proj[:, 1], proj[:, 0], np.diff(M.indptr), y))
+    S, ys = M[order], y[order]
+    D = S[1:] - S[:-1]  # stores no zeros: a row of D is empty iff equal
+    new_group = np.ones(len(ys), dtype=bool)
+    new_group[1:] = (ys[1:] != ys[:-1]) | (np.diff(D.indptr) > 0)
+    starts = np.flatnonzero(new_group)
+    counts = np.diff(np.r_[starts, len(ys)])
+    return S[starts], ys[starts], counts
+
+
+def _margins(w: np.ndarray, b: float, M) -> np.ndarray:
+    return np.asarray(M @ w).ravel() + b
+
+
+def _weighted_loss(z: np.ndarray, w: np.ndarray, yf: np.ndarray, counts,
+                   n: int, l2: float) -> float:
+    """Cross-entropy at margins z, each row weighted by its count and the
+    sum divided by n, plus (l2 / 2) * ||w||^2."""
+    per_row = np.logaddexp(0.0, z) - yf * z
+    return float((counts * per_row).sum() / n + 0.5 * l2 * np.dot(w, w))
+
+
+def _weighted_gradient(z: np.ndarray, w: np.ndarray, M, yf: np.ndarray,
+                       counts, n: int, l2: float):
+    """Gradient of :func:`_weighted_loss` in (w, b) at margins z."""
+    p = 1.0 / (1.0 + np.exp(-z))
+    residual = counts * (p - yf) / n
+    gw = np.asarray(M.T @ residual).ravel() + l2 * w
+    return gw, float(residual.sum())
+
+
 def logistic_loss(w: np.ndarray, b: float, X, y: np.ndarray,
                   l2: float) -> float:
     """Mean cross-entropy plus (l2 / 2) * ||w||^2, bias unregularized."""
     M = _as_matrix(X)
-    z = np.asarray(M @ w).ravel() + b
-    yf = y.astype(np.float64)
-    per_row = np.logaddexp(0.0, z) - yf * z
-    return float(per_row.mean() + 0.5 * l2 * np.dot(w, w))
+    return _weighted_loss(_margins(w, b, M), w, y.astype(np.float64), 1.0,
+                          len(y), l2)
 
 
 def logistic_gradient(w: np.ndarray, b: float, X, y: np.ndarray, l2: float):
     """Exact gradient of :func:`logistic_loss` in (w, b)."""
     M = _as_matrix(X)
-    z = np.asarray(M @ w).ravel() + b
-    p = 1.0 / (1.0 + np.exp(-z))
-    residual = (p - y.astype(np.float64)) / len(y)
-    gw = np.asarray(M.T @ residual).ravel() + l2 * w
-    gb = float(residual.sum())
-    return gw, gb
+    return _weighted_gradient(_margins(w, b, M), w, M, y.astype(np.float64),
+                              1.0, len(y), l2)
 
 
 class LogisticRegressionDetector:
@@ -264,6 +312,10 @@ class LogisticRegressionDetector:
     epoch whenever a step would increase the loss, so the recorded loss
     history is monotonically non-increasing. Training stops when the
     improvement drops below ``tol`` or after ``max_epochs``.
+
+    Fit trains on the distinct (feature row, label) pairs of the training
+    set, each weighted by its count: the same loss and gradient as over all
+    rows, at the cost of the distinct rows. Repetitive logs make few.
     """
 
     kind = "lr"
@@ -285,24 +337,30 @@ class LogisticRegressionDetector:
             raise ValueError("X and y differ in length")
         if y.all() or not y.any():
             raise ValueError("training needs both classes present")
-        w = np.zeros(M.shape[1], dtype=np.float64)
+        n = len(y)
+        U, labels, counts = _distinct_rows(M, y)
+        yf = labels.astype(np.float64)
+        w = np.zeros(U.shape[1], dtype=np.float64)
         b = 0.0
-        loss = logistic_loss(w, b, M, y, self.l2)
+        z = _margins(w, b, U)
+        loss = _weighted_loss(z, w, yf, counts, n, self.l2)
         self.loss_history = [loss]
         for _ in range(self.max_epochs):
-            gw, gb = logistic_gradient(w, b, M, y, self.l2)
+            gw, gb = _weighted_gradient(z, w, U, yf, counts, n, self.l2)
             step = self.learning_rate
             while True:
                 w_new = w - step * gw
                 b_new = b - step * gb
-                new_loss = logistic_loss(w_new, b_new, M, y, self.l2)
+                z_new = _margins(w_new, b_new, U)
+                new_loss = _weighted_loss(z_new, w_new, yf, counts, n,
+                                          self.l2)
                 if new_loss <= loss or step < 1e-12:
                     break
                 step *= 0.5
             if new_loss > loss:
                 break
             improvement = loss - new_loss
-            w, b, loss = w_new, b_new, new_loss
+            w, b, z, loss = w_new, b_new, z_new, new_loss
             self.loss_history.append(loss)
             if improvement < self.tol:
                 break
@@ -905,16 +963,6 @@ class RarityDetector:
 def rarity_score(train_documents, test_documents) -> np.ndarray:
     """Rarity scores of test documents against training token statistics."""
     return RarityDetector().fit(train_documents).score(test_documents)
-
-
-def short_sequence_baseline(train_lengths, train_labels, test_lengths):
-    """Flag test sequences shorter than the shortest normal training one."""
-    train_lengths = np.asarray(train_lengths, dtype=np.int64)
-    train_labels = _as_labels(train_labels)
-    normal = train_lengths[~train_labels]
-    if len(normal) == 0:
-        return np.zeros(len(test_lengths), dtype=bool)
-    return np.asarray(test_lengths, dtype=np.int64) < int(normal.min())
 
 
 # ---------------------------------------------------------------------------

@@ -80,18 +80,6 @@ class FeatureMatrix:
     def shape(self):
         return self.matrix.shape
 
-    def total_count(self) -> int:
-        """In-vocabulary plus out-of-vocabulary term occurrences."""
-        return int(self.matrix.sum()) + int(self.oov_counts.sum())
-
-    def save_triplets(self, path) -> None:
-        """Write ``row col count`` lines sorted by (row, col)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for k in order:
-                f.write(f"{coo.row[k]} {coo.col[k]} {coo.data[k]}\n")
-
     def __repr__(self) -> str:
         r, c = self.matrix.shape
         return (f"FeatureMatrix({r}x{c}, nnz={self.matrix.nnz}, "

@@ -65,8 +65,9 @@ def _coerce_column(values) -> np.ndarray:
     values = list(values)
     if values and isinstance(values[0], (list, tuple)):
         # list-valued column (token lists, event id traces); keep as object
-        # and never let numpy guess a 2-d shape
-        return object_column([list(v) for v in values])
+        # and never let numpy guess a 2-d shape; a null cell stays None
+        return object_column([None if v is None else list(v)
+                              for v in values])
     if values and all(isinstance(v, bool) for v in values):
         return np.asarray(values, dtype=np.bool_)
     if values and all(isinstance(v, int) and not isinstance(v, bool) for v in values):

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,12 +11,13 @@ from logbench.detectors import (DecisionTreeDetector, EvalReport,
                                 IsolationForestDetector, KMeansDetector,
                                 LogisticRegressionDetector, OOVDetector,
                                 RarityDetector, _avg_path_length, _TreeNode,
-                                _best_split, _harmonic, _quantile_threshold,
+                                _best_split, _distinct_rows, _harmonic,
+                                _quantile_threshold, _tie_average_ranks,
                                 auc_roc, evaluate,
                                 load_model, logistic_gradient, logistic_loss,
                                 oov_detect, rarity_score, save_model,
-                                scores_to_labels, short_sequence_baseline,
-                                train_supervised, train_unsupervised)
+                                scores_to_labels, train_supervised,
+                                train_unsupervised)
 from logbench.features import fit_vocabulary, vectorize
 
 # ---------------------------------------------------------------------------
@@ -97,6 +99,45 @@ def test_auc_tie_order_invariance():
     perm = [3, 1, 2, 0, 4]  # swap rows that share the 0.5 score
     assert auc_roc([scores[i] for i in perm],
                    [truth[i] for i in perm]) == pytest.approx(base)
+
+
+def _loop_tie_average_ranks(values):
+    """Reference: the per-element loop the vectorized ranks replaced."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    n = len(values)
+    sorted_vals = values[order]
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        avg = 0.5 * (i + j) + 1.0
+        ranks[order[i:j + 1]] = avg
+        i = j + 1
+    return ranks
+
+
+def _heavy_ties():
+    rng = np.random.default_rng(2)
+    values = rng.integers(0, 6, size=2000) / 4.0
+    values[rng.random(2000) < 0.01] = math.nan
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    [0.5, 0.1, 0.5, 0.9, 0.1, 0.5, -0.0, 0.0],
+    [2.0] * 7,
+    [3.0],
+    [],
+    [0.2, math.nan, 0.2, math.nan, -1.0, math.inf, math.nan],
+    _heavy_ties(),
+], ids=["ties", "all-equal", "one-row", "zero-rows", "nan", "heavy-ties"])
+def test_tie_average_ranks_match_loop(values):
+    values = np.asarray(values, dtype=np.float64)
+    got = _tie_average_ranks(values)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _loop_tie_average_ranks(values).tobytes()
 
 
 def test_scores_to_labels():
@@ -440,13 +481,6 @@ def test_rarity_round_trip(tmp_path):
     assert np.allclose(back.score([["a"], ["z"]]), model.score([["a"], ["z"]]))
 
 
-def test_short_sequence_baseline():
-    pred = short_sequence_baseline([5, 8, 3], [False, False, True], [2, 3, 5, 9])
-    assert pred.tolist() == [True, True, False, False]
-    # no normal training sequences: nothing can be flagged
-    assert not short_sequence_baseline([5], [True], [1]).any()
-
-
 # ---------------------------------------------------------------------------
 # entry points
 
@@ -650,8 +684,13 @@ def _parity_matrix(seed, fmt, n=300, d=14):
         return sparse.csr_matrix(X), y
     if fmt == "csc":
         return sparse.csc_matrix(X), y
-    # CSR built from raw triplets: every value split in halves (exact in
-    # binary) plus a stored zero at every fourth zero position
+    return _noncanonical_csr(X), y
+
+
+def _noncanonical_csr(X):
+    """CSR of dense X built from raw triplets: every value split in halves
+    (exact in binary) plus a stored zero at every fourth zero position."""
+    n, d = X.shape
     r, c = np.nonzero(X)
     zr, zc = np.nonzero(X == 0.0)
     zr, zc = zr[::4], zc[::4]
@@ -662,7 +701,7 @@ def _parity_matrix(seed, fmt, n=300, d=14):
     indptr = np.searchsorted(rows[order], np.arange(n + 1))
     M = sparse.csr_matrix((data[order], cols[order], indptr), shape=(n, d))
     assert not M.has_canonical_format
-    return M, y
+    return M
 
 
 PARITY_FORMATS = ["dense", "csr", "csc", "csr-stored-zeros-and-duplicates"]
@@ -741,3 +780,141 @@ def test_sparse_detectors_memory_is_bounded_by_nnz():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20, (kind, peak)
+
+
+# ---------------------------------------------------------------------------
+# logistic regression on distinct rows against the per-row fit it replaced
+
+
+def _per_row_loss(w, b, M, y, l2):
+    z = np.asarray(M @ w).ravel() + b
+    per_row = np.logaddexp(0.0, z) - y.astype(np.float64) * z
+    return float(per_row.mean() + 0.5 * l2 * np.dot(w, w))
+
+
+def _per_row_gradient(w, b, M, y, l2):
+    z = np.asarray(M @ w).ravel() + b
+    p = 1.0 / (1.0 + np.exp(-z))
+    residual = (p - y.astype(np.float64)) / len(y)
+    return np.asarray(M.T @ residual).ravel() + l2 * w, float(residual.sum())
+
+
+class _PerRowLogistic(LogisticRegressionDetector):
+    """Reference: gradient descent over every training row."""
+
+    def fit(self, X, y, seed=0):
+        M = X.matrix if hasattr(X, "matrix") else X
+        y = np.asarray(y, dtype=bool)
+        w = np.zeros(M.shape[1], dtype=np.float64)
+        b = 0.0
+        loss = _per_row_loss(w, b, M, y, self.l2)
+        self.loss_history = [loss]
+        for _ in range(self.max_epochs):
+            gw, gb = _per_row_gradient(w, b, M, y, self.l2)
+            step = self.learning_rate
+            while True:
+                w_new = w - step * gw
+                b_new = b - step * gb
+                new_loss = _per_row_loss(w_new, b_new, M, y, self.l2)
+                if new_loss <= loss or step < 1e-12:
+                    break
+                step *= 0.5
+            if new_loss > loss:
+                break
+            improvement = loss - new_loss
+            w, b, loss = w_new, b_new, new_loss
+            self.loss_history.append(loss)
+            if improvement < self.tol:
+                break
+        self.weights = w
+        self.bias = b
+        return self
+
+
+def _one_hot_events(n=3000, events=11, seed=0):
+    """int64 CSR with one event id per row, as ``vectorize`` builds it."""
+    idx = np.random.default_rng(seed).integers(0, events, size=n)
+    X = sparse.csr_matrix((np.ones(n, dtype=np.int64), (np.arange(n), idx)),
+                          shape=(n, events))
+    return X, idx
+
+
+def _lr_parity_input(name):
+    rng = np.random.default_rng(17)
+    if name == "dense-blobs":
+        return _blobs(seed=4)
+    if name == "one-hot-int64-csr":
+        X, idx = _one_hot_events()
+        return X, idx == 10
+    if name == "equal-rows-different-labels":
+        X, idx = _one_hot_events(seed=1)
+        return X, (idx == 10) ^ (rng.random(len(idx)) < 0.2)
+    if name == "one-row-both-labels":
+        # every row equal: the two labels meet between equal rows
+        return np.ones((400, 3)), rng.random(400) < 0.3
+    if name == "one-column-counts":
+        # adjacent distinct rows differ in a single entry
+        X = rng.integers(1, 4, size=(600, 1)).astype(np.float64)
+        return X, (X[:, 0] == 3) ^ (rng.random(600) < 0.1)
+    if name == "canonical-csr-stored-zeros":
+        # float64 CSR in canonical form that stores a zero next to each
+        # event: it shares its arrays with the detector's CSR view
+        _, idx = _one_hot_events(n=2000, seed=2)
+        cols = np.sort(np.c_[idx, (idx + 1) % 11], axis=1)
+        data = np.where(cols == idx[:, None], 1.0, 0.0)
+        X = sparse.csr_matrix((data.ravel(), cols.ravel(),
+                               np.arange(0, 2 * len(idx) + 1, 2)),
+                              shape=(len(idx), 11))
+        assert X.has_canonical_format
+        return X, idx == 10
+    # a dozen distinct rows repeated 2000 times, stored with duplicate
+    # entries and explicit zeros
+    base, base_y = _parity_matrix(3, "dense", n=12)
+    pick = rng.integers(0, 12, size=2000)
+    return _noncanonical_csr(base[pick]), base_y[pick]
+
+
+LR_PARITY_INPUTS = ["dense-blobs", "one-hot-int64-csr",
+                    "equal-rows-different-labels", "one-row-both-labels",
+                    "one-column-counts", "noncanonical-csr",
+                    "canonical-csr-stored-zeros"]
+
+
+@pytest.mark.parametrize("name", LR_PARITY_INPUTS)
+def test_lr_matches_per_row_reference(name):
+    X, y = _lr_parity_input(name)
+    before = X.copy()
+    new = LogisticRegressionDetector().fit(X, y)
+    ref = _PerRowLogistic().fit(X, y)
+    assert len(new.loss_history) == len(ref.loss_history)
+    np.testing.assert_allclose(new.loss_history, ref.loss_history,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(new.weights, ref.weights, rtol=0, atol=1e-12)
+    assert abs(new.bias - ref.bias) <= 1e-12
+    assert np.array_equal(new.predict(X), ref.predict(X))
+    # the caller's matrix is read, never canonicalized in place
+    if sparse.issparse(X):
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(X, attr), getattr(before, attr))
+    else:
+        assert np.array_equal(X, before)
+
+
+@pytest.mark.parametrize("name", LR_PARITY_INPUTS)
+def test_distinct_rows_group_exactly(name):
+    X, y = _lr_parity_input(name)
+    U, labels, counts = _distinct_rows(X, y)
+    n = len(y)
+    assert counts.sum() == n and (counts >= 1).all()
+    assert U.shape == (len(counts), X.shape[1])
+    # the groups, each expanded by its count, are the training rows: no
+    # group holds two different rows or two labels
+    rows = Counter(zip(map(tuple, _dense(X).tolist()), y.tolist()))
+    groups = Counter()
+    for row, label, count in zip(map(tuple, U.toarray().tolist()),
+                                 labels.tolist(), counts.tolist()):
+        groups[row, label] += count
+    assert groups == rows
+    # distinct projections keep every distinct pair in one group
+    assert len(counts) == len(rows)
+    assert U.has_canonical_format and U.data.all()

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from logbench.features import (FeatureMatrix, Vocabulary, fit_vocabulary,
+from logbench.features import (FeatureMatrix, fit_vocabulary,
                                render_event_ids, vectorize)
 
 
@@ -34,7 +34,6 @@ def test_vectorize_counts_and_oov():
     assert fm.oov_counts.tolist() == [0, 2, 0]
     assert fm.matrix.dtype == np.int64
     assert fm.shape == (3, 2)
-    assert fm.total_count() == 6
 
 
 def test_vectorize_binary():
@@ -69,14 +68,6 @@ def test_vectorize_against_brute_force():
             assert fm.oov_counts[i] == \
                 sum(cnt for t, cnt in c.items() if t not in vocab.index)
             assert dense[i].sum() + fm.oov_counts[i] == len(doc)
-
-
-def test_save_triplets(tmp_path):
-    vocab = Vocabulary({"a": 0, "b": 1})
-    fm = vectorize([["b"], ["a", "b", "b"]], vocab)
-    p = tmp_path / "m.txt"
-    fm.save_triplets(p)
-    assert p.read_text() == "0 1 1\n1 0 1\n1 1 2\n"
 
 
 def test_render_event_ids():

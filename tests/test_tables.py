@@ -150,6 +150,17 @@ def test_list_column_tag_looks_past_empty_lists():
     assert tag([["a"], []]) == "str_list"
 
 
+def test_list_column_keeps_null_cells(tmp_path):
+    cells = np.empty(3, dtype=object)
+    cells[0], cells[1], cells[2] = ["a"], None, []
+    t = Table({"w": [["a"], None, []]})
+    assert t["w"].tolist() == [["a"], None, []]
+    assert t.equals(Table({"w": cells}))
+    p = tmp_path / "t.table.json"
+    t.save(p)
+    assert Table.load(p).equals(t)
+
+
 def test_load_rejects_unknown_version(tmp_path):
     p = tmp_path / "t.table.json"
     small_events().save(p)
