@@ -16,9 +16,10 @@ import logging
 import sys
 from pathlib import Path
 
-from . import bench, enhancers, loaders, masking, synth
+from . import bench, enhancers, loaders, synth
 from .parsers import PARSERS, make_parser
-from .pipeline import ConfigError, PipelineConfig, StageError, run_pipeline
+from .pipeline import (ConfigError, PipelineConfig, StageError, load_rules,
+                       run_pipeline, stage)
 from .tables import Table, validate_event_table
 
 
@@ -111,24 +112,25 @@ def _cmd_enhance(args) -> int:
         raise ConfigError(f"unknown chain steps: {unknown}")
     if sum(1 for s in steps if s in PARSERS) > 1:
         raise ConfigError("at most one parser may be in the chain")
-    rules = masking.load_masking_rules(args.rules) if args.rules else None
+    rules = load_rules(args.rules)
     events = Table.load(args.table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seq_table = None
     for step in steps:
-        if step == "normalize":
-            events = enhancers.add_normalized(events, rules)
-        elif step == "tokenize":
-            events = enhancers.add_tokens(events)
-        elif step == "aggregate":
-            seq_table = enhancers.aggregate_sequences(events)
-        else:
-            parser = make_parser(step)
-            events = enhancers.add_event_ids(events, parser)
-            parser.store.save(out / "templates.json")
-            print(f"{step}: {len(parser.store)} templates "
-                  f"-> {out / 'templates.json'}")
+        with stage(step):
+            if step == "normalize":
+                events = enhancers.add_normalized(events, rules)
+            elif step == "tokenize":
+                events = enhancers.add_tokens(events)
+            elif step == "aggregate":
+                seq_table = enhancers.aggregate_sequences(events)
+            else:
+                parser = make_parser(step)
+                events = enhancers.add_event_ids(events, parser)
+                parser.store.save(out / "templates.json")
+                print(f"{step}: {len(parser.store)} templates "
+                      f"-> {out / 'templates.json'}")
     events.save(out / "events.table.json")
     if args.csv:
         events.write_csv(out / "events.csv")

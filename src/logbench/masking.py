@@ -2,11 +2,16 @@
 
 Masking replaces things like addresses and counters with fixed placeholder
 tokens before template mining, so that lines produced by the same code path
-collapse onto one template. Rules apply in list order and each rule runs a
-plain ``re.sub`` over the message.
+collapse onto one template. Rules apply in list order; the result is always
+exactly what running each rule as a plain ``re.sub`` over the message gives
+(``mask_one``).
 
-Logs repeat heavily, so ``normalize`` masks each distinct message of a
-column once and maps the result back to every row; the output is exactly
+Logs repeat heavily, and ``normalize`` exploits that at two grains. When
+every rule is token-local (it can never match a space and behaves the same
+at a space as at a string edge), a message is the space-joined masks of its
+space-delimited chunks, so each distinct chunk of the column is masked once.
+Otherwise each distinct message is masked once. Either way the result is
+mapped back to every row; the output is exactly
 ``[mask_one(m, rules) for m in messages]``.
 """
 
@@ -19,18 +24,40 @@ _LOOKAROUND_RE = re.compile(r"\(\?<?[=!]")
 
 # Constructs that make it unsafe to join many messages with "\n" and run one
 # sub over the blob: anchors that would bind to the blob instead of the line,
-# and anything that can match the \n separator itself (\s \D \W, negated
-# classes, literal or escaped newlines, octal/hex escapes, inline flags).
-# \b \B \d \w \S and the bare dot are fine: none of them can consume \n and
-# word boundaries behave the same next to \n as at string edges.
+# anything that can match the \n separator itself (\s \D \W, negated
+# classes, literal or escaped newlines, octal/hex escapes, inline flags), and
+# \B, which never matches in an empty message but does match in the "\n\n"
+# an empty message leaves in the blob. \b \d \w \S and the bare dot are
+# fine: none of them can consume \n, and a word boundary falls next to \n
+# exactly where one falls at a string edge. A rule that does consume a \n
+# anyway changes the blob's line count, which ``_normalize_distinct`` checks.
 _BLOB_UNSAFE_RE = re.compile(
     r"""
       \^ | \$
-    | \\[AZsDWx0]
+    | \\[AZsDWx0B]
     | \[\^
     | \n
     | \\n
     | \(\?(?!:)
+    """,
+    re.VERBOSE,
+)
+
+# Constructs that make a blob-safe rule unsafe to run on the space-delimited
+# chunks of a message instead of on the whole message: anything that could
+# match a space, namely a literal space, the bare dot, the escapes \N{...}
+# \u \U, octal escapes and a class range starting below the space (\B is
+# already blob-unsafe; inside the empty chunk a double space leaves, it
+# behaves as in an empty message). \b is fine: a space is a non-word
+# character, so a boundary falls next to it exactly where one falls at a
+# chunk's edge. Backreferences look like octal escapes and are excluded too,
+# conservatively.
+_TOKEN_UNSAFE_RE = re.compile(
+    r"""
+      [ ]
+    | (?<!\\)(?:\\\\)*\.
+    | \\[NuU1-7]
+    | (?:\\[abfrtv]|[\x00-\x1f])-
     """,
     re.VERBOSE,
 )
@@ -59,6 +86,9 @@ class MaskingRule:
                 f"masking rule {token!r}: bad pattern: {exc}") from exc
         # safe to apply over a newline-joined blob of messages?
         self.blob_safe = _BLOB_UNSAFE_RE.search(pattern) is None
+        # safe to apply to each space-delimited chunk of a message alone?
+        self.token_local = self.blob_safe \
+            and _TOKEN_UNSAFE_RE.search(pattern) is None
 
     def apply(self, text: str) -> str:
         return self.regex.sub(self.token, text)
@@ -99,22 +129,53 @@ def normalize(messages, rules: list[MaskingRule] | None = None) -> list[str]:
 
     Returns a new list of the same length; input order is preserved and the
     operation is idempotent for the built-in rules (placeholders do not match
-    any rule). Masking is a pure function of the message, so each distinct
-    message is masked once and the result is mapped back to every row that
-    repeats it. When every rule is blob-safe and no message contains a
-    newline, the rules run once over a newline-joined blob of the distinct
-    messages, which is much faster than a per-message loop; otherwise it
-    falls back to the loop with identical results.
+    any rule). The result is exactly ``[mask_one(m, rules) for m in
+    messages]``; how it is computed depends on the rules and the messages:
+
+    - When every rule is token-local and no message contains a newline, the
+      distinct messages are split on single spaces, each distinct chunk is
+      masked once and every message is rebuilt from its masked chunks. Logs
+      whose messages are nearly all distinct still share few chunks, so this
+      is the fast path for the built-in rules.
+    - Otherwise each distinct message is masked once. When every rule is
+      blob-safe and no message contains a newline, the rules run once over a
+      newline-joined blob of the distinct messages; else a per-message loop.
     """
     if rules is None:
         rules = default_rules()
     msgs = list(messages)
     distinct = list(dict.fromkeys(msgs))
-    masked = _normalize_distinct(distinct, rules)
+    masked = None
+    if rules and all(r.token_local for r in rules):
+        masked = _normalize_chunks(distinct, rules)
+    if masked is None:
+        masked = _normalize_distinct(distinct, rules)
     if len(distinct) == len(msgs):
         return masked
     lookup = dict(zip(distinct, masked))
     return [lookup[m] for m in msgs]
+
+
+def _normalize_chunks(msgs: list[str],
+                      rules: list[MaskingRule]) -> list[str] | None:
+    """Mask each distinct space-delimited chunk of ``msgs`` once.
+
+    Every rule must be token-local. Returns None when a message contains a
+    newline, or when the rebuilt rows do not line up with ``msgs``.
+    """
+    blob = "\n".join(msgs)
+    if blob.count("\n") != len(msgs) - 1:
+        return None
+    # each "\n" between messages becomes a chunk of its own, which maps to
+    # itself: a rule that matches the empty string must not rewrite it
+    chunks = blob.replace("\n", " \n ").split(" ")
+    vocab = dict.fromkeys(chunks)
+    vocab.pop("\n", None)
+    lookup = dict(zip(vocab, _normalize_distinct(list(vocab), rules)))
+    lookup["\n"] = "\n"
+    out = " ".join(map(lookup.__getitem__, chunks)) \
+        .replace(" \n ", "\n").split("\n")
+    return out if len(out) == len(msgs) else None
 
 
 def _normalize_distinct(msgs: list[str], rules: list[MaskingRule]) -> list[str]:

@@ -27,6 +27,20 @@ CHAIN_STEPS = ("normalize", "tokenize", "drain", "spell", "lenma",
 PARSER_STEPS = ("drain", "spell", "lenma")
 DETECTOR_KINDS = ("lr", "dt", "kmeans", "iforest", "oov", "rarity")
 FEATURE_SOURCES = ("words", "event_ids")
+_PARSER_KEYS = {"drain": ("depth", "sim_threshold", "max_children"),
+               "spell": ("tau",),
+               "lenma": ("threshold",)}
+# every section and key from_file reads; anything else is a ConfigError
+_CONFIG_KEYS = {
+    "loader": {"format", "log", "labels"},
+    "enhance": {"chain", "rules", "ngram_n", "ngram_p0"}
+    | {f"{kind}_{key}" for kind, keys in _PARSER_KEYS.items()
+       for key in keys},
+    "features": {"source", "binary", "min_count"},
+    "detect": {"kind", "seed", "contamination", "oov_threshold"},
+    "split": {"fraction", "seed"},
+    "output": {"dir", "save_tables"},
+}
 
 
 class ConfigError(Exception):
@@ -121,6 +135,10 @@ class PipelineConfig:
         read = parser.read(path)
         if not read:
             raise FileNotFoundError(f"config file not found: {path}")
+        unknown = _unknown_keys(parser)
+        if unknown:
+            raise ConfigError(f"{path}: unknown config "
+                              f"{', '.join(unknown)}")
         try:
             return cls._from_parser(parser)
         except (configparser.Error, ValueError, KeyError) as exc:
@@ -145,10 +163,7 @@ class PipelineConfig:
         chain = [s.strip() for s in chain_text.replace(",", " ").split()
                  if s.strip()]
         parser_params: dict = {}
-        for kind, keys in (("drain", ("depth", "sim_threshold",
-                                      "max_children")),
-                           ("spell", ("tau",)),
-                           ("lenma", ("threshold",))):
+        for kind, keys in _PARSER_KEYS.items():
             params = {}
             for key in keys:
                 raw = cp.get("enhance", f"{kind}_{key}", fallback=None)
@@ -183,15 +198,51 @@ class PipelineConfig:
         )
 
 
-def _stage(name: str, timings: dict):
-    """Context manager: time a stage, wrap non-I/O failures in StageError."""
+def _unknown_keys(cp: configparser.ConfigParser) -> list[str]:
+    """Sections and keys of ``cp`` that from_file does not read.
+
+    A [DEFAULT] key counts as read when some section reads a key of that
+    name; it is not reported again under each section it is inherited by.
+    configparser does not say whether a section also sets such a key
+    itself, so a section key named like a [DEFAULT] key is checked only as
+    the [DEFAULT] key.
+    """
+    defaults = cp.defaults()
+    read_anywhere = set().union(*_CONFIG_KEYS.values())
+    unknown = [f"[{cp.default_section}] {key}" for key in defaults
+               if key not in read_anywhere]
+    for section in cp.sections():
+        known = _CONFIG_KEYS.get(section)
+        if known is None:
+            unknown.append(f"section [{section}]")
+            continue
+        unknown += [f"[{section}] {key}" for key in cp.options(section)
+                    if key not in known and key not in defaults]
+    return unknown
+
+
+def load_rules(path) -> list[masking.MaskingRule] | None:
+    """The masking rules in ``path``, or None (the built-in rules) for no
+    path. A malformed file raises ConfigError naming the file and line."""
+    if path is None:
+        return None
+    try:
+        return masking.load_masking_rules(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def stage(name: str, timings: dict | None = None):
+    """Context manager: time a stage into ``timings`` when given, and wrap
+    non-I/O failures in StageError."""
     class _Stage:
         def __enter__(self):
             self.start = time.perf_counter()
             return self
 
         def __exit__(self, exc_type, exc, tb):
-            timings[name] = (time.perf_counter() - self.start) * 1000.0
+            if timings is not None:
+                timings[name] = (time.perf_counter() - self.start) * 1000.0
             if exc is None or isinstance(exc, (OSError, StageError)):
                 return False
             raise StageError(name, exc) from exc
@@ -211,21 +262,16 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    with _stage("load", timings):
+    with stage("load", timings):
         events, sequences = loaders.load(config.loader_spec)
         report = validate_event_table(events)
         if not report.is_valid:
             logger.warning("validation: %s", report.summary())
 
-    rules = None
-    if config.rules_path is not None:
-        try:
-            rules = masking.load_masking_rules(config.rules_path)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    rules = load_rules(config.rules_path)
 
     store = None
-    with _stage("enhance", timings):
+    with stage("enhance", timings):
         for step in config.chain:
             if step == "normalize":
                 events = enhancers.add_normalized(events, rules)
@@ -240,11 +286,11 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
             store.save(out / "templates.json")
 
     seq_table = None
-    with _stage("aggregate", timings):
+    with stage("aggregate", timings):
         if "aggregate" in config.chain:
             seq_table = enhancers.aggregate_sequences(events, sequences)
 
-    with _stage("split", timings):
+    with stage("split", timings):
         working = seq_table if seq_table is not None else events
         train, test = split_train_test(working, config.split_fraction,
                                        config.split_seed)
@@ -253,13 +299,13 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
                              "not enough data to evaluate")
 
     if "ngram" in config.chain:
-        with _stage("ngram", timings):
+        with stage("ngram", timings):
             model = ngram_train(train["event_ids"], n=config.ngram_n)
             model.save(out / "ngram_model.json")
             train = enhancers.add_ngram_scores(train, model, config.ngram_p0)
             test = enhancers.add_ngram_scores(test, model, config.ngram_p0)
 
-    with _stage("features", timings):
+    with stage("features", timings):
         train_docs = _documents(train, config)
         test_docs = _documents(test, config)
         vocab = features.fit_vocabulary(train_docs,
@@ -269,13 +315,13 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
         X_test = features.vectorize(test_docs, vocab,
                                     binary=config.binary_features)
 
-    with _stage("train", timings):
+    with stage("train", timings):
         model, predictions, scores = _detect(
             config, train, test, train_docs, test_docs, X_train, X_test)
         detectors.save_model(model, out / "model.json")
     _warn_degenerate(train, X_test, predictions)
 
-    with _stage("evaluate", timings):
+    with stage("evaluate", timings):
         if "label" not in test:
             raise ValueError(
                 "evaluation needs labels; this loader provides none")
@@ -324,9 +370,9 @@ def _documents(table, config: PipelineConfig) -> list[list[str]]:
         if "event_ids" in table:
             return features.render_event_ids(table["event_ids"])
         return [[f"e{int(e)}"] for e in table["e_event_id"]]
-    if "words" in table:
-        return [list(w) for w in table["words"]]
-    return [list(w) for w in table["e_words"]]
+    # the token lists are shared, not copied: no featurizer or detector
+    # mutates its documents
+    return list(table["words" if "words" in table else "e_words"])
 
 
 def _detect(config: PipelineConfig, train, test, train_docs, test_docs,

@@ -80,6 +80,41 @@ def test_enhance_rejects_bad_chain(tmp_path, capsys, synth_dirs):
     assert code == 1
 
 
+def test_enhance_bad_rules_file_is_config_error(tmp_path, capsys,
+                                               synth_dirs):
+    loaded = tmp_path / "loaded"
+    assert main(["load", "--format", "hdfs", "--log", str(synth_dirs["log"]),
+                 "--out", str(loaded)]) == 0
+    rules = tmp_path / "rules.txt"
+    rules.write_text("\\d+\t<NUM>\nno-tab-here\n")
+    capsys.readouterr()
+    code = main(["enhance", "--table", str(loaded / "events.table.json"),
+                 "--chain", "normalize", "--rules", str(rules),
+                 "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "config error:" in captured.err
+    assert f"{rules}:2" in captured.err
+
+
+def test_enhance_failing_step_is_stage_error(tmp_path, capsys):
+    root = tmp_path / "bgl"
+    assert main(["synth", "--format", "bgl", "--lines", "50",
+                 "--out", str(root), "--name", "tiny"]) == 0
+    loaded = tmp_path / "loaded"
+    assert main(["load", "--format", "bgl", "--log", str(root / "tiny.log"),
+                 "--out", str(loaded)]) == 0
+    capsys.readouterr()
+    # BGL events carry no seq_id, so the aggregate step fails
+    code = main(["enhance", "--table", str(loaded / "events.table.json"),
+                 "--chain", "normalize,aggregate",
+                 "--out", str(tmp_path / "o")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "stage 'aggregate' failed" in captured.err
+    assert "seq_id" in captured.err
+
+
 def test_detect_runs_config(tmp_path, capsys, synth_dirs):
     cfg = tmp_path / "run.ini"
     out = tmp_path / "out"

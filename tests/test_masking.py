@@ -54,8 +54,110 @@ def test_blob_safety_classification():
     assert not MaskingRule(r"\s+\d", "<NUM>").blob_safe
     assert not MaskingRule(r"[^x]+", "<T>").blob_safe
     assert not MaskingRule(r"\D+", "<T>").blob_safe
+    assert not MaskingRule(r"\B\d", "<T>").blob_safe
+    assert MaskingRule(r"\b", "<T>").blob_safe
     for rule in default_rules():
         assert rule.blob_safe
+
+
+def test_token_local_classification():
+    for rule in default_rules():
+        assert rule.token_local
+    assert MaskingRule(r"\b\d+\b", "<NUM>").token_local
+    assert MaskingRule(r"x*", "<T>").token_local
+    assert MaskingRule(r"\t\d", "<T>").token_local   # a tab is in-chunk
+    assert MaskingRule(r"\d+\.\d+", "<F>").token_local  # escaped dot
+    assert MaskingRule(r"[0-9a-f]+", "<HEX>").token_local
+    for pattern in (
+            r"user \d+",           # a literal space
+            r"[ ]+",
+            r"a.b",                # the bare dot
+            r"\\.",                # an escaped backslash, then a bare dot
+            r"\N{SPACE}",          # escapes that can spell a space
+            r"\u0020",
+            r"\U00000020",
+            r"[\40]",              # an octal escape
+            r"(a)\1",              # a backreference, conservatively
+            r"[\t-!]",             # a class range across the space
+            "[\t-!]",              # the same with a literal tab
+    ):
+        assert MaskingRule(pattern, "<T>").blob_safe, pattern
+        assert not MaskingRule(pattern, "<T>").token_local, pattern
+    # \B differs inside an empty message or chunk
+    for pattern in (r"^\d+", r"\d+$", r"\s+\d", r"[^x]+", r"\D+", r"\x20",
+                    r"\W", r"(?i)a", r"\B\d+", r"\B"):
+        assert not MaskingRule(pattern, "<T>").blob_safe, pattern
+        assert not MaskingRule(pattern, "<T>").token_local, pattern
+
+
+# messages that stress the chunk path: leading, trailing and double spaces,
+# tabs, empty and non-ASCII messages, placeholders and repeats
+_CHUNKY = [
+    "took 35 ms block 0xF3A2", " lead 1", "trail 2 ", "double  space 3",
+    "  ", " ", "", "tabs\tand 4\t5", "caf\u00e9 12 na\u00efve 0xab",
+    "\u00fcber\u00a0 7", "user 42 x", "a.b a b axb", "<NUM> already",
+    "xx x", "x", "deadbeef 10.0.0.1", "took 35 ms block 0xF3A2", "",
+]
+_NEWLINE_ROWS = ["two\nparts 0xff", "x\n", "\n", "end 3"]
+
+_RULE_SETS = {
+    "defaults": default_rules,
+    "empty-match": lambda: [MaskingRule(r"x*", "<T>")],
+    "word-boundary": lambda: [MaskingRule(r"\b", "<W>")],
+    "non-boundary": lambda: [MaskingRule(r"\B", "<NB>")],
+    "holds-space": lambda: [MaskingRule(r"user \d+", "<USER>")]
+    + default_rules(),
+    "bare-dot": lambda: [MaskingRule(r"a.b", "<AB>")],
+}
+
+
+@pytest.mark.parametrize("rule_set", sorted(_RULE_SETS))
+@pytest.mark.parametrize("msgs", [
+    _CHUNKY,
+    _CHUNKY + _NEWLINE_ROWS,
+    [""],
+    ["  "],
+], ids=["chunks", "newline-rows", "one-empty", "one-double-space"])
+def test_normalize_rule_sets_match_mask_one(rule_set, msgs):
+    rules = _RULE_SETS[rule_set]()
+    assert normalize(msgs, rules) == [mask_one(m, rules) for m in msgs]
+
+
+def test_chunk_path_never_masks_the_row_separator():
+    # an empty match beside "\n" must stay on its own row
+    rules = [MaskingRule(r"x*", "<T>")]
+    assert rules[0].token_local
+    assert normalize(["a", "", "xb"], rules) == \
+        ["<T>a<T>", "<T>", "<T><T>b<T>"]
+
+
+def test_default_rules_mask_chunks(monkeypatch):
+    # the default rules take the chunk path: the rules only ever see
+    # single, space-free chunks, each distinct one once
+    import logbench.masking as masking_module
+    seen = []
+    real = masking_module._normalize_distinct
+
+    def spy(msgs, rules):
+        seen.append(list(msgs))
+        return real(msgs, rules)
+
+    monkeypatch.setattr(masking_module, "_normalize_distinct", spy)
+    msgs = ["took 35 ms", "took 36 ms", "took  35 ms "]
+    assert normalize(msgs, default_rules()) == \
+        ["took <NUM> ms", "took <NUM> ms", "took  <NUM> ms "]
+    assert seen == [["took", "35", "ms", "36", ""]]
+
+
+def test_normalize_matches_mask_one_on_synthetic_hdfs(tmp_path):
+    from logbench import loaders, synth
+    paths = synth.generate_synthetic(tmp_path, format="hdfs", n_templates=10,
+                                     n_lines=20000, anomaly_rate=0.05,
+                                     seed=3)
+    events, _ = loaders.load(loaders.LoaderSpec("hdfs", paths["log"]))
+    msgs = list(events["m_message"])
+    rules = default_rules()
+    assert normalize(msgs, rules) == [mask_one(m, rules) for m in msgs]
 
 
 def test_normalize_matches_mask_one():

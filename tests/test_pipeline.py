@@ -155,6 +155,32 @@ def test_config_file_errors(tmp_path):
         PipelineConfig.from_file(bad)
 
 
+def test_config_rejects_unknown_sections_and_keys(tmp_path, synth_hdfs):
+    cfg = tmp_path / "p.ini"
+    _write_config(cfg, synth_hdfs["log"], synth_hdfs["labels"],
+                  tmp_path / "out")
+    good = cfg.read_text()
+    assert PipelineConfig.from_file(cfg).detector == "dt"
+
+    # a misspelt section would silently run the default detector
+    cfg.write_text(good + "\n[detector]\nkind = kmeans\n")
+    with pytest.raises(ConfigError, match=r"section \[detector\]"):
+        PipelineConfig.from_file(cfg)
+
+    cfg.write_text(good.replace("ngram_n = 2", "ngram_n = 2\ndrain_dept = 3"))
+    with pytest.raises(ConfigError, match=r"\[enhance\] drain_dept"):
+        PipelineConfig.from_file(cfg)
+
+    cfg.write_text("[DEFAULT]\nsed = 3\n" + good)
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\] sed"):
+        PipelineConfig.from_file(cfg)
+
+    # a [DEFAULT] key some section reads is fine, and reaches every section
+    cfg.write_text("[DEFAULT]\nseed = 3\n" + good.replace("seed = 0\n", ""))
+    config = PipelineConfig.from_file(cfg)
+    assert (config.detector_seed, config.split_seed) == (3, 3)
+
+
 def test_bad_rules_file_is_config_error(tmp_path, synth_hdfs):
     rules = tmp_path / "rules.txt"
     rules.write_text("(?<=a)b\t<BAD>\n")
