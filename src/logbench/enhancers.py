@@ -9,6 +9,8 @@ anomaly detection.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 from . import masking
@@ -49,67 +51,51 @@ def add_event_ids(events: Table, parser) -> Table:
 def aggregate_sequences(events: Table, labels=None) -> SequenceTable:
     """One row per sequence, in first-seen order of ``seq_id``.
 
-    Always emits seq_id, seq_len and duration (last minus first timestamp
-    within the sequence). When the event table carries ``e_event_id`` or
-    ``e_words``, the per-sequence id trace and flattened token list come
-    along. ``labels`` may be a SequenceTable (its seq_id/label columns are
-    joined) or a dict of seq_id to bool; sequences without a label entry are
-    labeled normal and counted in meta. Events with a null seq_id are
-    skipped, also counted.
+    Always emits seq_id, seq_len and duration (latest minus earliest
+    timestamp within the sequence, NaT when one of them is NaT). When the
+    event table carries ``e_event_id`` or ``e_words``, the per-sequence id
+    trace and flattened token list come along. ``labels`` may be a
+    SequenceTable (its seq_id/label columns are joined) or a dict of seq_id
+    to bool; sequences without a label entry are labeled normal and counted
+    in meta. Events with a null seq_id are skipped, also counted.
     """
     if "seq_id" not in events:
         raise ValueError("aggregate_sequences needs a seq_id column")
-    seq_col = events["seq_id"]
-    ts_col = events["m_timestamp"] if "m_timestamp" in events else None
-    has_ids = "e_event_id" in events
-    has_words = "e_words" in events
-    id_col = events["e_event_id"] if has_ids else None
-    words_col = events["e_words"] if has_words else None
-
-    order: list = []
-    groups: dict = {}
-    skipped = 0
-    for i in range(len(events)):
-        sid = seq_col[i]
-        if sid is None:
-            skipped += 1
-            continue
-        g = groups.get(sid)
-        if g is None:
-            g = {"rows": []}
-            groups[sid] = g
-            order.append(sid)
-        g["rows"].append(i)
-
-    seq_lens = np.asarray([len(groups[s]["rows"]) for s in order],
-                          dtype=np.int64)
+    seq_ids = events["seq_id"].tolist()
+    # first-seen code of every row's sequence; -1 for a null seq_id
+    first_seen = dict.fromkeys(seq_ids)
+    first_seen.pop(None, None)
+    order = list(first_seen)
+    code_of = dict(zip(order, range(len(order))))
+    codes = np.fromiter(map(code_of.get, seq_ids, repeat(-1)),
+                        dtype=np.int64, count=len(seq_ids))
+    kept = np.flatnonzero(codes >= 0)
+    skipped = len(codes) - len(kept)
+    # rows grouped by sequence, each group in row order
+    perm = kept[np.argsort(codes[kept], kind="stable")]
+    seq_lens = np.bincount(codes[kept], minlength=len(order))
+    ends = np.cumsum(seq_lens)
+    starts = ends - seq_lens
     columns: dict = {
         "seq_id": order,
         "seq_len": seq_lens,
     }
 
-    if ts_col is not None and len(order):
-        ts_int = ts_col.astype(np.int64)
-        durations = np.empty(len(order), dtype=np.int64)
-        for k, sid in enumerate(order):
-            rows = groups[sid]["rows"]
-            vals = ts_int[rows]
-            durations[k] = int(vals.max() - vals.min())
-        columns["duration"] = durations.view(np.dtype("timedelta64[us]"))
-    elif ts_col is not None:
-        columns["duration"] = np.zeros(0, dtype="timedelta64[us]")
+    if "m_timestamp" in events:
+        ts = events["m_timestamp"][perm]
+        # NaT propagates through max, min and the difference
+        columns["duration"] = (
+            np.maximum.reduceat(ts, starts) - np.minimum.reduceat(ts, starts)
+            if len(order) else np.zeros(0, dtype="timedelta64[us]"))
 
-    if has_ids:
-        columns["event_ids"] = [
-            [int(id_col[i]) for i in groups[s]["rows"]] for s in order]
-    if has_words:
-        flat = []
-        for s in order:
-            tokens: list[str] = []
-            for i in groups[s]["rows"]:
-                tokens.extend(words_col[i])
-            flat.append(tokens)
-        columns["words"] = flat
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    if "e_event_id" in events:
+        ids = events["e_event_id"][perm].tolist()
+        columns["event_ids"] = object_column([ids[a:b] for a, b in bounds])
+    if "e_words" in events:
+        words = events["e_words"][perm].tolist()
+        columns["words"] = object_column(
+            [list(chain.from_iterable(words[a:b])) for a, b in bounds])
 
     meta = {"events_without_seq_id": skipped}
     if labels is not None:

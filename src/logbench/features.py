@@ -6,11 +6,16 @@ concatenated tokens of a sequence, or the rendered event ids of a sequence
 training documents; ``vectorize`` turns any documents into a sparse count
 matrix against that fixed vocabulary, tracking out-of-vocabulary terms
 separately instead of dropping them silently.
+
+Documents are only read, so rows may share one list (``tokenize`` shares
+one per distinct message). Both functions work on the flattened corpus:
+one pass over all terms, then numpy on the integer column codes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, repeat
 
 import numpy as np
 from scipy import sparse
@@ -47,24 +52,16 @@ def fit_vocabulary(documents, min_count: int = 1) -> Vocabulary:
     """Build the vocabulary of terms seen at least min_count times.
 
     Column order is the order in which terms first appear in the corpus, so
-    the mapping is deterministic for a fixed input order.
+    the mapping is deterministic for a fixed input order. The terms of all
+    documents are counted in one pass over the flattened corpus.
     """
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
-    totals: Counter = Counter()
-    first_seen: list[str] = []
-    n_docs = 0
-    for doc in documents:
-        n_docs += 1
-        for term in doc:
-            if term not in totals:
-                first_seen.append(term)
-            totals[term] += 1
-    index = {}
-    for term in first_seen:
-        if totals[term] >= min_count:
-            index[term] = len(index)
-    return Vocabulary(index, min_count=min_count, fitted_on=n_docs)
+    docs = list(documents)
+    totals = Counter(chain.from_iterable(docs))
+    terms = [t for t, c in totals.items() if c >= min_count]
+    return Vocabulary(dict(zip(terms, range(len(terms)))),
+                      min_count=min_count, fitted_on=len(docs))
 
 
 class FeatureMatrix:
@@ -93,30 +90,30 @@ def vectorize(documents, vocabulary: Vocabulary,
     Terms outside the vocabulary increment the row's oov counter instead of
     making a column. With ``binary=True`` counts clip to presence flags
     (the oov counter stays a real count).
+
+    The flattened documents map to column codes in one pass (-1 for an oov
+    term); the cell counts come from the sorted ``row * V + column`` keys,
+    so the matrix is built in canonical form: sorted indices, no duplicates.
     """
-    index = vocabulary.index
-    rows, cols, data = [], [], []
-    oov = []
-    n_docs = 0
-    for i, doc in enumerate(documents):
-        n_docs += 1
-        counts: Counter = Counter(doc)
-        misses = 0
-        for term, c in counts.items():
-            j = index.get(term)
-            if j is None:
-                misses += c
-            else:
-                rows.append(i)
-                cols.append(j)
-                data.append(1 if binary else c)
-        oov.append(misses)
+    docs = list(documents)
+    n_docs, n_terms = len(docs), len(vocabulary)
+    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=n_docs)
+    codes = np.fromiter(
+        map(vocabulary.index.get, chain.from_iterable(docs), repeat(-1)),
+        dtype=np.int64, count=int(lengths.sum()))
+    rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    hit = codes >= 0
+    oov = np.bincount(rows[~hit], minlength=n_docs)
+    keys, counts = np.unique(rows[hit] * n_terms + codes[hit],
+                             return_counts=True)
+    # no keys when the vocabulary is empty, so dividing by 0 divides nothing
+    key_rows, cols = np.divmod(keys, n_terms)
+    indptr = np.zeros(n_docs + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key_rows, minlength=n_docs), out=indptr[1:])
     matrix = sparse.csr_matrix(
-        (np.asarray(data, dtype=np.int64),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(n_docs, len(vocabulary)),
-    )
-    return FeatureMatrix(matrix, np.asarray(oov, dtype=np.int64), vocabulary)
+        (np.ones_like(counts) if binary else counts, cols, indptr),
+        shape=(n_docs, n_terms))
+    return FeatureMatrix(matrix, oov, vocabulary)
 
 
 def render_event_ids(id_sequences) -> list[list[str]]:

@@ -192,24 +192,33 @@ def _normalize_distinct(msgs: list[str], rules: list[MaskingRule]) -> list[str]:
     return [mask_one(m, rules) for m in msgs]
 
 
-_NONASCII_WS_RE = re.compile(r"[ \t\r\n\f\v]+")
+_WS_RE = re.compile(r"[ \t\r\n\f\v]+")
 
 
 def split_tokens(text: str) -> list[str]:
-    """Split one message on runs of ASCII whitespace, dropping empty tokens."""
-    if text.isascii():
+    """Split one message on runs of ``[ \\t\\r\\n\\f\\v]``, dropping empty
+    tokens. ``str.split`` would also split at ``\\x1c``-``\\x1f``."""
+    if text.isascii() and not ("\x1f" in text or "\x1e" in text
+                               or "\x1d" in text or "\x1c" in text):
         return text.split()
-    parts = _NONASCII_WS_RE.split(text)
-    return [p for p in parts if p]
+    return [p for p in _WS_RE.split(text) if p]
 
 
 def tokenize(messages) -> list[list[str]]:
-    """Token lists for a message column (ASCII whitespace splitting).
+    """Token lists for a message column, ``split_tokens`` of each message.
 
-    Each list is copied to its exact size: ``str.split`` leaves room for 12
-    tokens, which a table of short messages would keep for its lifetime.
+    Each distinct message is split once and equal messages share its list,
+    so the lists are read-only. Each list is copied to its exact size:
+    ``str.split`` leaves room for 12 tokens, which a table of short
+    messages would keep for its lifetime.
     """
-    return [list(split_tokens(m)) for m in messages]
+    msgs = list(messages)
+    distinct = dict.fromkeys(msgs)
+    if len(distinct) == len(msgs):
+        return [list(split_tokens(m)) for m in msgs]
+    for m in distinct:
+        distinct[m] = list(split_tokens(m))
+    return list(map(distinct.__getitem__, msgs))
 
 
 def load_masking_rules(path) -> list[MaskingRule]:

@@ -369,7 +369,10 @@ def _documents(table, config: PipelineConfig) -> list[list[str]]:
     if config.feature_source == "event_ids":
         if "event_ids" in table:
             return features.render_event_ids(table["event_ids"])
-        return [[f"e{int(e)}"] for e in table["e_event_id"]]
+        # one shared one-term list per distinct id, read-only like tokens
+        ids, rows = np.unique(table["e_event_id"], return_inverse=True)
+        terms = [[f"e{e}"] for e in ids.tolist()]
+        return list(map(terms.__getitem__, rows.tolist()))
     # the token lists are shared, not copied: no featurizer or detector
     # mutates its documents
     return list(table["words" if "words" in table else "e_words"])

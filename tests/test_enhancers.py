@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,57 @@ def test_aggregate_sequences():
     assert seqs["words"][1] == ["open", "file", "a", "open", "file", "b"]
     assert seqs.meta["events_without_seq_id"] == 1
     assert "label" not in seqs
+
+
+def test_aggregate_duration_is_nat_when_a_timestamp_is(tmp_path):
+    ts = _ts([0, 10, 5, 7, 12, 20, 3, 4])
+    ts[[2, 6, 7]] = np.datetime64("NaT")
+    t = EventTable({"seq_id": ["s1", "s2", "s1", "s2", "s2", "s1", "s3",
+                               "s3"],
+                    "m_message": ["m"] * 8, "m_timestamp": ts})
+    # a table file keeps the NaT as null and loads it back
+    t.save(tmp_path / "t.table.json")
+    t = EventTable.load(tmp_path / "t.table.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seqs = aggregate_sequences(t)
+    assert list(seqs["seq_id"]) == ["s1", "s2", "s3"]
+    assert list(seqs["seq_len"]) == [3, 3, 2]
+    assert np.isnat(seqs["duration"][0])  # one NaT among three
+    assert seqs["duration"][1] == np.timedelta64(5, "s")
+    assert np.isnat(seqs["duration"][2])  # all NaT
+    assert seqs["duration"].dtype == np.dtype("timedelta64[us]")
+
+
+def test_aggregate_against_dict_grouping():
+    rng = np.random.default_rng(5)
+    n = 3000
+    sids = [None if k == 0 else f"s{k}" for k in rng.integers(0, 40, n)]
+    ids = rng.integers(0, 9, n)
+    words = [[f"w{i}"] * (i % 3) for i in range(n)]
+    t = EventTable({"seq_id": sids, "m_message": ["x"] * n,
+                    "m_timestamp": _ts(rng.integers(0, 10 ** 6, n)),
+                    "e_event_id": ids, "e_words": words})
+    groups = {}
+    for i, s in enumerate(sids):
+        if s is not None:
+            groups.setdefault(s, []).append(i)
+    seqs = aggregate_sequences(t)
+    assert list(seqs["seq_id"]) == list(groups)  # first-seen order
+    assert list(seqs["seq_len"]) == [len(g) for g in groups.values()]
+    # each sequence's rows in row order
+    assert list(seqs["event_ids"]) == \
+        [ids[g].tolist() for g in groups.values()]
+    assert list(seqs["words"]) == \
+        [[w for i in g for w in words[i]] for g in groups.values()]
+    ts = t["m_timestamp"]
+    assert list(seqs["duration"]) == \
+        [ts[g].max() - ts[g].min() for g in groups.values()]
+    assert seqs.meta["events_without_seq_id"] == sids.count(None)
+    # only null seq ids: no sequences
+    empty = aggregate_sequences(t.take([i for i, s in enumerate(sids)
+                                        if s is None]))
+    assert len(empty) == 0 and empty["duration"].dtype.kind == "m"
 
 
 def test_aggregate_labels_from_dict_and_table():

@@ -3,8 +3,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from logbench.features import (FeatureMatrix, fit_vocabulary,
+from logbench.features import (FeatureMatrix, Vocabulary, fit_vocabulary,
                                render_event_ids, vectorize)
 
 
@@ -43,31 +44,107 @@ def test_vectorize_binary():
     assert fm.oov_counts.tolist() == [1]  # oov stays a real count
 
 
+def _oracle_fit_vocabulary(documents, min_count=1):
+    """Reference: count term by term, columns in first-seen order."""
+    totals = Counter()
+    first_seen = []
+    n_docs = 0
+    for doc in documents:
+        n_docs += 1
+        for term in doc:
+            if term not in totals:
+                first_seen.append(term)
+            totals[term] += 1
+    index = {}
+    for term in first_seen:
+        if totals[term] >= min_count:
+            index[term] = len(index)
+    return Vocabulary(index, min_count=min_count, fitted_on=n_docs)
+
+
+def _oracle_vectorize(documents, vocabulary, binary=False):
+    """Reference: one Counter per document, COO triplets into csr_matrix."""
+    index = vocabulary.index
+    rows, cols, data, oov = [], [], [], []
+    n_docs = 0
+    for i, doc in enumerate(documents):
+        n_docs += 1
+        misses = 0
+        for term, c in Counter(doc).items():
+            j = index.get(term)
+            if j is None:
+                misses += c
+            else:
+                rows.append(i)
+                cols.append(j)
+                data.append(1 if binary else c)
+        oov.append(misses)
+    matrix = sparse.csr_matrix(
+        (np.asarray(data, dtype=np.int64),
+         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
+        shape=(n_docs, len(vocabulary)))
+    return FeatureMatrix(matrix, np.asarray(oov, dtype=np.int64), vocabulary)
+
+
+def _assert_same_features(got, want):
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert got.matrix.has_sorted_indices == want.matrix.has_sorted_indices
+    assert got.oov_counts.dtype == want.oov_counts.dtype == np.int64
+    assert np.array_equal(got.oov_counts, want.oov_counts)
+
+
+def _cases(rng):
+    terms = ["a", "b", "c", "d", "e", "f"]
+
+    def corpus(pool, n):
+        return [[rng.choice(pool) for _ in range(rng.randint(0, 6))]
+                for _ in range(n)]
+
+    for _ in range(20):
+        yield (corpus(terms, 10), corpus(terms + ["oovword"], 10),
+               rng.randint(1, 3), rng.random() < 0.5)
+    yield [], [], 1, False  # empty corpus
+    yield [], corpus(terms, 4), 1, False  # empty vocabulary
+    yield corpus(terms, 5), [[], []], 1, False  # empty documents
+    yield corpus(terms, 10), corpus(["x", "y"], 6), 1, False  # all oov
+    yield corpus(terms, 10), corpus(terms, 10), 10 ** 6, True  # min_count
+    yield corpus(terms, 10), corpus(terms, 10), 2, True  # binary
+
+
 def test_vectorize_against_brute_force():
     rng = random.Random(3)
-    terms = ["a", "b", "c", "d", "e", "f"]
-    for _ in range(20):
-        train = [[rng.choice(terms) for _ in range(rng.randint(0, 6))]
-                 for _ in range(10)]
-        test = [[rng.choice(terms + ["oovword"])
-                 for _ in range(rng.randint(0, 6))] for _ in range(10)]
-        min_count = rng.randint(1, 3)
-        vocab = fit_vocabulary(train, min_count=min_count)
+    for train, test, min_count, binary in _cases(rng):
+        want_vocab = _oracle_fit_vocabulary(train, min_count)
+        # documents may come as a generator
+        vocab = fit_vocabulary((d for d in train), min_count=min_count)
+        assert list(vocab.index.items()) == list(want_vocab.index.items())
+        assert vocab.fitted_on == want_vocab.fitted_on == len(train)
 
         flat = Counter(t for doc in train for t in doc)
         assert set(vocab.terms) == {t for t, c in flat.items()
                                     if c >= min_count}
 
-        fm = vectorize(test, vocab)
-        dense = fm.matrix.toarray()
-        for i, doc in enumerate(test):
-            c = Counter(doc)
-            for term, cnt in c.items():
-                if term in vocab.index:
-                    assert dense[i, vocab.index[term]] == cnt
-            assert fm.oov_counts[i] == \
-                sum(cnt for t, cnt in c.items() if t not in vocab.index)
-            assert dense[i].sum() + fm.oov_counts[i] == len(doc)
+        for docs in (test, train):
+            want = _oracle_vectorize(docs, want_vocab, binary=binary)
+            _assert_same_features(
+                vectorize(iter(docs), vocab, binary=binary), want)
+            fm = vectorize(docs, vocab, binary=binary)
+            _assert_same_features(fm, want)
+            dense = fm.matrix.toarray()
+            for i, doc in enumerate(docs):
+                c = Counter(doc)
+                for term, cnt in c.items():
+                    if term in vocab.index:
+                        assert dense[i, vocab.index[term]] == \
+                            (1 if binary else cnt)
+                assert fm.oov_counts[i] == \
+                    sum(cnt for t, cnt in c.items() if t not in vocab.index)
+                if not binary:
+                    assert dense[i].sum() + fm.oov_counts[i] == len(doc)
 
 
 def test_render_event_ids():

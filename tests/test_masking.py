@@ -222,12 +222,36 @@ def test_split_tokens():
     assert split_tokens("a\tb\nc") == ["a", "b", "c"]
     # non-ascii whitespace is NOT a separator; only the explicit set is
     assert split_tokens("a\u00a0b") == ["a\u00a0b"]
+    # nor are the information separators, which str.split() splits at;
+    # ASCII and non-ASCII messages split alike
+    for sep in "\x1c\x1d\x1e\x1f":
+        assert split_tokens(f"a{sep}b c") == [f"a{sep}b", "c"]
+        assert split_tokens(f"a{sep}b c \u00fc") == [f"a{sep}b", "c", "\u00fc"]
+    assert split_tokens("\x1f") == ["\x1f"]
+    assert split_tokens(" a\x0bb\x0cc\rd ") == ["a", "b", "c", "d"]
 
 
 def test_tokenize():
     out = tokenize(normalize(["took 35 ms", "x 0xff"], default_rules()))
     assert out == [["took", "<NUM>", "ms"], ["x", "<HEX>"]]
     assert tokenize(["a  b", ""]) == [["a", "b"], []]
+
+
+def test_tokenize_shares_one_list_per_distinct_message():
+    msgs = ["a b", "", "x \u00fc", "a b", "p\x1fq r", "", "a b", "x \u00fc",
+            "p\x1fq r", "a  b", "a\tb"]
+    out = tokenize(iter(msgs))
+    assert out == [split_tokens(m) for m in msgs]
+    assert out[4] == ["p\x1fq", "r"]
+    for i, m in enumerate(msgs):
+        for j, n in enumerate(msgs):
+            # equal messages share one list; different ones never do, even
+            # when their tokens are equal ("a b", "a  b" and "a\tb")
+            assert (out[i] is out[j]) == (m == n), (m, n)
+    # all distinct: one fresh list per message
+    distinct = tokenize(["a", "b c", ""])
+    assert distinct == [["a"], ["b", "c"], []]
+    assert len({id(t) for t in distinct}) == 3
 
 
 def test_rules_file_round_trip(tmp_path):

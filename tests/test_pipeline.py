@@ -1,12 +1,15 @@
 import json
 import logging
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from logbench.loaders import LoaderSpec
 from logbench.pipeline import (ConfigError, PipelineConfig, StageError,
-                               run_pipeline)
+                               _documents, run_pipeline)
 from logbench.synth import generate_synthetic
+from logbench.tables import EventTable
 
 
 def _write_config(path, log, labels, out_dir, detector="dt",
@@ -282,3 +285,13 @@ def test_healthy_run_warns_nothing(tmp_path, synth_hdfs, caplog):
     saved = json.loads((tmp_path / "out" / "report.json").read_text())
     assert set(saved) == {"tp", "fp", "fn", "tn", "accuracy", "precision",
                           "recall", "f1_binary", "auc_roc", "wall_clock_ms"}
+
+
+def test_event_id_documents_share_one_list_per_id():
+    ids = np.asarray([7, 3, 7, 12, 3, 7], dtype=np.int64)
+    table = EventTable({"m_message": ["m"] * 6, "e_event_id": ids})
+    docs = _documents(table, SimpleNamespace(feature_source="event_ids"))
+    assert docs == [[f"e{e}"] for e in ids.tolist()]
+    for i in range(6):
+        for j in range(6):
+            assert (docs[i] is docs[j]) == (ids[i] == ids[j])
