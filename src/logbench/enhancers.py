@@ -33,7 +33,8 @@ def _text_source(events: Table) -> str:
 def add_tokens(events: Table) -> Table:
     """Token lists as ``e_words``, from the normalized text when present."""
     tokens = masking.tokenize(events[_text_source(events)])
-    # the lists are fresh, so the table may hold them without a copy
+    # the lists belong to this column only (rows with equal messages share
+    # one, and cells are read-only), so the table may hold them without a copy
     return events.with_column("e_words", object_column(tokens))
 
 

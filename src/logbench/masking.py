@@ -214,8 +214,6 @@ def tokenize(messages) -> list[list[str]]:
     """
     msgs = list(messages)
     distinct = dict.fromkeys(msgs)
-    if len(distinct) == len(msgs):
-        return [list(split_tokens(m)) for m in msgs]
     for m in distinct:
         distinct[m] = list(split_tokens(m))
     return list(map(distinct.__getitem__, msgs))
