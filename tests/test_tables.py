@@ -183,6 +183,58 @@ def test_load_rejects_column_shorter_than_rows(tmp_path):
     assert str(p) in str(err.value)
 
 
+def test_load_shares_equal_cells(tmp_path):
+    t = Table({"w": [["a", "b"], ["a", "b"], ["a"], [], [], None],
+               "s": ["node-1", "node-1", "node-2", "node-1", None, "node-2"]})
+    p = tmp_path / "t.table.json"
+    t.save(p)
+    back = Table.load(p)
+    assert back.equals(t)
+    w, s = back["w"], back["s"]
+    assert w[0] is w[1] and w[3] is w[4]
+    assert len({id(c) for c in w[:5]}) == 3
+    assert s[0] is s[1] is s[3] and s[2] is s[5] and s[0] is not s[2]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_load_matches_json_module(tmp_path, indent):
+    # cells that compare equal across types, nested lists, and a file with
+    # other whitespace and key order than Table.save writes
+    columns = {
+        "mixed": [1, True, 1.0, "1", None, "1", []],
+        "ids": [[1], [True], [1.0], [1], [], None, [[1]]],
+        "nested": [[["a"]], [["a"]], [], ["a"], [None], [None], [[]]],
+        "w": [["a", "b"], [], ["a", "b"], ["c"], ["a"], [], ["a", "b"]],
+    }
+    obj = {"format": "logbench.table", "version": 1, "kind": "table",
+           "rows": 7, "columns": [{"name": n, "dtype": "str", "values": v}
+                                  for n, v in columns.items()]}
+    p = tmp_path / "t.table.json"
+    p.write_text(json.dumps(obj, indent=indent, sort_keys=True,
+                            separators=(",", ":") if indent is None else None),
+                 encoding="utf-8")
+    back = Table.load(p)
+    for name, values in columns.items():
+        assert repr(back[name].tolist()) == repr(values)
+    # rows are shared only in the compact layout that Table.save writes
+    shared = indent is None
+    assert (back["ids"][0] is back["ids"][3]) == shared
+    assert (back["nested"][0] is back["nested"][1]) == shared
+    assert back["ids"][0] is not back["ids"][1]
+
+
+def test_load_rejects_malformed_json(tmp_path):
+    p = tmp_path / "t.table.json"
+    Table({"w": [["a", "b"], ["c"]], "s": ["x", "y"]}).save(p)
+    text = p.read_text(encoding="utf-8")
+    for bad in (text[:-12], text.replace('["a","b"]', '["a" "b"]'),
+                text.replace('],["c"]', '] ["c"]'),
+                text.replace('"x",', '"x",,'), text.replace("]]", "],]")):
+        p.write_text(bad, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            Table.load(p)
+
+
 # -- reference copies of the per-cell serializers that the column-at-a-time
 # code replaced; their files are the reference bytes of the v1 format
 
