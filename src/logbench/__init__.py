@@ -22,8 +22,7 @@ from .loaders import (LoaderSpec, load, load_hadoop, load_hdfs, load_raw,
                       load_supercomputer)
 from .masking import (MaskingRule, default_rules, load_masking_rules,
                       normalize, tokenize)
-from .parsers import (DrainParser, LenMaParser, SpellParser, TemplateStore,
-                      drain_parse, lenma_parse, spell_parse)
+from .parsers import DrainParser, LenMaParser, SpellParser, TemplateStore
 from .ngram import NGramModel, ngram_score, ngram_train
 from .enhancers import (add_event_ids, add_ngram_scores, add_normalized,
                         add_tokens, aggregate_sequences)
@@ -33,8 +32,7 @@ from .detectors import (DecisionTreeDetector, EvalReport,
                         IsolationForestDetector, KMeansDetector,
                         LogisticRegressionDetector, OOVDetector,
                         RarityDetector, auc_roc, evaluate, load_model,
-                        oov_detect, rarity_score, save_model,
-                        scores_to_labels, train_supervised,
+                        save_model, scores_to_labels, train_supervised,
                         train_unsupervised)
 from .synth import (generate_synthetic, make_sequence_dataset,
                     make_template_corpus)
@@ -52,7 +50,6 @@ __all__ = [
     "MaskingRule", "default_rules", "load_masking_rules", "normalize",
     "tokenize",
     "DrainParser", "LenMaParser", "SpellParser", "TemplateStore",
-    "drain_parse", "lenma_parse", "spell_parse",
     "NGramModel", "ngram_score", "ngram_train",
     "add_event_ids", "add_ngram_scores", "add_normalized", "add_tokens",
     "aggregate_sequences",
@@ -60,9 +57,8 @@ __all__ = [
     "vectorize",
     "DecisionTreeDetector", "EvalReport", "IsolationForestDetector",
     "KMeansDetector", "LogisticRegressionDetector", "OOVDetector",
-    "RarityDetector", "auc_roc", "evaluate", "load_model", "oov_detect",
-    "rarity_score", "save_model", "scores_to_labels", "train_supervised",
-    "train_unsupervised",
+    "RarityDetector", "auc_roc", "evaluate", "load_model", "save_model",
+    "scores_to_labels", "train_supervised", "train_unsupervised",
     "generate_synthetic", "make_sequence_dataset", "make_template_corpus",
     "BenchReport", "bench_loading", "bench_masking_offload", "bench_parsers",
     "ConfigError", "PipelineConfig", "StageError", "run_pipeline",

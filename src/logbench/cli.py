@@ -16,10 +16,9 @@ import logging
 import sys
 from pathlib import Path
 
-from . import bench, enhancers, loaders, synth
-from .parsers import PARSERS, make_parser
+from . import bench, loaders, synth
 from .pipeline import (ConfigError, PipelineConfig, StageError, load_rules,
-                       run_pipeline, stage)
+                       run_chain, run_pipeline, validate_chain)
 from .tables import Table, validate_event_table
 
 
@@ -50,7 +49,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", required=True, help="events table file")
     p.add_argument("--chain", required=True,
                    help="comma separated: normalize,tokenize,"
-                        "drain|spell|lenma,aggregate")
+                        "drain|spell|lenma,aggregate (aggregate runs last; "
+                        "ngram is detect-only)")
     p.add_argument("--rules", help="masking rules file (PATTERN<TAB><TOKEN>)")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", action="store_true")
@@ -106,31 +106,16 @@ def _cmd_load(args) -> int:
 
 def _cmd_enhance(args) -> int:
     steps = [s.strip() for s in args.chain.split(",") if s.strip()]
-    allowed = ("normalize", "tokenize", "aggregate") + tuple(PARSERS)
-    unknown = [s for s in steps if s not in allowed]
-    if unknown:
-        raise ConfigError(f"unknown chain steps: {unknown}")
-    if sum(1 for s in steps if s in PARSERS) > 1:
-        raise ConfigError("at most one parser may be in the chain")
+    validate_chain(steps, allow_ngram=False)
     rules = load_rules(args.rules)
     events = Table.load(args.table)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seq_table = None
-    for step in steps:
-        with stage(step):
-            if step == "normalize":
-                events = enhancers.add_normalized(events, rules)
-            elif step == "tokenize":
-                events = enhancers.add_tokens(events)
-            elif step == "aggregate":
-                seq_table = enhancers.aggregate_sequences(events)
-            else:
-                parser = make_parser(step)
-                events = enhancers.add_event_ids(events, parser)
-                parser.store.save(out / "templates.json")
-                print(f"{step}: {len(parser.store)} templates "
-                      f"-> {out / 'templates.json'}")
+    events, seq_table, store = run_chain(events, steps, rules)
+    if store is not None:
+        store.save(out / "templates.json")
+        print(f"{store.parser_kind}: {len(store)} templates "
+              f"-> {out / 'templates.json'}")
     events.save(out / "events.table.json")
     if args.csv:
         events.write_csv(out / "events.csv")

@@ -899,13 +899,6 @@ class OOVDetector:
         return model
 
 
-def oov_detect(train_documents, test_documents, threshold: float = 0.0):
-    """Out-of-vocabulary scores and labels for test documents."""
-    model = OOVDetector(threshold).fit(train_documents)
-    scores = model.score(test_documents)
-    return scores, scores > threshold
-
-
 class RarityDetector:
     """Mean negative log frequency of a document's tokens.
 
@@ -958,11 +951,6 @@ class RarityDetector:
         model.total = int(obj["total"])
         model.distinct = int(obj["distinct"])
         return model
-
-
-def rarity_score(train_documents, test_documents) -> np.ndarray:
-    """Rarity scores of test documents against training token statistics."""
-    return RarityDetector().fit(train_documents).score(test_documents)
 
 
 # ---------------------------------------------------------------------------

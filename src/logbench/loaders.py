@@ -18,7 +18,6 @@ import csv
 import logging
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date as _date
 from pathlib import Path
@@ -457,9 +456,8 @@ def load_hadoop(root_dir, app_labels):
     """Load a tree of per-application Hadoop logs.
 
     ``root_dir`` contains one directory per application run; every regular
-    file inside (any depth) is a container log. Files are read in parallel
-    but merged in sorted (application, file path) order, so the result does
-    not depend on scheduling. ``app_labels`` is either a dict or the path of
+    file inside (any depth) is a container log. Files are read one after
+    another in sorted (application, file path) order. ``app_labels`` is either a dict or the path of
     an ``application,label`` csv. Returns (events, sequences) with the
     application name as seq_id.
     """
@@ -478,10 +476,7 @@ def load_hadoop(root_dir, app_labels):
         for path in files:
             jobs.append((app, path))
 
-    results = []
-    if jobs:
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
-            results = list(pool.map(lambda j: _read_hadoop_file(*j), jobs))
+    results = [_read_hadoop_file(app, path) for app, path in jobs]
 
     seqs, epochs, levels, comps, messages = [], [], [], [], []
     dropped = merged = lines_read = 0

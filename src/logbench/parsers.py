@@ -472,32 +472,6 @@ class LenMaParser(_ParserBase):
         return cluster.event_id
 
 
-# ---------------------------------------------------------------------------
-# functional wrappers
-
-
-def drain_parse(messages, depth: int = 4, sim_threshold: float = 0.4,
-                max_children: int = 100, masking_rules=None):
-    """One-shot Drain over a message column: (event_ids, store)."""
-    parser = DrainParser(depth, sim_threshold, max_children, masking_rules)
-    ids = parser.parse(messages)
-    return ids, parser.store
-
-
-def spell_parse(messages, tau: float = 0.5, masking_rules=None):
-    """One-shot Spell over a message column: (event_ids, store)."""
-    parser = SpellParser(tau, masking_rules)
-    ids = parser.parse(messages)
-    return ids, parser.store
-
-
-def lenma_parse(messages, threshold: float = 0.9, masking_rules=None):
-    """One-shot LenMa over a message column: (event_ids, store)."""
-    parser = LenMaParser(threshold, masking_rules)
-    ids = parser.parse(messages)
-    return ids, parser.store
-
-
 PARSERS = {
     "drain": DrainParser,
     "spell": SpellParser,

@@ -17,14 +17,12 @@ import numpy as np
 
 from . import detectors, enhancers, features, loaders, masking
 from .ngram import ngram_train
-from .parsers import make_parser
+from .parsers import PARSERS, make_parser
 from .tables import split_train_test, validate_event_table
 
 logger = logging.getLogger("logbench.pipeline")
 
-CHAIN_STEPS = ("normalize", "tokenize", "drain", "spell", "lenma",
-               "ngram", "aggregate")
-PARSER_STEPS = ("drain", "spell", "lenma")
+CHAIN_STEPS = ("normalize", "tokenize", *PARSERS, "ngram", "aggregate")
 DETECTOR_KINDS = ("lr", "dt", "kmeans", "iforest", "oov", "rarity")
 FEATURE_SOURCES = ("words", "event_ids")
 _PARSER_KEYS = {"drain": ("depth", "sim_threshold", "max_children"),
@@ -33,7 +31,7 @@ _PARSER_KEYS = {"drain": ("depth", "sim_threshold", "max_children"),
 # every section and key from_file reads; anything else is a ConfigError
 _CONFIG_KEYS = {
     "loader": {"format", "log", "labels"},
-    "enhance": {"chain", "rules", "ngram_n", "ngram_p0"}
+    "enhance": {"chain", "rules", "ngram_n"}
     | {f"{kind}_{key}" for kind, keys in _PARSER_KEYS.items()
        for key in keys},
     "features": {"source", "binary", "min_count"},
@@ -62,7 +60,7 @@ class PipelineConfig:
     def __init__(self, loader_spec: loaders.LoaderSpec, chain: list[str],
                  out_dir: Path, rules_path: Path | None = None,
                  parser_params: dict | None = None, ngram_n: int = 2,
-                 ngram_p0: float = 0.05, feature_source: str = "words",
+                 feature_source: str = "words",
                  binary_features: bool = False, min_count: int = 1,
                  detector: str = "dt", detector_seed: int = 0,
                  contamination: float = 0.03, oov_threshold: float = 0.0,
@@ -74,7 +72,6 @@ class PipelineConfig:
         self.rules_path = Path(rules_path) if rules_path else None
         self.parser_params = dict(parser_params or {})
         self.ngram_n = ngram_n
-        self.ngram_p0 = ngram_p0
         self.feature_source = feature_source
         self.binary_features = binary_features
         self.min_count = min_count
@@ -90,23 +87,12 @@ class PipelineConfig:
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
-        unknown = [s for s in self.chain if s not in CHAIN_STEPS]
-        if unknown:
-            raise ConfigError(f"unknown chain steps: {unknown}")
-        if len(self.chain) != len(set(self.chain)):
-            raise ConfigError("chain steps may not repeat")
-        parsers_in_chain = [s for s in self.chain if s in PARSER_STEPS]
-        if len(parsers_in_chain) > 1:
-            raise ConfigError("at most one parser may be in the chain")
-        if "ngram" in self.chain:
-            if not parsers_in_chain:
-                raise ConfigError("ngram requires a parser in the chain")
-            if "aggregate" not in self.chain:
-                raise ConfigError("ngram requires aggregate in the chain")
+        validate_chain(self.chain)
         if self.feature_source not in FEATURE_SOURCES:
             raise ConfigError(
                 f"feature source must be one of {FEATURE_SOURCES}")
-        if self.feature_source == "event_ids" and not parsers_in_chain:
+        if self.feature_source == "event_ids" and \
+                not any(s in PARSERS for s in self.chain):
             raise ConfigError("event_ids features require a parser")
         if self.feature_source == "words" and "tokenize" not in self.chain:
             raise ConfigError("words features require tokenize in the chain")
@@ -119,13 +105,6 @@ class PipelineConfig:
             raise ConfigError("ngram n must be at least 2")
         if not 0.0 <= self.contamination <= 1.0:
             raise ConfigError("contamination must be in [0, 1]")
-
-    @property
-    def parser_kind(self) -> str | None:
-        for s in self.chain:
-            if s in PARSER_STEPS:
-                return s
-        return None
 
     # -- parsing ----------------------------------------------------------
 
@@ -180,7 +159,6 @@ class PipelineConfig:
             rules_path=cp.get("enhance", "rules", fallback=None),
             parser_params=parser_params,
             ngram_n=cp.getint("enhance", "ngram_n", fallback=2),
-            ngram_p0=cp.getfloat("enhance", "ngram_p0", fallback=0.05),
             feature_source=cp.get("features", "source", fallback="words"),
             binary_features=cp.getboolean("features", "binary",
                                           fallback=False),
@@ -233,20 +211,75 @@ def load_rules(path) -> list[masking.MaskingRule] | None:
 
 
 def stage(name: str, timings: dict | None = None):
-    """Context manager: time a stage into ``timings`` when given, and wrap
-    non-I/O failures in StageError."""
+    """Context manager: time a stage, log its milliseconds, record them in
+    ``timings`` when given, and wrap non-I/O failures in StageError."""
     class _Stage:
         def __enter__(self):
             self.start = time.perf_counter()
             return self
 
         def __exit__(self, exc_type, exc, tb):
+            ms = (time.perf_counter() - self.start) * 1000.0
+            logger.info("%s: %.1f ms", name, ms)
             if timings is not None:
-                timings[name] = (time.perf_counter() - self.start) * 1000.0
+                timings[name] = ms
             if exc is None or isinstance(exc, (OSError, StageError)):
                 return False
             raise StageError(name, exc) from exc
     return _Stage()
+
+
+def validate_chain(chain, allow_ngram: bool = True) -> None:
+    """Raise ConfigError unless ``chain`` is a list of known steps, none
+    repeated, with at most one parser. ``ngram`` needs a parser and
+    ``aggregate``, and is refused where ``allow_ngram`` is off: it trains
+    on the training split, which only a full pipeline run makes."""
+    unknown = [s for s in chain if s not in CHAIN_STEPS]
+    if unknown:
+        raise ConfigError(f"unknown chain steps: {unknown}")
+    if len(chain) != len(set(chain)):
+        raise ConfigError("chain steps may not repeat")
+    parsers_in_chain = [s for s in chain if s in PARSERS]
+    if len(parsers_in_chain) > 1:
+        raise ConfigError("at most one parser may be in the chain")
+    if "ngram" in chain:
+        if not allow_ngram:
+            raise ConfigError("ngram trains on the training split; run it "
+                              "with `logbench detect`")
+        if not parsers_in_chain:
+            raise ConfigError("ngram requires a parser in the chain")
+        if "aggregate" not in chain:
+            raise ConfigError("ngram requires aggregate in the chain")
+
+
+def run_chain(events, chain, rules, parser_params=None, labels=None,
+              timings=None):
+    """Run the event steps of ``chain`` in order, each in its own stage,
+    then ``aggregate`` when listed. ``ngram`` is skipped: run_pipeline
+    trains it after the split.
+
+    Returns (events, sequences, store): the enhanced event table, the
+    sequence table (None without ``aggregate``; ``labels`` are joined onto
+    it) and the parser's template store (None without a parser).
+    """
+    parser_params = parser_params or {}
+    sequences = store = None
+    for step in chain:
+        if step in ("ngram", "aggregate"):
+            continue
+        with stage(step, timings):
+            if step == "normalize":
+                events = enhancers.add_normalized(events, rules)
+            elif step == "tokenize":
+                events = enhancers.add_tokens(events)
+            else:
+                parser = make_parser(step, **parser_params.get(step, {}))
+                events = enhancers.add_event_ids(events, parser)
+                store = parser.store
+    if "aggregate" in chain:
+        with stage("aggregate", timings):
+            sequences = enhancers.aggregate_sequences(events, labels)
+    return events, sequences, store
 
 
 def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
@@ -268,27 +301,11 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
         if not report.is_valid:
             logger.warning("validation: %s", report.summary())
 
-    rules = load_rules(config.rules_path)
-
-    store = None
-    with stage("enhance", timings):
-        for step in config.chain:
-            if step == "normalize":
-                events = enhancers.add_normalized(events, rules)
-            elif step == "tokenize":
-                events = enhancers.add_tokens(events)
-            elif step in PARSER_STEPS:
-                parser = make_parser(step,
-                                     **config.parser_params.get(step, {}))
-                events = enhancers.add_event_ids(events, parser)
-                store = parser.store
-        if store is not None:
-            store.save(out / "templates.json")
-
-    seq_table = None
-    with stage("aggregate", timings):
-        if "aggregate" in config.chain:
-            seq_table = enhancers.aggregate_sequences(events, sequences)
+    events, seq_table, store = run_chain(
+        events, config.chain, load_rules(config.rules_path),
+        config.parser_params, labels=sequences, timings=timings)
+    if store is not None:
+        store.save(out / "templates.json")
 
     with stage("split", timings):
         working = seq_table if seq_table is not None else events
@@ -302,8 +319,6 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
         with stage("ngram", timings):
             model = ngram_train(train["event_ids"], n=config.ngram_n)
             model.save(out / "ngram_model.json")
-            train = enhancers.add_ngram_scores(train, model, config.ngram_p0)
-            test = enhancers.add_ngram_scores(test, model, config.ngram_p0)
 
     with stage("features", timings):
         train_docs = _documents(train, config)

@@ -19,7 +19,6 @@ import numpy as np
 # Mandatory columns for an event table. ``m_`` marks columns that come
 # straight from the raw data, ``e_`` marks columns derived by enhancers.
 EVENT_MANDATORY = ("m_message", "m_timestamp")
-SEQUENCE_MANDATORY = ("seq_id",)
 
 # numpy dtype kind -> (column dtype, tag in the JSON table format); object
 # columns are tagged by their values

@@ -1,8 +1,10 @@
 import json
+import logging
 
 import pytest
 
 from logbench.cli import main
+from logbench.tables import Table
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +71,46 @@ def test_enhance_rejects_bad_chain(tmp_path, capsys, synth_dirs):
     assert main(["load", "--format", "hdfs", "--log", str(synth_dirs["log"]),
                  "--out", str(loaded)]) == 0
     capsys.readouterr()
-    code = main(["enhance", "--table", str(loaded / "events.table.json"),
-                 "--chain", "tokenize,wat", "--out", str(tmp_path / "o")])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "config error:" in captured.err
+    for chain, message in (("tokenize,wat", "unknown chain steps"),
+                           ("drain,spell", "at most one parser"),
+                           ("tokenize,tokenize", "may not repeat"),
+                           ("tokenize,drain,ngram,aggregate",
+                            "logbench detect")):
+        code = main(["enhance", "--table", str(loaded / "events.table.json"),
+                     "--chain", chain, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1, chain
+        assert "config error:" in captured.err
+        assert message in captured.err, captured.err
+    assert not (tmp_path / "o").exists()
 
-    code = main(["enhance", "--table", str(loaded / "events.table.json"),
-                 "--chain", "drain,spell", "--out", str(tmp_path / "o")])
-    assert code == 1
+
+def test_enhance_aggregates_after_event_steps(tmp_path, synth_dirs):
+    loaded = tmp_path / "loaded"
+    assert main(["load", "--format", "hdfs", "--log", str(synth_dirs["log"]),
+                 "--out", str(loaded)]) == 0
+    out = tmp_path / "o"
+    # aggregate is listed before tokenize but runs last, as in detect
+    assert main(["enhance", "--table", str(loaded / "events.table.json"),
+                 "--chain", "normalize,aggregate,tokenize",
+                 "--out", str(out)]) == 0
+    seqs = Table.load(out / "sequences.table.json")
+    assert seqs.column_names == ["seq_id", "seq_len", "duration", "words"]
+    assert all(len(w) > 0 for w in seqs["words"])
+
+
+def test_verbose_enhance_logs_each_step(tmp_path, caplog, synth_dirs):
+    loaded = tmp_path / "loaded"
+    assert main(["load", "--format", "hdfs", "--log", str(synth_dirs["log"]),
+                 "--out", str(loaded)]) == 0
+    caplog.set_level(logging.INFO, logger="logbench.pipeline")
+    assert main(["-v", "enhance", "--table",
+                 str(loaded / "events.table.json"),
+                 "--chain", "normalize,tokenize,spell,aggregate",
+                 "--out", str(tmp_path / "o")]) == 0
+    steps = [r.getMessage().split(":")[0] for r in caplog.records
+             if r.name == "logbench.pipeline"]
+    assert steps == ["normalize", "tokenize", "spell", "aggregate"]
 
 
 def test_enhance_bad_rules_file_is_config_error(tmp_path, capsys,

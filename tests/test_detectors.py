@@ -15,9 +15,8 @@ from logbench.detectors import (DecisionTreeDetector, EvalReport,
                                 _quantile_threshold, _tie_average_ranks,
                                 auc_roc, evaluate,
                                 load_model, logistic_gradient, logistic_loss,
-                                oov_detect, rarity_score, save_model,
-                                scores_to_labels, train_supervised,
-                                train_unsupervised)
+                                save_model, scores_to_labels,
+                                train_supervised, train_unsupervised)
 from logbench.features import fit_vocabulary, vectorize
 
 # ---------------------------------------------------------------------------
@@ -445,8 +444,8 @@ def test_oov_detector():
     assert scores.tolist() == [0.5, 0.0, 0.0, 1.0]
     pred = model.predict([["a", "z"], ["a", "b"]])
     assert pred.tolist() == [True, False]
-    s2, p2 = oov_detect(train, [["z"]])
-    assert s2.tolist() == [1.0] and p2.tolist() == [True]
+    assert model.score([["z"]]).tolist() == [1.0]
+    assert model.predict([["z"]]).tolist() == [True]
 
 
 def test_oov_threshold_is_strict():
@@ -464,12 +463,11 @@ def test_rarity_hand_case():
     assert s[1] == pytest.approx(-math.log(5 / 12))
     assert s[2] == pytest.approx((s[0] + s[1]) / 2)
     assert model.score([[]]).tolist() == [0.0]
-    assert rarity_score(train, [["z"]])[0] == pytest.approx(-math.log(1 / 12))
 
 
 def test_rarity_rare_scores_higher():
     train = [["common"] * 99 + ["rare"]]
-    s = rarity_score(train, [["common"], ["rare"], ["never"]])
+    s = RarityDetector().fit(train).score([["common"], ["rare"], ["never"]])
     assert s[0] < s[1] < s[2]
 
 

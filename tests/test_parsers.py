@@ -4,17 +4,17 @@ import pytest
 
 from logbench.masking import default_rules, split_tokens
 from logbench.parsers import (WILDCARD, DrainParser, LenMaParser, SpellParser,
-                              TemplateStore, drain_parse, lenma_parse,
-                              make_parser, spell_parse)
+                              TemplateStore, make_parser)
 
 # ---------------------------------------------------------------------------
 # Drain
 
 
 def test_drain_reference_example():
-    ids, store = drain_parse(["send 100 bytes", "send 250 bytes",
-                              "open file x"])
-    assert ids == [0, 0, 1]
+    parser = DrainParser()
+    assert parser.parse(["send 100 bytes", "send 250 bytes",
+                         "open file x"]) == [0, 0, 1]
+    store = parser.store
     assert store.template_strings()[0] == "send <*> bytes"
     assert store.template_strings()[1] == "open file x"
     assert store.counts == {0: 2, 1: 1}
@@ -32,8 +32,8 @@ def test_drain_param_validation():
 
 
 def test_drain_length_routing():
-    ids, _ = drain_parse(["a b", "a b c", "a b"], sim_threshold=0.4)
-    assert ids == [0, 1, 0]
+    parser = DrainParser(sim_threshold=0.4)
+    assert parser.parse(["a b", "a b c", "a b"]) == [0, 1, 0]
 
 
 def test_drain_tie_prefers_lowest_event_id():
@@ -92,28 +92,27 @@ def test_drain_internal_masking_matches_premasked():
 
 
 def test_spell_reference_example():
-    ids, store = spell_parse(["open file alpha", "open file beta"])
-    assert ids == [0, 0]
-    assert store.template_strings()[0] == "open file <*>"
+    parser = SpellParser()
+    assert parser.parse(["open file alpha", "open file beta"]) == [0, 0]
+    assert parser.store.template_strings()[0] == "open file <*>"
 
 
 def test_spell_consecutive_wildcards_collapse():
-    ids, store = spell_parse(["a b c d", "a b x y"])
-    assert ids == [0, 0]
-    assert store.template_strings()[0] == "a b <*>"
+    parser = SpellParser()
+    assert parser.parse(["a b c d", "a b x y"]) == [0, 0]
+    assert parser.store.template_strings()[0] == "a b <*>"
 
 
 def test_spell_below_tau_splits():
     # shared prefix of 1 out of 3 tokens < tau=0.5
-    ids, store = spell_parse(["a b c", "a x y"])
-    assert ids == [0, 1]
+    assert SpellParser().parse(["a b c", "a x y"]) == [0, 1]
 
 
 def test_spell_empty_messages_form_own_cluster():
-    ids, store = spell_parse(["", "a b", ""])
-    assert ids == [0, 1, 0]
-    assert store.templates[0] == []
-    assert store.counts[0] == 2
+    parser = SpellParser()
+    assert parser.parse(["", "a b", ""]) == [0, 1, 0]
+    assert parser.store.templates[0] == []
+    assert parser.store.counts[0] == 2
 
 
 def test_spell_repeated_tokens_multiset_bound():
@@ -207,7 +206,8 @@ def test_spell_prefilter_matches_naive_reference():
             k = rng.randint(0, 8)
             msgs.append(" ".join(rng.choice(vocab) for _ in range(k)))
         tau = rng.choice([0.3, 0.5, 0.7, 1.0])
-        ids, store = spell_parse(msgs, tau=tau)
+        parser = SpellParser(tau=tau)
+        ids, store = parser.parse(msgs), parser.store
         ref_ids, ref_templates, ref_counts = _naive_spell(msgs, tau=tau)
         assert ids == ref_ids, f"trial {trial}"
         assert [store.templates[i] for i in range(len(store))] == \
@@ -220,15 +220,15 @@ def test_spell_prefilter_matches_naive_reference():
 
 
 def test_lenma_reference_example():
-    ids, store = lenma_parse(["open file alpha", "open file wordcount"])
+    parser = LenMaParser()
     # cosine((4,4,5),(4,4,9)) ~ 0.9594 >= 0.9
-    assert ids == [0, 0]
-    assert store.template_strings()[0] == "open file <*>"
+    assert parser.parse(["open file alpha", "open file wordcount"]) == [0, 0]
+    assert parser.store.template_strings()[0] == "open file <*>"
 
 
 def test_lenma_distant_lengths_split():
-    ids, store = lenma_parse(["open file alpha",
-                              "open file aaaaaaaaaaaaaaaaaaaa"])
+    ids = LenMaParser().parse(["open file alpha",
+                               "open file aaaaaaaaaaaaaaaaaaaa"])
     # cosine((4,4,5),(4,4,20)) ~ 0.841 < 0.9
     assert ids == [0, 1]
 
@@ -242,13 +242,11 @@ def test_lenma_length_vector_follows_latest_member():
 
 
 def test_lenma_token_count_buckets():
-    ids, _ = lenma_parse(["ab cd", "ab cd ef"])
-    assert ids == [0, 1]
+    assert LenMaParser().parse(["ab cd", "ab cd ef"]) == [0, 1]
 
 
 def test_lenma_empty_messages():
-    ids, _ = lenma_parse(["", ""])
-    assert ids == [0, 0]
+    assert LenMaParser().parse(["", ""]) == [0, 0]
 
 
 def test_lenma_threshold_validation():
@@ -398,7 +396,9 @@ def test_matches_positional_and_subsequence():
 
 
 def test_store_save_load_round_trip(tmp_path):
-    _, store = drain_parse(["send 100 bytes", "send 250 bytes", "open f x"])
+    parser = DrainParser()
+    parser.parse(["send 100 bytes", "send 250 bytes", "open f x"])
+    store = parser.store
     p = tmp_path / "templates.json"
     store.save(p)
     back = TemplateStore.load(p)

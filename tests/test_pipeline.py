@@ -1,10 +1,12 @@
 import json
 import logging
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from logbench import enhancers
 from logbench.loaders import LoaderSpec
 from logbench.pipeline import (ConfigError, PipelineConfig, StageError,
                                _documents, run_pipeline)
@@ -70,8 +72,10 @@ def test_full_pipeline_supervised(tmp_path, synth_hdfs):
     saved = json.loads((out_dir / "report.json").read_text())
     assert saved["tp"] + saved["fp"] + saved["fn"] + saved["tn"] > 0
     assert saved["f1_binary"] == report.f1_binary
-    assert set(saved["wall_clock_ms"]) >= {"load", "enhance", "split",
-                                           "features", "train", "evaluate"}
+    # one timing per chain step, next to the stages around the chain
+    assert set(saved["wall_clock_ms"]) == {
+        "load", "normalize", "tokenize", "drain", "aggregate", "split",
+        "ngram", "features", "train", "evaluate"}
 
 
 def test_pipeline_deterministic_artifacts(tmp_path, synth_hdfs):
@@ -211,6 +215,32 @@ def test_stage_error_names_the_stage(tmp_path):
     with pytest.raises(StageError) as err:
         run_pipeline(config)
     assert err.value.stage == "aggregate"
+
+
+def test_stage_error_names_the_failing_step(tmp_path, monkeypatch):
+    def broken(events):
+        raise RuntimeError("no tokens today")
+    monkeypatch.setattr(enhancers, "add_tokens", broken)
+    (tmp_path / "x.log").write_text("alpha one\nbeta two\n")
+    config = PipelineConfig(
+        loader_spec=LoaderSpec("raw", tmp_path / "x.log"),
+        chain=["normalize", "tokenize"], out_dir=tmp_path / "out")
+    with pytest.raises(StageError, match="no tokens today") as err:
+        run_pipeline(config)
+    assert err.value.stage == "tokenize"
+
+
+def test_each_step_logs_one_line(tmp_path, synth_hdfs, caplog):
+    caplog.set_level(logging.INFO, logger="logbench.pipeline")
+    run_pipeline(_hdfs_config(tmp_path, synth_hdfs))
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "logbench.pipeline" and r.levelname == "INFO"
+             and r.getMessage().endswith(" ms")]
+    steps = [line.split(":")[0] for line in lines]
+    assert steps == ["load", "normalize", "tokenize", "drain", "aggregate",
+                     "split", "features", "train", "evaluate"]
+    for line in lines:
+        assert re.fullmatch(r"\w+: \d+\.\d ms", line), line
 
 
 def test_missing_log_file_is_oserror(tmp_path):

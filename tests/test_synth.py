@@ -6,7 +6,7 @@ import pytest
 
 from logbench.loaders import load_hdfs, load_supercomputer, read_hdfs_labels
 from logbench.masking import default_rules, normalize
-from logbench.parsers import drain_parse
+from logbench.parsers import DrainParser
 from logbench.synth import (generate_synthetic, make_sequence_dataset,
                             make_template_corpus, _build_templates)
 
@@ -66,8 +66,9 @@ def test_messages_match_their_template():
 def test_drain_recovers_templates_exactly():
     corpus = make_template_corpus(n_templates=5, n_lines=200, seed=2)
     masked = normalize(corpus["messages"], default_rules())
-    ids, store = drain_parse(masked)
-    assert len(store) == 5
+    parser = DrainParser()
+    ids = parser.parse(masked)
+    assert len(parser.store) == 5
     # predicted ids must be a relabeling of the truth
     mapping = {}
     for pred, true in zip(ids, corpus["template_ids"]):
