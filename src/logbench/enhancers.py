@@ -9,13 +9,14 @@ anomaly detection.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
 from . import masking
 from .ngram import NGramModel, ngram_score
-from .tables import EventTable, SequenceTable, Table, object_column
+from .tables import (EventTable, SequenceTable, Table, _first_seen_codes,
+                     object_column)
 
 
 def add_normalized(events: Table, rules=None,
@@ -62,14 +63,8 @@ def aggregate_sequences(events: Table, labels=None) -> SequenceTable:
     """
     if "seq_id" not in events:
         raise ValueError("aggregate_sequences needs a seq_id column")
-    seq_ids = events["seq_id"].tolist()
     # first-seen code of every row's sequence; -1 for a null seq_id
-    first_seen = dict.fromkeys(seq_ids)
-    first_seen.pop(None, None)
-    order = list(first_seen)
-    code_of = dict(zip(order, range(len(order))))
-    codes = np.fromiter(map(code_of.get, seq_ids, repeat(-1)),
-                        dtype=np.int64, count=len(seq_ids))
+    order, codes = _first_seen_codes(events["seq_id"].tolist())
     kept = np.flatnonzero(codes >= 0)
     skipped = len(codes) - len(kept)
     # rows grouped by sequence, each group in row order

@@ -8,6 +8,7 @@ treated as immutable after construction; every operation returns a new table.
 
 from __future__ import annotations
 
+import base64
 import json
 import re
 from json.decoder import WHITESPACE
@@ -35,8 +36,14 @@ _TAG_STR_LIST = "str_list"
 _TAG_INT_LIST = "int_list"
 
 _FORMAT_NAME = "logbench.table"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _NAT_INT = np.iinfo(np.int64).min
+# version 2: object columns as a dictionary plus int32 codes, every other
+# column as its raw bytes; both little-endian and base64 encoded
+_CODES_DTYPE = np.dtype("<i4")
+_WIRE_DTYPES = {tag: dtype.newbyteorder("<")
+                for tag, dtype in _TAG_DTYPES.items()}
+_dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 # characters that make csv's QUOTE_MINIMAL quote a cell (excel dialect)
 _CSV_QUOTE_CHARS = ',"\r\n'
@@ -180,31 +187,34 @@ class Table:
                 return _TAG_STR
         return tag or _TAG_STR
 
-    def to_dict(self) -> dict:
-        """Plain-python representation used by the JSON table format."""
-        cols = []
-        for name, arr in self._columns.items():
-            tag = self._column_tag(arr)
-            cols.append({"name": name, "dtype": tag,
-                         "values": _json_values(arr, tag)})
-        return {
-            "format": _FORMAT_NAME,
-            "version": _FORMAT_VERSION,
-            "kind": self._kind_name(),
-            "rows": self._n,
-            "columns": cols,
-        }
-
     def _kind_name(self) -> str:
         return "table"
 
     def save(self, path) -> None:
-        """Write the table as deterministic JSON (byte identical per content)."""
-        text = json.dumps(self.to_dict(), ensure_ascii=False,
-                          separators=(",", ":"))
+        """Write the table as compact JSON, format version 2: each object
+        column as its distinct cells plus one int32 code per row, every other
+        column as its raw bytes. Equal content gives equal bytes."""
+        cols = []
+        for name, arr in self._columns.items():
+            tag = self._column_tag(arr)
+            col = {"name": name, "dtype": tag}
+            if arr.dtype.kind == "O":
+                col["dictionary"], codes = _encode_cells(arr, tag)
+                field, raw = "codes", codes.astype(_CODES_DTYPE)
+            else:
+                if arr.dtype.kind == "f":  # one NaN bit pattern
+                    arr = np.where(np.isnan(arr), np.nan, arr)
+                field, raw = "data", arr.astype(_WIRE_DTYPES[tag])
+            # base64 needs no JSON escaping, so its text is spliced in as is
+            b64 = base64.b64encode(raw.tobytes()).decode("ascii")
+            cols.append(f'{_dumps(col)[:-1]},"{field}":"{b64}"}}')
+        head = _dumps({"format": _FORMAT_NAME, "version": _FORMAT_VERSION,
+                       "kind": self._kind_name(), "rows": self._n,
+                       "columns": []})
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
-            f.write("\n")
+            f.write(head[:-2])
+            f.write(",".join(cols))
+            f.write("]}\n")
 
     @staticmethod
     def _decode_column(tag: str, vals: list) -> np.ndarray:
@@ -219,8 +229,9 @@ class Table:
 
     @classmethod
     def load(cls, path) -> "Table":
-        """Read a table file. Equal strings, and list cells whose JSON text
-        is equal, come back as one shared, read-only object each."""
+        """Read a table file of version 2 or 1. Equal strings, and list
+        cells whose JSON text is equal, come back as one shared, read-only
+        object each."""
         decoder = json.JSONDecoder()
         decoder.parse_array = _shared_array
         decoder.scan_once = py_make_scanner(decoder)
@@ -228,12 +239,18 @@ class Table:
             obj = decoder.decode(f.read())
         if obj.get("format") != _FORMAT_NAME:
             raise ValueError(f"{path}: not a {_FORMAT_NAME} file")
-        if obj.get("version") != _FORMAT_VERSION:
+        version = obj.get("version")
+        if version not in (1, 2):
             raise ValueError(f"{path}: unsupported {_FORMAT_NAME} version "
-                             f"{obj.get('version')!r}")
+                             f"{version!r}")
         rows = obj.get("rows")
+        if version == 2 and not (type(rows) is int and rows >= 0):
+            raise ValueError(f"{path}: rows is {rows!r}")
         cols = {}
         for c in obj["columns"]:
+            if version == 2:
+                cols[c["name"]] = _decode_v2_column(c, rows, path)
+                continue
             if len(c["values"]) != rows:
                 raise ValueError(f"{path}: column {c['name']!r} has "
                                  f"{len(c['values'])} values, rows is {rows}")
@@ -265,11 +282,12 @@ def _shared_array(s_and_end, scan_once):
     that loading holds the table rather than every copy in the text.
 
     The columns (objects) are read one at a time through ``scan_once``,
-    which brings each ``values`` array back here. A list column is read a
-    row at a time, rows with equal text sharing one list; any other array
-    is read whole, equal strings sharing one str. Whitespace between the
-    rows or objects, which ``Table.save`` never writes, sends the array to
-    ``json``'s own parser: the same values, unshared.
+    which brings each ``values`` (version 1) or ``dictionary`` (version 2)
+    array back here. A list column is read a row at a time, rows with
+    equal text sharing one list; any other array is read whole, equal
+    strings sharing one str. Whitespace between the rows or objects, which
+    ``Table.save`` never writes, sends the array to ``json``'s own parser:
+    the same values, unshared.
     """
     s, end = s_and_end
     start, end = end - 1, _SKIP_WS(s, end).end()
@@ -292,20 +310,79 @@ def _shared_array(s_and_end, scan_once):
     return _SCAN_JSON(s, start)
 
 
-def _json_values(arr: np.ndarray, tag: str) -> list:
-    """Column values as JSON-ready Python objects, nulls as None."""
-    kind = arr.dtype.kind
-    if kind in "Mmf":
-        vals = (arr.astype(object) if kind == "f"
-                else arr.view(np.int64).astype(object))
-        vals[np.isnan(arr)] = None
-        return vals.tolist()
-    vals = arr.tolist()
-    if kind == "O":
-        cast = str if tag == _TAG_STR else list
-        if not set(map(type, vals)) <= {cast, type(None)}:
-            vals = [None if v is None else cast(v) for v in vals]
-    return vals
+def _first_seen_codes(cells: list) -> tuple[list, np.ndarray]:
+    """Distinct non-None cells in first-seen order, and each cell's int32
+    index into them; -1 for None. Cells must be hashable."""
+    code_of = dict.fromkeys(cells)
+    code_of.pop(None, None)
+    dictionary = list(code_of)
+    if len(dictionary) == len(cells):  # every cell distinct, none None
+        return dictionary, np.arange(len(cells), dtype=np.int32)
+    code_of.update(zip(dictionary, range(len(dictionary))))
+    code_of[None] = -1
+    codes = np.fromiter(map(code_of.__getitem__, cells), dtype=np.int32,
+                        count=len(cells))
+    return dictionary, codes
+
+
+def _encode_cells(arr: np.ndarray, tag: str) -> tuple[list, np.ndarray]:
+    """Dictionary and codes of an object column, its cells cast to ``str``
+    or ``list`` by its tag.
+
+    Strings are keyed by value. List rows are keyed by their JSON text,
+    which keeps ``[1]``, ``[True]`` and ``[1.0]`` apart; it is computed
+    once per distinct list object.
+    """
+    cells = arr.tolist()
+    if tag == _TAG_STR:
+        try:
+            dictionary, codes = _first_seen_codes(cells)
+            if set(map(type, dictionary)) <= {str}:
+                return dictionary, codes
+        except TypeError:  # an unhashable cell, such as a list
+            pass
+        # cast first: 1, True and 1.0 are equal keys but different text
+        return _first_seen_codes([None if v is None else str(v)
+                                  for v in cells])
+    objects, codes = _first_seen_codes(list(map(id, cells)))
+    at = np.empty(len(objects), dtype=np.int64)
+    at[codes] = np.arange(len(cells))  # a row holding each distinct object
+    objects = [None if v is None else v if type(v) is list else list(v)
+               for v in map(cells.__getitem__, at.tolist())]
+    keys = [None if v is None else _dumps(v) for v in objects]
+    texts, text_codes = _first_seen_codes(keys)
+    row_of = dict(zip(keys, objects))  # equal text, equal content
+    return [row_of[t] for t in texts], text_codes[codes]
+
+
+def _decode_v2_column(col: dict, rows: int, path) -> np.ndarray:
+    """One column of a version 2 file; a ValueError names the file and the
+    column when the column is not one that ``Table.save`` writes."""
+    name, tag = col.get("name"), col.get("dtype")
+    where = f"{path}: column {name!r}"
+    if tag in _WIRE_DTYPES:
+        field, wire = "data", _WIRE_DTYPES[tag]
+    elif tag in (_TAG_STR, _TAG_STR_LIST, _TAG_INT_LIST):
+        field, wire = "codes", _CODES_DTYPE
+    else:
+        raise ValueError(f"{where} has unknown dtype {tag!r}")
+    try:
+        raw = base64.b64decode(col[field], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: bad {field}: {exc}") from None
+    if len(raw) != rows * wire.itemsize:
+        raise ValueError(f"{where} has {len(raw)} bytes of {field}, "
+                         f"expected {rows} rows of {wire.itemsize}")
+    values = np.frombuffer(raw, dtype=wire)
+    if field == "data":
+        return values.astype(_TAG_DTYPES[tag])
+    dictionary = col.get("dictionary")
+    if not isinstance(dictionary, list):
+        raise ValueError(f"{where} has no dictionary")
+    if rows and not -1 <= values.min() <= values.max() < len(dictionary):
+        raise ValueError(f"{where} has codes outside "
+                         f"[-1, {len(dictionary)})")
+    return object_column(dictionary + [None])[values]
 
 
 def _csv_cells(arr: np.ndarray) -> list[str]:
@@ -435,22 +512,15 @@ def split_train_test(table: Table, train_fraction: float, seed: int):
         raise ValueError("train_fraction must be in [0, 1]")
     n = len(table)
     if "seq_id" in table:
-        seq = table["seq_id"]
-        unit_of_row = np.empty(n, dtype=np.int64)
-        unit_ids: dict = {}
-        singleton = 0
-        for i in range(n):
-            sid = seq[i]
-            if sid is None:
-                unit_of_row[i] = len(unit_ids) + singleton
-                singleton += 1
-            else:
-                key = unit_ids.get(sid)
-                if key is None:
-                    key = len(unit_ids) + singleton
-                    unit_ids[sid] = key
-                unit_of_row[i] = key
-        n_units = len(unit_ids) + singleton
+        # units in first-seen order: a row opens one where its seq_id is
+        # None or first seen, i.e. its code exceeds every earlier code
+        _, codes = _first_seen_codes(table["seq_id"].tolist())
+        before = np.maximum.accumulate(np.concatenate(([-1], codes)))[:-1]
+        opens = (codes < 0) | (codes > before)
+        unit_of_row = np.cumsum(opens) - 1
+        in_seq = codes >= 0
+        unit_of_row[in_seq] = unit_of_row[opens & in_seq][codes[in_seq]]
+        n_units = int(opens.sum())
     else:
         unit_of_row = np.arange(n, dtype=np.int64)
         n_units = n

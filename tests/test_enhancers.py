@@ -70,7 +70,7 @@ def test_aggregate_duration_is_nat_when_a_timestamp_is(tmp_path):
     t = EventTable({"seq_id": ["s1", "s2", "s1", "s2", "s2", "s1", "s3",
                                "s3"],
                     "m_message": ["m"] * 8, "m_timestamp": ts})
-    # a table file keeps the NaT as null and loads it back
+    # a table file keeps the NaT and loads it back
     t.save(tmp_path / "t.table.json")
     t = EventTable.load(tmp_path / "t.table.json")
     with warnings.catch_warnings():

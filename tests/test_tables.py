@@ -1,9 +1,11 @@
+import base64
 import csv
 import json
 
 import numpy as np
 import pytest
 
+from logbench.cli import main
 from logbench.tables import (EventTable, SequenceTable, Table, object_column,
                              split_train_test, validate_event_table)
 
@@ -141,9 +143,11 @@ def test_write_csv(tmp_path):
     assert "a b" in lines[1]
 
 
-def test_list_column_tag_looks_past_empty_lists():
+def test_list_column_tag_looks_past_empty_lists(tmp_path):
     def tag(values):
-        return Table({"w": values}).to_dict()["columns"][0]["dtype"]
+        Table({"w": values}).save(tmp_path / "t.table.json")
+        obj = json.loads((tmp_path / "t.table.json").read_text("utf-8"))
+        return obj["columns"][0]["dtype"]
 
     assert tag([[], ["a", "b"]]) == "str_list"
     assert tag(object_column([None, [], [1]])) == "int_list"
@@ -165,16 +169,16 @@ def test_load_rejects_unknown_version(tmp_path):
     p = tmp_path / "t.table.json"
     small_events().save(p)
     obj = json.loads(p.read_text(encoding="utf-8"))
-    obj["version"] = 2
+    obj["version"] = 3
     p.write_text(json.dumps(obj), encoding="utf-8")
-    with pytest.raises(ValueError, match="version 2") as err:
+    with pytest.raises(ValueError, match="version 3") as err:
         Table.load(p)
     assert str(p) in str(err.value)
 
 
 def test_load_rejects_column_shorter_than_rows(tmp_path):
     p = tmp_path / "t.table.json"
-    small_events().save(p)
+    _reference_save(small_events(), p)
     obj = json.loads(p.read_text(encoding="utf-8"))
     obj["columns"][3]["values"].pop()
     p.write_text(json.dumps(obj), encoding="utf-8")
@@ -225,7 +229,7 @@ def test_load_matches_json_module(tmp_path, indent):
 
 def test_load_rejects_malformed_json(tmp_path):
     p = tmp_path / "t.table.json"
-    Table({"w": [["a", "b"], ["c"]], "s": ["x", "y"]}).save(p)
+    _reference_save(Table({"w": [["a", "b"], ["c"]], "s": ["x", "y"]}), p)
     text = p.read_text(encoding="utf-8")
     for bad in (text[:-12], text.replace('["a","b"]', '["a" "b"]'),
                 text.replace('],["c"]', '] ["c"]'),
@@ -344,12 +348,23 @@ def test_table_files_match_reference_serializers(tmp_path, columns):
     t = EventTable(columns)
     t.save(tmp_path / "t.table.json")
     _reference_save(t, tmp_path / "ref.table.json")
+    back = Table.load(tmp_path / "ref.table.json")
+    assert back.equals(_as_saved(t))
+    back.save(tmp_path / "resaved.table.json")
     assert (tmp_path / "t.table.json").read_bytes() == \
-        (tmp_path / "ref.table.json").read_bytes()
+        (tmp_path / "resaved.table.json").read_bytes()
     t.write_csv(tmp_path / "t.csv")
     _reference_write_csv(t, tmp_path / "ref.csv")
     assert (tmp_path / "t.csv").read_bytes() == \
         (tmp_path / "ref.csv").read_bytes()
+
+
+def _as_saved(table):
+    """``table`` as a file gives it back: a str column's cells become str."""
+    if "mixed" not in table:
+        return table
+    return table.with_column("mixed", object_column(
+        [None if v is None else str(v) for v in table["mixed"]]))
 
 
 def test_load_reads_file_written_by_reference_serializer(tmp_path):
@@ -362,6 +377,259 @@ def test_load_reads_file_written_by_reference_serializer(tmp_path):
     assert back.equals(t)
     assert back["score"].dtype == np.float64 and np.isnan(back["score"][1])
     assert np.isnat(back["m_timestamp"][1]) and np.isnat(back["duration"][1])
+
+
+@pytest.mark.parametrize("columns", [
+    every_tag_columns(),
+    {"only": ["", "a", None, "b,c"]},
+    {k: v[:0] for k, v in every_tag_columns().items()},
+    {},
+], ids=["every-tag", "one-column-empty-cell", "zero-rows", "no-columns"])
+def test_v2_round_trip(tmp_path, columns):
+    t = EventTable(columns)
+    p = tmp_path / "t.table.json"
+    t.save(p)
+    text = p.read_text(encoding="utf-8")
+    obj = json.loads(text)
+    assert obj["version"] == 2 and obj["rows"] == len(t)
+    # one compact JSON document, as json itself writes it
+    assert text == json.dumps(obj, ensure_ascii=False,
+                              separators=(",", ":")) + "\n"
+    wire = {"int": "<i8", "float": "<f8", "bool": "|b1",
+            "timestamp_us": "<i8", "duration_us": "<i8"}
+    for col in obj["columns"]:  # decoded here as the format says
+        arr = _as_saved(t)[col["name"]]
+        if arr.dtype.kind == "O":
+            codes = np.frombuffer(base64.b64decode(col["codes"]), "<i4")
+            assert [None if c < 0 else col["dictionary"][c]
+                    for c in codes] == arr.tolist()
+        else:
+            data = np.frombuffer(base64.b64decode(col["data"]),
+                                 wire[col["dtype"]])
+            np.testing.assert_array_equal(
+                data, arr.view(np.int64) if arr.dtype.kind in "Mm" else arr)
+    back = Table.load(p)
+    assert isinstance(back, EventTable)
+    assert back.equals(_as_saved(t))
+    assert [back[n].dtype for n in back] == [t[n].dtype for n in t]
+
+
+def test_equal_content_saves_equal_bytes(tmp_path):
+    nan = np.array([np.nan])
+    payload = (nan.view(np.int64) | 1).view(np.float64)  # another NaN
+    shared = ["a", "b"]
+    a = Table({"w": object_column([shared, shared, None, shared]),
+               "s": object_column(["node-1", "node-1", None, "x"]),
+               "f": np.array([1.0, nan[0], nan[0], -0.0])})
+    b = Table({"w": object_column([["a", "b"], list(shared), None,
+                                   ["a"] + ["b"]]),
+               "s": object_column(["node-" + str(n) for n in (1, 1)]
+                                  + [None, "x"]),
+               "f": np.array([1.0, payload[0], -nan[0], -0.0])})
+    assert a["s"][0] is a["s"][1] and b["s"][0] is not b["s"][1]
+    a.save(tmp_path / "a.table.json")
+    b.save(tmp_path / "b.table.json")
+    assert (tmp_path / "a.table.json").read_bytes() == \
+        (tmp_path / "b.table.json").read_bytes()
+
+
+def test_v2_keeps_equal_numbers_of_other_types_apart(tmp_path):
+    # a str column's cells are saved as their text, unhashable ones too
+    t = Table({"ids": object_column([[1], [True], [1.0], [1], None, [1.0]]),
+               "s": object_column(["1", 1, True, 1.0, None, ["1"]]),
+               "u": object_column(["a", ["b"], {"k": [1]}, None, ["b"],
+                                   1])})
+    t.save(tmp_path / "t.table.json")
+    back = Table.load(tmp_path / "t.table.json")
+    assert repr(back["ids"].tolist()) == \
+        "[[1], [True], [1.0], [1], None, [1.0]]"
+    assert back["s"].tolist() == ["1", "1", "True", "1.0", None, "['1']"]
+    assert back["u"].tolist() == ["a", "['b']", "{'k': [1]}", None,
+                                  "['b']", "1"]
+    ids = back["ids"]
+    assert ids[0] is ids[3] and ids[2] is ids[5]
+    assert len({id(c) for c in ids[:3]}) == 3
+
+
+def _v2_file(tmp_path, edit):
+    """A saved version 2 file of small_events(), its header edited."""
+    p = tmp_path / "t.table.json"
+    small_events().with_column("words", [["a"], ["a", "b"], []]).save(p)
+    obj = json.loads(p.read_text(encoding="utf-8"))
+    edit(obj, {c["name"]: c for c in obj["columns"]})
+    p.write_text(json.dumps(obj, ensure_ascii=False, separators=(",", ":")),
+                 encoding="utf-8")
+    return p
+
+
+def _b64(values, dtype):
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()) \
+        .decode("ascii")
+
+
+@pytest.mark.parametrize("code", [-2, 3, 2**31 - 1])
+def test_v2_load_rejects_code_outside_dictionary(tmp_path, code):
+    def edit(obj, cols):
+        cols["words"]["codes"] = _b64([0, code, 1], "<i4")
+    p = _v2_file(tmp_path, edit)
+    with pytest.raises(ValueError, match="'words' has codes outside") as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+@pytest.mark.parametrize("name,field,values,dtype", [
+    ("m_message", "codes", [0, 1], "<i4"),
+    ("count", "data", [1, 2], "<i8"),
+    ("flag", "data", [1, 0, 1, 1], "|b1"),
+])
+def test_v2_load_rejects_column_of_wrong_length(tmp_path, name, field,
+                                                values, dtype):
+    def edit(obj, cols):
+        cols[name][field] = _b64(values, dtype)
+    p = _v2_file(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"'{name}' has .* bytes of "
+                                         f"{field}") as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+def test_v2_load_rejects_unknown_dtype(tmp_path):
+    def edit(obj, cols):
+        cols["count"]["dtype"] = "int8"
+    p = _v2_file(tmp_path, edit)
+    with pytest.raises(ValueError, match="'count' has unknown dtype 'int8'") \
+            as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+@pytest.mark.parametrize("version", [0, 3, "2", None])
+def test_v2_load_rejects_other_versions(tmp_path, version):
+    def edit(obj, cols):
+        obj["version"] = version
+    p = _v2_file(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"version {version!r}") as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+@pytest.mark.parametrize("rows", [-1, "3", None, 3.0])
+def test_v2_load_rejects_bad_row_count(tmp_path, rows):
+    def edit(obj, cols):
+        obj["rows"] = rows
+    p = _v2_file(tmp_path, edit)
+    with pytest.raises(ValueError, match=f"rows is {rows!r}") as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+@pytest.mark.parametrize("bad", ["AAAA!AAA", "AAAAA", "AAA=AAAA", 12, None])
+def test_v2_load_rejects_malformed_base64(tmp_path, bad):
+    def edit(obj, cols):
+        cols["seq_id"]["codes"] = bad
+    p = _v2_file(tmp_path, edit)
+    with pytest.raises(ValueError, match="'seq_id': bad codes") as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+def test_v2_load_rejects_column_shorter_than_rows(tmp_path):
+    def edit(obj, cols):
+        raw = base64.b64decode(cols["count"]["data"])
+        cols["count"]["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+    p = _v2_file(tmp_path, edit)
+    with pytest.raises(ValueError, match="'count' has 16 bytes of data, "
+                                         "expected 3 rows of 8") as err:
+        Table.load(p)
+    assert str(p) in str(err.value)
+
+
+def test_v2_load_rejects_malformed_json(tmp_path):
+    p = tmp_path / "t.table.json"
+    Table({"w": [["a", "b"], ["c"]], "s": ["x", "y"]}).save(p)
+    text = p.read_text(encoding="utf-8")
+    for bad in (text[:-12], text.replace('["a","b"]', '["a" "b"]'),
+                text.replace('"dictionary":', '"dictionary"'),
+                text.replace('"x",', '"x",,'), text.replace("]]", "],]")):
+        assert bad != text
+        p.write_text(bad, encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            Table.load(p)
+
+
+def test_enhance_reads_v1_file_and_writes_v2(tmp_path, capsys):
+    msgs = [f"Receiving block blk_{i % 4} src /10.0.0.{i}:50010" if i % 3
+            else f"Deleting block blk_{i % 4} file /tmp/f{i}"
+            for i in range(30)]
+    t = EventTable({"m_message": msgs,
+                    "m_timestamp": np.arange(30).astype("datetime64[s]")
+                    .astype("datetime64[us]"),
+                    "seq_id": [f"blk_{i % 4}" if i % 7 else None
+                               for i in range(30)]})
+    _reference_save(t, tmp_path / "v1.table.json")
+    out = tmp_path / "out"
+    assert main(["enhance", "--table", str(tmp_path / "v1.table.json"),
+                 "--chain", "normalize,tokenize,drain,aggregate",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name in ("events", "sequences"):
+        obj = json.loads((out / f"{name}.table.json").read_text("utf-8"))
+        assert obj["version"] == 2 and obj["kind"] == name[:-1]
+    events = Table.load(out / "events.table.json")
+    assert events["m_message"].tolist() == msgs
+    assert len(Table.load(out / "sequences.table.json")) == 4
+
+
+def _loop_units(seq):
+    """The per-row loop that numbered split units before first-seen codes."""
+    unit_of_row = np.empty(len(seq), dtype=np.int64)
+    unit_ids: dict = {}
+    singleton = 0
+    for i, sid in enumerate(seq):
+        if sid is None:
+            unit_of_row[i] = len(unit_ids) + singleton
+            singleton += 1
+        else:
+            key = unit_ids.get(sid)
+            if key is None:
+                key = len(unit_ids) + singleton
+                unit_ids[sid] = key
+            unit_of_row[i] = key
+    return unit_of_row, len(unit_ids) + singleton
+
+
+def _loop_split(table, train_fraction, seed):
+    n = len(table)
+    if "seq_id" in table:
+        unit_of_row, n_units = _loop_units(list(table["seq_id"]))
+    else:
+        unit_of_row, n_units = np.arange(n, dtype=np.int64), n
+    perm = np.random.default_rng(seed).permutation(n_units)
+    train_units = np.zeros(n_units, dtype=bool)
+    train_units[perm[:int(round(train_fraction * n_units))]] = True
+    row_mask = train_units[unit_of_row] if n else np.zeros(0, dtype=bool)
+    return np.flatnonzero(row_mask), np.flatnonzero(~row_mask)
+
+
+def test_split_matches_per_row_loop():
+    rng = np.random.default_rng(9)
+    tables = [Table({"seq_id": [None, "a", None, "b", "a", None, None, "c",
+                                "b", None]}),
+              Table({"seq_id": object_column([None] * 7)}),
+              Table({"seq_id": object_column([])}),
+              Table({"row": list(range(25))})]
+    for _ in range(20):
+        n = int(rng.integers(1, 300))
+        tables.append(Table({"seq_id": object_column(
+            [None if k == 0 else f"s{k}"
+             for k in rng.integers(0, int(rng.integers(1, 40)), n)])}))
+    for i, t in enumerate(tables):
+        t = t.with_column("row", list(range(len(t))))
+        for frac, seed in ((0.3, i), (0.5, 100 + i), (1.0, 7)):
+            train, test = split_train_test(t, frac, seed)
+            want_train, want_test = _loop_split(t, frac, seed)
+            assert train["row"].tolist() == want_train.tolist()
+            assert test["row"].tolist() == want_test.tolist()
 
 
 def test_split_fraction_bounds():
