@@ -9,6 +9,7 @@ anomaly detection.
 
 from __future__ import annotations
 
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -26,6 +27,10 @@ def add_normalized(events: Table, rules=None,
     return events.with_column("e_message_normalized", normalized)
 
 
+# meta key recording which text column ``e_words`` was split from
+_WORDS_OF = "e_words_of"
+
+
 def _text_source(events: Table) -> str:
     return "e_message_normalized" if "e_message_normalized" in events \
         else "m_message"
@@ -33,19 +38,40 @@ def _text_source(events: Table) -> str:
 
 def add_tokens(events: Table) -> Table:
     """Token lists as ``e_words``, from the normalized text when present."""
-    tokens = masking.tokenize(events[_text_source(events)])
+    source = _text_source(events)
+    tokens = masking.tokenize(events[source])
     # the lists belong to this column only (rows with equal messages share
     # one, and cells are read-only), so the table may hold them without a copy
-    return events.with_column("e_words", object_column(tokens))
+    out = events.with_column("e_words", object_column(tokens))
+    # the text column the lists were split from, and the lists' column, by
+    # identity: a table that replaces either no longer matches
+    out.meta[_WORDS_OF] = (weakref.ref(out[source]),
+                           weakref.ref(out["e_words"]))
+    return out
+
+
+def _words_of(events: Table, source: str):
+    """``e_words`` when it was split from ``events[source]``, else None."""
+    refs = events.meta.get(_WORDS_OF)
+    if refs is None or refs[0]() is not events[source] \
+            or "e_words" not in events or refs[1]() is not events["e_words"]:
+        return None
+    return events["e_words"]
 
 
 def add_event_ids(events: Table, parser) -> Table:
     """Run a template miner over the table; adds ``e_event_id``.
 
+    When ``e_words`` was split from the very column the parser reads and
+    the parser has no masking rules of its own, the parser mines those
+    token lists instead of splitting the messages again.
+
     The parser keeps its state, so calling this again with more data
     continues the same template store.
     """
-    ids = parser.parse(events[_text_source(events)])
+    source = _text_source(events)
+    tokens = None if parser.masking_rules else _words_of(events, source)
+    ids = parser.parse(events[source], tokens)
     return events.with_column("e_event_id",
                               np.asarray(ids, dtype=np.int64))
 

@@ -25,7 +25,8 @@ from sys import intern
 
 import numpy as np
 
-from .tables import EventTable, SequenceTable, object_column
+from .tables import (EventTable, SequenceTable, _first_seen_codes,
+                     object_column)
 
 logger = logging.getLogger("logbench.loaders")
 
@@ -111,22 +112,108 @@ def load_raw(path) -> EventTable:
 # HDFS
 
 
-def _hdfs_epoch_seconds(datestr: str, timestr: str, cache: dict):
-    """Seconds since epoch for yymmdd + HHMMSS, None if out of range."""
-    day = cache.get(datestr)
-    if day is None:
-        try:
-            day = _date(2000 + int(datestr[0:2]), int(datestr[2:4]),
-                        int(datestr[4:6])).toordinal() - _EPOCH_ORDINAL
-        except ValueError:
-            return None
-        cache[datestr] = day
-    h = int(timestr[0:2])
-    m = int(timestr[2:4])
-    s = int(timestr[4:6])
-    if h > 23 or m > 59 or s > 59:
-        return None
-    return day * 86400 + h * 3600 + m * 60 + s
+# characters read at a time: a block's split fields are freed before the
+# next block is read, which bounds the loader's transient memory
+_HDFS_BLOCK_CHARS = 1 << 20
+
+
+def _hdfs_day(datestr: str) -> int:
+    """Days since epoch of a yymmdd field, -1 unless it is six decimal
+    digits of a valid date."""
+    if len(datestr) != 6 or not datestr.isdecimal():
+        return -1
+    try:
+        return _date(2000 + int(datestr[0:2]), int(datestr[2:4]),
+                     int(datestr[4:6])).toordinal() - _EPOCH_ORDINAL
+    except ValueError:
+        return -1
+
+
+def _hdfs_seconds(times) -> np.ndarray:
+    """Seconds into the day of each HHMMSS field, -1 unless it is six
+    decimal digits of a valid time.
+
+    Fields of six ASCII digits are read from the code points of a ``U6``
+    array, which truncates longer fields (``six`` rules them out); any
+    other six-character field takes the exact per-field check.
+    """
+    n = len(times)
+    six = np.fromiter(map(len, times), np.int64, n) == 6
+    digits = (np.array(times, dtype="U6").view(np.uint32).reshape(n, 6)
+              - ord("0")).astype(np.int64)
+    ascii_digits = (digits >= 0).all(axis=1) & (digits <= 9).all(axis=1)
+    decimal = six & ascii_digits
+    for i in np.flatnonzero(six & ~ascii_digits).tolist():
+        if times[i].isdecimal():
+            digits[i] = [int(c) for c in times[i]]
+            decimal[i] = True
+    hms = digits[:, 0::2] * 10 + digits[:, 1::2]
+    ok = decimal & (hms[:, 0] <= 23) & (hms[:, 1] <= 59) & (hms[:, 2] <= 59)
+    return np.where(ok, hms @ np.array([3600, 60, 1]), -1)
+
+
+class _HdfsColumns:
+    """The accepted rows of an HDFS log, filled one block of lines at a
+    time, and the dropped and merged line counts."""
+
+    def __init__(self):
+        self.messages: list[str] = []
+        self.seqs: list = []
+        self.epochs = [np.zeros(0, dtype=np.int64)]
+        self.pids = [np.zeros(0, dtype=np.int64)]
+        self.levels = [object_column([])]
+        self.comps = [object_column([])]
+        self.lines_read = self.dropped = self.merged = 0
+
+    def add_block(self, lines: list[str]) -> None:
+        self.lines_read += len(lines)
+        parts = [line.split(" ", 5) for line in lines]
+        rows = np.flatnonzero(
+            np.fromiter(map(len, parts), np.int64, len(parts)) == 6)
+        if len(rows) < len(parts):
+            parts = [parts[i] for i in rows.tolist()]
+        dates, times, pids, levels, comps, msgs = \
+            zip(*parts) if parts else [()] * 6
+
+        date_dict, date_codes = _first_seen_codes(dates)
+        day = np.array([_hdfs_day(d) for d in date_dict],
+                       dtype=np.int64)[date_codes]
+        sec = _hdfs_seconds(times)
+        comp_dict, comp_codes = _first_seen_codes(comps)
+        ok = ((day >= 0) & (sec >= 0)
+              & np.fromiter(map(str.isdecimal, pids), bool, len(pids))
+              & np.array([c.endswith(":") for c in comp_dict],
+                         dtype=bool)[comp_codes])
+        keep = np.flatnonzero(ok)
+        if len(keep) < len(ok):
+            kept = keep.tolist()
+            msgs = [msgs[i] for i in kept]
+            pids = [pids[i] for i in kept]
+        first_row = len(self.messages)
+        self.messages += msgs
+        self.seqs += [m[0] if m else None
+                      for m in map(_BLOCK_RE.search, msgs)]
+        self.epochs.append(((day * 86400 + sec) * 1_000_000)[keep])
+        self.pids.append(np.fromiter(map(int, pids), np.int64, len(pids)))
+        level_dict, level_codes = _first_seen_codes(levels)
+        self.levels.append(object_column(
+            [intern(v) for v in level_dict])[level_codes[keep]])
+        self.comps.append(object_column(
+            [intern(c[:-1]) for c in comp_dict])[comp_codes[keep]])
+
+        accepted = np.zeros(len(lines), dtype=bool)
+        accepted[rows[keep]] = True
+        rejected = np.flatnonzero(~accepted)
+        if len(rejected) == 0:
+            return
+        # each rejected line continues the last row accepted before it
+        targets = first_row - 1 + np.cumsum(accepted)[rejected]
+        for i, row in zip(rejected.tolist(), targets.tolist()):
+            if row < 0:
+                self.dropped += 1
+            else:
+                self.messages[row] += "\n" + lines[i]
+                self.merged += 1
 
 
 def load_hdfs(log_path, label_path=None):
@@ -136,70 +223,53 @@ def load_hdfs(log_path, label_path=None):
 
         <yymmdd> <HHMMSS> <pid> <LEVEL> <component>: <message>
 
+    A line is an event when it splits into those six fields, the date,
+    time and pid are decimal digits (``str.isdecimal``: any script, but no
+    superscripts), the date and time are valid and the component ends with
+    ``:``. Any other line continues the previous event's message, or is
+    dropped when no event came before it; both are counted. Acceptance
+    depends on the line alone, so the file is read in blocks of lines and
+    each field is checked and converted a column at a time.
+
     The sequence id of an event is the first ``blk_`` block id found in the
     message; lines without one keep seq_id None and are counted. Returns
     (events, sequences) where the sequence table carries one row per distinct
     block in first-seen order with its label from the label file (blocks
     missing from the label file count as normal, with a warning).
     """
-    messages, epochs, seqs = [], [], []
-    pids, levels, comps = [], [], []
-    dropped = merged = no_seq = 0
-    lines_read = 0
-    date_cache: dict = {}
-
+    cols = _HdfsColumns()
     with open(log_path, "r", encoding="utf-8", errors="replace",
               newline="\n") as f:
-        for line in f:
-            lines_read += 1
-            line = line.rstrip("\n")
-            p = line.split(" ", 5)
-            ok = (len(p) == 6 and len(p[0]) == 6 and len(p[1]) == 6
-                  and p[0].isdigit() and p[1].isdigit() and p[2].isdigit()
-                  and p[4].endswith(":"))
-            sec = _hdfs_epoch_seconds(p[0], p[1], date_cache) if ok else None
-            if sec is None:
-                if messages:
-                    messages[-1] = messages[-1] + "\n" + line
-                    merged += 1
-                else:
-                    dropped += 1
+        tail: list[str] = []  # the pieces of a line not yet ended
+        for chunk in iter(lambda: f.read(_HDFS_BLOCK_CHARS), ""):
+            lines = chunk.split("\n")
+            if len(lines) == 1:
+                tail.append(chunk)
                 continue
-            msg = p[5]
-            m = _BLOCK_RE.search(msg)
-            if m is None:
-                seqs.append(None)
-                no_seq += 1
-            else:
-                seqs.append(intern(m.group()))
-            messages.append(msg)
-            epochs.append(sec * 1_000_000)
-            pids.append(int(p[2]))
-            levels.append(intern(p[3]))
-            comps.append(intern(p[4][:-1]))
+            tail.append(lines[0])
+            lines[0] = "".join(tail)
+            tail = [lines.pop()]
+            cols.add_block(lines)
+        if "".join(tail):
+            cols.add_block(["".join(tail)])
 
-    meta = {"source": str(log_path), "lines_read": lines_read,
-            "dropped_lines": dropped, "merged_continuations": merged,
+    seq_ids, seq_codes = _first_seen_codes(cols.seqs)
+    no_seq = int((seq_codes < 0).sum())
+    meta = {"source": str(log_path), "lines_read": cols.lines_read,
+            "dropped_lines": cols.dropped,
+            "merged_continuations": cols.merged,
             "rows_without_seq_id": no_seq}
     events = EventTable({
-        "seq_id": object_column(seqs),
-        "m_message": object_column(messages),
-        "m_timestamp": _to_timestamps(epochs),
-        "pid": np.asarray(pids, dtype=np.int64) if pids
-               else np.zeros(0, dtype=np.int64),
-        "level": object_column(levels),
-        "component": object_column(comps),
+        # code -1 picks the trailing None
+        "seq_id": object_column(seq_ids + [None])[seq_codes],
+        "m_message": object_column(cols.messages),
+        "m_timestamp": _to_timestamps(np.concatenate(cols.epochs)),
+        "pid": np.concatenate(cols.pids),
+        "level": np.concatenate(cols.levels),
+        "component": np.concatenate(cols.comps),
     }, meta=meta)
 
     labels = read_hdfs_labels(label_path) if label_path is not None else {}
-    seq_ids, seq_counts = [], {}
-    for sid in seqs:
-        if sid is None:
-            continue
-        if sid not in seq_counts:
-            seq_ids.append(sid)
-            seq_counts[sid] = 0
-        seq_counts[sid] += 1
     unlabeled = sum(1 for sid in seq_ids if sid not in labels) \
         if label_path is not None else 0
     seq_meta = {"source": str(log_path), "sequences_unlabeled": unlabeled}
@@ -207,8 +277,8 @@ def load_hdfs(log_path, label_path=None):
         "seq_id": object_column(seq_ids),
         "label": np.asarray([labels.get(s, False) for s in seq_ids],
                             dtype=bool),
-        "seq_len": np.asarray([seq_counts[s] for s in seq_ids],
-                              dtype=np.int64),
+        "seq_len": np.bincount(seq_codes[seq_codes >= 0],
+                               minlength=len(seq_ids)).astype(np.int64),
     }, meta=seq_meta)
     events.meta["sequences"] = len(seq_ids)
     _warn_counts("hdfs", {**events.meta, **seq_meta})

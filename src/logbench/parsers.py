@@ -29,6 +29,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from itertools import repeat
+from operator import eq
 
 from .masking import MaskingRule, mask_one, split_tokens
 
@@ -139,25 +141,40 @@ class _ParserBase:
         return split_tokens(message)
 
     def parse_one(self, message: str) -> int:
+        """Assign an event id to one message, updating the store."""
+        return self._mine(self._prepare(message))
+
+    def _mine(self, tokens: list[str]) -> int:
+        """``parse_one`` of the message these tokens were prepared from;
+        the list is only read."""
         raise NotImplementedError
 
-    def parse(self, messages) -> list[int]:
+    def parse(self, messages, tokens=None) -> list[int]:
         """Assign an event id to every message, updating the store.
 
         Same ids and store as calling ``parse_one`` on each message in turn.
+        ``tokens``, when given, holds one list per message: exactly what
+        ``parse_one`` would prepare from it, the parser's own masking
+        included. A message missing from the memo is then mined from its
+        list instead of being split again. The lists are only read.
         """
+        if tokens is not None and len(tokens) != len(messages):
+            raise ValueError(f"{len(tokens)} token lists for "
+                             f"{len(messages)} messages")
         memo = self._memo
         if self._memo_version != self._version:
             memo.clear()
         clusters = self.store.clusters
-        one = self.parse_one
+        mine = self._mine
+        prepare = self._prepare
         ids = []
         append = ids.append
-        for m in messages:
+        for m, toks in zip(messages,
+                           repeat(None) if tokens is None else tokens):
             event_id = memo.get(m)
             if event_id is None:
                 version = self._version
-                event_id = one(m)
+                event_id = mine(prepare(m) if toks is None else toks)
                 if self._version == version:
                     memo[m] = event_id
                 else:
@@ -183,6 +200,10 @@ class DrainParser(_ParserBase):
     oldest (lowest) event id; otherwise the message founds a new cluster.
     When an internal node already has ``max_children`` children, unseen
     tokens fall through to the wildcard child.
+
+    The leaf of each (token count, first ``depth - 2`` tokens) key is
+    memoized. The memo is exact: nodes are never removed and a full node
+    stays full, so a key walks to the same leaf every time.
     """
 
     kind = "drain"
@@ -202,6 +223,8 @@ class DrainParser(_ParserBase):
         self.max_children = max_children
         self._token_levels = depth - 2
         self._root: dict = {}
+        # (token count, first depth - 2 tokens) -> the leaf _leaf returns
+        self._routes: dict[tuple, list] = {}
 
     def _leaf(self, tokens: list[str]) -> list:
         """Walk (and build) the routing path for these tokens."""
@@ -228,30 +251,35 @@ class DrainParser(_ParserBase):
             node = child
         return node
 
-    @staticmethod
-    def _similarity(template: list[str], tokens: list[str]) -> float:
-        same = 0
-        for t, tok in zip(template, tokens):
-            if t == tok and t != WILDCARD:
-                same += 1
-        return same / len(template) if template else 1.0
-
-    def parse_one(self, message: str) -> int:
-        tokens = self._prepare(message)
-        leaf = self._leaf(tokens)
+    def _mine(self, tokens: list[str]) -> int:
+        n = len(tokens)
+        key = (n, *tokens[:self._token_levels])
+        leaf = self._routes.get(key)
+        if leaf is None:
+            leaf = self._routes[key] = self._leaf(tokens)
+        # positions where template and message hold the same token, less
+        # those where both hold a wildcard (a literal <*> in the message)
+        both_wild = WILDCARD in tokens
         best = None
-        best_sim = -1.0
+        best_same = -1
         for cluster in leaf:
-            sim = self._similarity(cluster.template, tokens)
-            if sim > best_sim:
-                best_sim = sim
+            template = cluster.template
+            same = sum(map(eq, template, tokens))
+            if both_wild:
+                same -= sum(t == tok == WILDCARD
+                            for t, tok in zip(template, tokens))
+            if same > best_same:
+                best_same = same
                 best = cluster
-        if best is not None and best_sim >= self.sim_threshold:
+        if best is not None \
+                and (best_same / n if n else 1.0) >= self.sim_threshold:
             template = best.template
-            for i, tok in enumerate(tokens):
-                if template[i] != tok and template[i] != WILDCARD:
-                    template[i] = WILDCARD
-                    self._version += 1
+            # skip the rewrite when every non-wildcard position matches
+            if best_same != n - template.count(WILDCARD):
+                for i, tok in enumerate(tokens):
+                    if template[i] != tok and template[i] != WILDCARD:
+                        template[i] = WILDCARD
+                        self._version += 1
             best.count += 1
             return best.event_id
         # a new routing node always ends in an empty leaf, so tree growth
@@ -348,8 +376,7 @@ class SpellParser(_ParserBase):
         self._states: list[_SpellState] = []
         self._empty_id: int | None = None
 
-    def parse_one(self, message: str) -> int:
-        tokens = self._prepare(message)
+    def _mine(self, tokens: list[str]) -> int:
         if not tokens:
             # empty messages form their own cluster
             if self._empty_id is None:
@@ -431,8 +458,7 @@ class LenMaParser(_ParserBase):
         self.threshold = threshold
         self._by_count: dict[int, list[tuple[_Cluster, _LenState]]] = {}
 
-    def parse_one(self, message: str) -> int:
-        tokens = self._prepare(message)
+    def _mine(self, tokens: list[str]) -> int:
         lengths = [len(t) for t in tokens]
         norm = math.sqrt(sum(x * x for x in lengths))
         bucket = self._by_count.setdefault(len(tokens), [])

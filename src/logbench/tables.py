@@ -471,7 +471,15 @@ def _null_mask(arr: np.ndarray) -> np.ndarray:
     if kind == "f":
         return np.isnan(arr)
     if kind == "O":
-        return np.asarray([v is None for v in arr], dtype=bool)
+        cells = arr.tolist()
+        try:
+            # `in` tests identity before ==, so False means no None cell
+            has_none = None in cells
+        except (ValueError, TypeError):
+            # a cell, such as an array, whose == has no truth value
+            has_none = True
+        if has_none:
+            return np.asarray([v is None for v in cells], dtype=bool)
     return np.zeros(len(arr), dtype=bool)
 
 

@@ -6,6 +6,7 @@ import pytest
 from logbench.enhancers import (add_event_ids, add_ngram_scores,
                                 add_normalized, add_tokens,
                                 aggregate_sequences)
+from logbench.masking import default_rules
 from logbench.ngram import ngram_train
 from logbench.parsers import DrainParser
 from logbench.tables import EventTable, SequenceTable
@@ -47,6 +48,51 @@ def test_add_event_ids_continues_parser_state():
     out = add_event_ids(add_normalized(t2), parser)
     assert out["e_event_id"][0] == ids[0]
     assert len(parser.store) == n_before
+
+
+class _RecordingDrain(DrainParser):
+    """Drain that remembers the token lists ``parse`` was given."""
+
+    def parse(self, messages, tokens=None):
+        self.tokens = tokens
+        return super().parse(messages, tokens)
+
+
+def _ids_with_tokens_seen(events):
+    parser = _RecordingDrain()
+    ids = add_event_ids(events, parser)["e_event_id"].tolist()
+    return ids, parser.tokens
+
+
+def test_add_event_ids_mines_tokens_of_the_parsed_column():
+    t = add_tokens(add_normalized(small_table()))
+    ids, seen = _ids_with_tokens_seen(t)
+    assert seen is t["e_words"]
+    assert ids == DrainParser().parse(t["e_message_normalized"])
+    raw = add_tokens(small_table())
+    assert _ids_with_tokens_seen(raw)[1] is raw["e_words"]
+
+
+def test_add_event_ids_ignores_tokens_of_another_column():
+    # tokenize, normalize, drain: the tokens hold "100", the parsed text
+    # "<NUM>"
+    t = add_normalized(add_tokens(small_table()))
+    ids, seen = _ids_with_tokens_seen(t)
+    assert seen is None
+    assert ids == DrainParser().parse(t["e_message_normalized"])
+    # the parsed column replaced after tokenizing
+    t = add_tokens(add_normalized(small_table()))
+    t = t.with_column("e_message_normalized", t["m_message"])
+    assert _ids_with_tokens_seen(t)[1] is None
+    # the token column replaced
+    t = add_tokens(add_normalized(small_table()))
+    t = t.with_column("e_words", [["x"]] * len(t))
+    assert _ids_with_tokens_seen(t)[1] is None
+    # a parser that masks messages itself
+    t = add_tokens(add_normalized(small_table()))
+    parser = _RecordingDrain(masking_rules=default_rules())
+    add_event_ids(t, parser)
+    assert parser.tokens is None
 
 
 def test_aggregate_sequences():

@@ -1,12 +1,17 @@
 import os
+import re
+from datetime import date
 
 import numpy as np
 import pytest
 
+from logbench import loaders
 from logbench.loaders import (LoaderSpec, load, load_hadoop, load_hdfs,
                               load_raw, load_supercomputer, read_app_labels,
                               read_hdfs_labels)
-from logbench.tables import EventTable, SequenceTable, validate_event_table
+from logbench.synth import generate_synthetic
+from logbench.tables import (EventTable, SequenceTable, object_column,
+                             validate_event_table)
 
 
 def test_spec_validation(tmp_path):
@@ -116,6 +121,178 @@ def test_hdfs_leading_garbage_dropped(tmp_path):
     events, _ = load_hdfs(p)
     assert len(events) == 1
     assert events.meta["dropped_lines"] == 1
+
+
+def _load_hdfs_per_line(log_path, label_path=None):
+    """Reference: the per-line HDFS loader that the column-wise one
+    replaced, with superscript digits treated as malformed."""
+    messages, epochs, seqs = [], [], []
+    pids, levels, comps = [], [], []
+    dropped = merged = no_seq = lines_read = 0
+    block_re = re.compile(r"blk_-?\d+")
+    with open(log_path, "r", encoding="utf-8", errors="replace",
+              newline="\n") as f:
+        for line in f:
+            lines_read += 1
+            line = line.rstrip("\n")
+            p = line.split(" ", 5)
+            sec = None
+            if (len(p) == 6 and len(p[0]) == 6 and len(p[1]) == 6
+                    and p[0].isdecimal() and p[1].isdecimal()
+                    and p[2].isdecimal() and p[4].endswith(":")):
+                h, m, s = int(p[1][0:2]), int(p[1][2:4]), int(p[1][4:6])
+                try:
+                    day = (date(2000 + int(p[0][0:2]), int(p[0][2:4]),
+                                int(p[0][4:6])).toordinal()
+                           - date(1970, 1, 1).toordinal())
+                except ValueError:
+                    day = None
+                if day is not None and h <= 23 and m <= 59 and s <= 59:
+                    sec = day * 86400 + h * 3600 + m * 60 + s
+            if sec is None:
+                if messages:
+                    messages[-1] = messages[-1] + "\n" + line
+                    merged += 1
+                else:
+                    dropped += 1
+                continue
+            found = block_re.search(p[5])
+            seqs.append(found.group() if found else None)
+            no_seq += found is None
+            messages.append(p[5])
+            epochs.append(sec * 1_000_000)
+            pids.append(int(p[2]))
+            levels.append(p[3])
+            comps.append(p[4][:-1])
+    meta = {"source": str(log_path), "lines_read": lines_read,
+            "dropped_lines": dropped, "merged_continuations": merged,
+            "rows_without_seq_id": no_seq}
+    events = EventTable({
+        "seq_id": object_column(seqs),
+        "m_message": object_column(messages),
+        "m_timestamp": np.asarray(epochs, dtype=np.int64)
+        .view("datetime64[us]"),
+        "pid": np.asarray(pids, dtype=np.int64),
+        "level": object_column(levels),
+        "component": object_column(comps),
+    }, meta=meta)
+    labels = read_hdfs_labels(label_path) if label_path is not None else {}
+    seq_ids = list(dict.fromkeys(s for s in seqs if s is not None))
+    unlabeled = sum(1 for s in seq_ids if s not in labels) \
+        if label_path is not None else 0
+    sequences = SequenceTable({
+        "seq_id": object_column(seq_ids),
+        "label": np.asarray([labels.get(s, False) for s in seq_ids],
+                            dtype=bool),
+        "seq_len": np.asarray([seqs.count(s) for s in seq_ids],
+                              dtype=np.int64),
+    }, meta={"source": str(log_path), "sequences_unlabeled": unlabeled})
+    events.meta["sequences"] = len(seq_ids)
+    return events, sequences
+
+
+_HDFS_CASES = {
+    "continuations and leading garbage": (
+        "garbage first\n\n"
+        "081109 203615 148 INFO dfs.A: one blk_1\n"
+        "\tat java.lang.Thread.run\n"
+        "081109 203616 149 WARN dfs.B: two blk_-2\n"),
+    "times": (
+        "081109 246060 1 INFO dfs.A: hour 24 blk_1\n"
+        "081109 235960 1 INFO dfs.A: second 60 blk_1\n"
+        "081109 236059 1 INFO dfs.A: minute 60 blk_1\n"
+        "081109 235959 1 INFO dfs.A: last second blk_1\n"
+        "081109 000000 1 INFO dfs.A: midnight blk_1\n"
+        "081332 000000 1 INFO dfs.A: month 13 blk_1\n"
+        "080229 000000 1 INFO dfs.A: no leap day blk_1\n"
+        "000229 120000 1 INFO dfs.A: leap day blk_1\n"
+        "81109 203615 1 INFO dfs.A: short date blk_1\n"
+        "081109 20361 1 INFO dfs.A: short time blk_1\n"
+        "081109 2036150 1 INFO dfs.A: long time blk_1\n"
+        "081109 20:615 1 INFO dfs.A: colon in time blk_1\n"),
+    "fields": (
+        "081109 203615 148 INFO dfs.A no colon blk_1\n"
+        "081109 203615 148 INFO dfs.A: no block id\n"
+        "081109 203615 148 INFO dfs.A: two ids blk_7 and blk_8\n"
+        "081109 203615  INFO dfs.A: empty pid blk_1\n"
+        "081109 203615 -1 INFO dfs.A: signed pid blk_1\n"
+        "081109 203615 148 INFO dfs.A:\n"
+        "081109 203615 148 INFO dfs.A: \n"
+        "081109 203615 148  : empty level and component blk_2\n"
+        "081109 203615 148 INFO dfs.A: blk_x blk_ blk_-\n"
+        "081109 203615 148 blk_9 dfs.A: id in the level only\n"),
+    "line ends": (
+        "081109 203615 148 INFO dfs.A: crlf blk_1\r\n"
+        "\r\n"
+        "\n"
+        "081109 203616 148 INFO dfs.A: crlf continued\r\n"
+        "081109 203617 148 INFO dfs.A: no trailing newline blk_3"),
+    "digits of other scripts": (
+        "٠٨١١٠٩ ٢٠٣٦١٥ ١٤٨ INFO dfs.A: arabic-indic blk_١٢\n"
+        "081109 2036٥5 1٤8 INFO dfs.A: mixed blk_5\n"
+        "081109 2036²5 148 INFO dfs.A: superscript in time blk_2\n"
+        "0811²9 203615 148 INFO dfs.A: superscript in date blk_2\n"
+        "081109 203615 1² INFO dfs.A: superscript in pid blk_2\n"
+        "081109 203615 ① INFO dfs.A: circled pid blk_2\n"
+        "081109 203615 148 ÏNFO dfs.Ä: non-ascii level blk_2\n"),
+}
+
+
+@pytest.mark.parametrize("block_chars", [1 << 20, 1, 7, 64])
+@pytest.mark.parametrize("case", sorted(_HDFS_CASES))
+def test_hdfs_matches_per_line_reference(tmp_path, case, block_chars,
+                                         monkeypatch):
+    monkeypatch.setattr(loaders, "_HDFS_BLOCK_CHARS", block_chars)
+    log = tmp_path / "t.log"
+    log.write_bytes(_HDFS_CASES[case].encode("utf-8"))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("BlockId,Label\nblk_1,Anomaly\nblk_8,Normal\n")
+    for label_path in (None, labels):
+        got = load_hdfs(log, label_path)
+        want = _load_hdfs_per_line(log, label_path)
+        for g, w in zip(got, want):
+            assert g.equals(w)
+            assert g.meta == w.meta
+            assert [g[c].dtype for c in g] == [w[c].dtype for c in w]
+
+
+def test_hdfs_matches_per_line_reference_on_a_corpus(tmp_path, monkeypatch):
+    # a few blocks of lines, each split somewhere inside a line
+    monkeypatch.setattr(loaders, "_HDFS_BLOCK_CHARS", 4099)
+    paths = generate_synthetic(tmp_path, "hdfs", n_templates=5,
+                               n_lines=2000, anomaly_rate=0.1, seed=3)
+    got = load_hdfs(paths["log"], paths["labels"])
+    want = _load_hdfs_per_line(paths["log"], paths["labels"])
+    assert got[0].equals(want[0]) and got[1].equals(want[1])
+    assert got[0].meta == want[0].meta and got[1].meta == want[1].meta
+
+
+@pytest.mark.parametrize("line", [
+    "081109 2036²5 148 INFO dfs.DataNode: x blk_2",
+    "081109 203615 1² INFO dfs.DataNode: x blk_2",
+])
+def test_hdfs_non_decimal_digits_are_malformed(tmp_path, line):
+    """``str.isdigit`` accepts ``²``, which ``int`` rejects: such a line
+    continues the previous event, or is dropped when it comes first."""
+    first = "081109 203614 147 INFO dfs.DataNode: first blk_1"
+    log = tmp_path / "t.log"
+    log.write_text(f"{first}\n{line}\n", encoding="utf-8")
+    events, _ = load_hdfs(log)
+    assert list(events["m_message"]) == [f"first blk_1\n{line}"]
+    assert events.meta["merged_continuations"] == 1
+    log.write_text(f"{line}\n{first}\n", encoding="utf-8")
+    events, _ = load_hdfs(log)
+    assert list(events["m_message"]) == ["first blk_1"]
+    assert events.meta["dropped_lines"] == 1
+
+
+def test_hdfs_decimal_digits_of_other_scripts_load(tmp_path):
+    log = tmp_path / "t.log"
+    log.write_text("٠٨١١٠٩ ٢٠٣٦١٥ ١٤٨ INFO dfs.A: x blk_1\n",
+                   encoding="utf-8")
+    events, _ = load_hdfs(log)
+    assert events["m_timestamp"][0] == np.datetime64("2008-11-09T20:36:15")
+    assert events["pid"][0] == 148
 
 
 # ---------------------------------------------------------------------------

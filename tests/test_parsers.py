@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from logbench.masking import default_rules, split_tokens
+from logbench.masking import default_rules, split_tokens, tokenize
 from logbench.parsers import (WILDCARD, DrainParser, LenMaParser, SpellParser,
                               TemplateStore, make_parser)
 
@@ -378,6 +378,96 @@ def test_lenma_memo_skips_message_that_founded_a_cluster():
     parser = LenMaParser(threshold=1.0)
     assert [parser.parse_one(m) for m in msgs] == [0, 1, 2]
     assert LenMaParser(threshold=1.0).parse(msgs) == [0, 1, 2]
+
+
+def _token_corpus(rng, n):
+    """Messages with literal wildcards, digit tokens and many distinct
+    first tokens (which overflow ``max_children=2``)."""
+    vocab = ["alpha", "beta", "gamma", WILDCARD, WILDCARD, "12", "345",
+             "x1", "<NUM>", "f" + str(rng.randint(0, 9))]
+    out = []
+    for _ in range(n):
+        head = [rng.choice(["a", "b", "c", "d", "7", WILDCARD])]
+        tail = [rng.choice(vocab) for _ in range(rng.randint(0, 6))]
+        out.append(" ".join(head + tail) if rng.random() > 0.05 else "")
+    return out
+
+
+_TOKEN_PARSERS = [("drain", {}), ("drain", {"max_children": 2}),
+                  ("drain", {"depth": 3, "max_children": 2}),
+                  ("drain", {"depth": 5, "sim_threshold": 0.7}),
+                  ("spell", {}), ("lenma", {})]
+
+
+@pytest.mark.parametrize("kind,params", _TOKEN_PARSERS)
+def test_parse_with_tokens_matches_parse_one(kind, params):
+    rng = random.Random(f"{kind}{params}")
+    for trial in range(15):
+        pool = _token_corpus(rng, 40)
+        msgs = [rng.choice(pool) for _ in range(300)]
+        tokens = tokenize(msgs)
+        before = [list(t) for t in tokens]
+        ref = make_parser(kind, **params)
+        ref_ids = [ref.parse_one(m) for m in msgs]
+
+        parser = make_parser(kind, **params)
+        assert parser.parse(msgs, tokens) == ref_ids, f"{kind} {trial}"
+        assert parser.store.templates == ref.store.templates
+        assert parser.store.counts == ref.store.counts
+        assert tokens == before  # the lists are only read
+
+
+def test_parse_rejects_token_lists_of_another_length():
+    with pytest.raises(ValueError):
+        DrainParser().parse(["a b", "c d"], [["a", "b"]])
+
+
+class _DrainReference(DrainParser):
+    """Drain without the route memo and the counting shortcuts: walk the
+    tree, score every position in Python, always run the rewrite loop."""
+
+    def _mine(self, tokens):
+        leaf = self._leaf(tokens)
+        best, best_sim = None, -1.0
+        for cluster in leaf:
+            same = sum(1 for t, tok in zip(cluster.template, tokens)
+                       if t == tok and t != WILDCARD)
+            sim = same / len(cluster.template) if cluster.template else 1.0
+            if sim > best_sim:
+                best, best_sim = cluster, sim
+        if best is not None and best_sim >= self.sim_threshold:
+            for i, tok in enumerate(tokens):
+                if best.template[i] != tok and best.template[i] != WILDCARD:
+                    best.template[i] = WILDCARD
+                    self._version += 1
+            best.count += 1
+            return best.event_id
+        cluster = self.store._new_cluster(list(tokens))
+        leaf.append(cluster)
+        self._version += 1
+        return cluster.event_id
+
+
+def _tree(node):
+    """A Drain routing tree with event ids at its leaves."""
+    if isinstance(node, list):
+        return [c.event_id for c in node]
+    return {key: _tree(child) for key, child in node.items()}
+
+
+@pytest.mark.parametrize("params", [p for k, p in _TOKEN_PARSERS
+                                    if k == "drain"])
+def test_drain_matches_unmemoized_reference(params):
+    rng = random.Random(str(params))
+    for trial in range(20):
+        pool = _token_corpus(rng, 60)
+        msgs = [rng.choice(pool) for _ in range(400)]
+        ref = _DrainReference(**params)
+        parser = DrainParser(**params)
+        assert [parser.parse_one(m) for m in msgs] == \
+            [ref.parse_one(m) for m in msgs], f"trial {trial}"
+        assert parser.store.templates == ref.store.templates
+        assert _tree(parser._root) == _tree(ref._root)
 
 
 def test_matches_positional_and_subsequence():

@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import re
@@ -6,10 +7,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from logbench import enhancers
-from logbench.loaders import LoaderSpec
+from logbench import enhancers, pipeline
+from logbench.loaders import LoaderSpec, load
+from logbench.parsers import DrainParser
 from logbench.pipeline import (ConfigError, PipelineConfig, StageError,
-                               _documents, run_pipeline)
+                               _documents, run_chain, run_pipeline, stage)
 from logbench.synth import generate_synthetic
 from logbench.tables import EventTable
 
@@ -228,6 +230,48 @@ def test_stage_error_names_the_failing_step(tmp_path, monkeypatch):
     with pytest.raises(StageError, match="no tokens today") as err:
         run_pipeline(config)
     assert err.value.stage == "tokenize"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_stage_pauses_gc_and_restores_callers_state(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with stage("ok"):
+            assert not gc.isenabled()
+        assert gc.isenabled() == enabled
+        with pytest.raises(StageError):
+            with stage("fails"):
+                raise ValueError("boom")
+        assert gc.isenabled() == enabled
+        with pytest.raises(OSError):
+            with stage("io"):
+                raise OSError("disk")
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_chain_with_tokens_from_another_column(synth_hdfs, monkeypatch):
+    """tokenize, normalize, drain: the parser splits the normalized text
+    itself, and gets the ids of a parser that never saw tokens."""
+    seen = []
+    make = pipeline.make_parser
+
+    def recording(kind, **params):
+        parser = make(kind, **params)
+        parse = parser.parse
+        parser.parse = lambda msgs, tokens=None: (seen.append(tokens),
+                                                  parse(msgs, tokens))[1]
+        return parser
+    monkeypatch.setattr(pipeline, "make_parser", recording)
+    events, _ = load(LoaderSpec("hdfs", synth_hdfs["log"]))
+    out, _, _ = run_chain(events, ["tokenize", "normalize", "drain"], None)
+    assert seen == [None]
+    assert out["e_event_id"].tolist() == \
+        DrainParser().parse(out["e_message_normalized"])
+    out, _, _ = run_chain(events, ["normalize", "tokenize", "drain"], None)
+    assert seen[1] is out["e_words"]
 
 
 def test_each_step_logs_one_line(tmp_path, synth_hdfs, caplog):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from logbench.cli import main
-from logbench.tables import (EventTable, SequenceTable, Table, object_column,
-                             split_train_test, validate_event_table)
+from logbench.tables import (EventTable, SequenceTable, Table, _null_mask,
+                             object_column, split_train_test,
+                             validate_event_table)
 
 
 def small_events():
@@ -152,6 +153,17 @@ def test_list_column_tag_looks_past_empty_lists(tmp_path):
     assert tag([[], ["a", "b"]]) == "str_list"
     assert tag(object_column([None, [], [1]])) == "int_list"
     assert tag([["a"], []]) == "str_list"
+
+
+@pytest.mark.parametrize("cells", [
+    [None, "a", "b"], ["a", None, "b"], ["a", "b", None], ["a", "b", "c"],
+    [None, None, None], [["x"], None, []], [["x"], [], ["y", "z"]],
+    [np.arange(3), None, np.arange(2)], [np.arange(3), "a", np.arange(2)],
+], ids=["first", "middle", "last", "absent", "all", "lists",
+        "lists-absent", "arrays", "arrays-absent"])
+def test_null_mask_of_object_cells(cells):
+    arr = object_column(cells)
+    assert _null_mask(arr).tolist() == [v is None for v in cells]
 
 
 def test_list_column_keeps_null_cells(tmp_path):
