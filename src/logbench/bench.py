@@ -104,19 +104,15 @@ def bench_loading(specs, repeats: int = 3) -> BenchReport:
     return report
 
 
-def bench_parsers(messages, parsers=("drain",), mode: str = "pipeline",
-                  rules=None, repeats: int = 3,
+def bench_parsers(messages, parsers=("drain",), rules=None, repeats: int = 3,
                   parser_params: dict | None = None) -> BenchReport:
     """Time template mining over a message column.
 
-    ``pipeline`` mode masks the whole column once per repeat (phase "mask"),
-    then parses the masked text (phase "parse_<kind>"); the "total_<kind>"
-    rows hold the per-repeat sums. ``parser_internal`` mode hands the rules
-    to the parser, which masks every message itself, and reports only
-    "total_<kind>". Every repeat uses a fresh parser.
+    Each repeat masks the whole column once (phase "mask"), then parses the
+    masked text with a fresh parser of each kind (phase "parse_<kind>");
+    the "total_<kind>" rows hold the per-repeat sums. In-parser masking is
+    timed by ``bench_masking_offload``.
     """
-    if mode not in ("pipeline", "parser_internal"):
-        raise ValueError("mode must be pipeline or parser_internal")
     for kind in parsers:
         if kind not in PARSERS:
             raise ValueError(f"unknown parser {kind!r}")
@@ -127,33 +123,20 @@ def bench_parsers(messages, parsers=("drain",), mode: str = "pipeline",
     report = BenchReport()
     n = len(messages)
 
-    if mode == "pipeline":
-        mask_seconds = []
-        masked = messages
-        for _ in range(repeats):
-            elapsed, masked = _timed(lambda: masking.normalize(messages,
-                                                               rules))
-            mask_seconds.append(elapsed)
-        report.add("messages", n, "mask", mask_seconds)
-        for kind in parsers:
-            parse_seconds = []
-            for _ in range(repeats):
-                parser = make_parser(kind, **params.get(kind, {}))
-                elapsed, _ = _timed(lambda: parser.parse(masked))
-                parse_seconds.append(elapsed)
-            report.add("messages", n, f"parse_{kind}", parse_seconds)
-            report.add("messages", n, f"total_{kind}",
-                       [a + b for a, b in zip(mask_seconds, parse_seconds)])
-        return report
-
+    mask_seconds = []
+    for _ in range(repeats):
+        elapsed, masked = _timed(lambda: masking.normalize(messages, rules))
+        mask_seconds.append(elapsed)
+    report.add("messages", n, "mask", mask_seconds)
     for kind in parsers:
-        seconds = []
+        parse_seconds = []
         for _ in range(repeats):
-            parser = make_parser(kind, masking_rules=rules,
-                                 **params.get(kind, {}))
-            elapsed, _ = _timed(lambda: parser.parse(messages))
-            seconds.append(elapsed)
-        report.add("messages", n, f"total_{kind}", seconds)
+            parser = make_parser(kind, **params.get(kind, {}))
+            elapsed, _ = _timed(lambda: parser.parse(masked))
+            parse_seconds.append(elapsed)
+        report.add("messages", n, f"parse_{kind}", parse_seconds)
+        report.add("messages", n, f"total_{kind}",
+                   [a + b for a, b in zip(mask_seconds, parse_seconds)])
     return report
 
 

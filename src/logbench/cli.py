@@ -67,8 +67,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--parsers", default="drain",
                    help="comma separated parser kinds")
-    p.add_argument("--mode", default="pipeline",
-                   choices=("pipeline", "parser_internal"))
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", help="write the report csv here")
 
@@ -158,7 +156,7 @@ def _cmd_bench(args) -> int:
     elif args.task == "parsers":
         kinds = [k.strip() for k in args.parsers.split(",") if k.strip()]
         report = bench.bench_parsers(_bench_messages(args), kinds,
-                                     mode=args.mode, repeats=args.repeats)
+                                     repeats=args.repeats)
     else:
         kinds = [k.strip() for k in args.parsers.split(",") if k.strip()]
         report = bench.bench_masking_offload(_bench_messages(args),

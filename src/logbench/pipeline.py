@@ -106,6 +106,15 @@ class PipelineConfig:
             raise ConfigError("ngram n must be at least 2")
         if not 0.0 <= self.contamination <= 1.0:
             raise ConfigError("contamination must be in [0, 1]")
+        if self.min_count < 1:
+            raise ConfigError("min_count must be at least 1")
+        # the parser's own constructor checks its parameters
+        for step in self.chain:
+            if step in PARSERS:
+                try:
+                    make_parser(step, **self.parser_params.get(step, {}))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{step}: {exc}") from exc
 
     # -- parsing ----------------------------------------------------------
 

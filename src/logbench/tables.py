@@ -11,8 +11,6 @@ from __future__ import annotations
 import base64
 import json
 import re
-from json.decoder import WHITESPACE
-from json.scanner import py_make_scanner
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -229,14 +227,11 @@ class Table:
 
     @classmethod
     def load(cls, path) -> "Table":
-        """Read a table file of version 2 or 1. Equal strings, and list
-        cells whose JSON text is equal, come back as one shared, read-only
-        object each."""
-        decoder = json.JSONDecoder()
-        decoder.parse_array = _shared_array
-        decoder.scan_once = py_make_scanner(decoder)
+        """Read a table file of version 2 or 1. In version 2, equal cells of
+        an object column come back as one shared object; version 1 cells are
+        each their own object."""
         with open(path, "r", encoding="utf-8") as f:
-            obj = decoder.decode(f.read())
+            obj = json.load(f)
         if obj.get("format") != _FORMAT_NAME:
             raise ValueError(f"{path}: not a {_FORMAT_NAME} file")
         version = obj.get("version")
@@ -271,43 +266,6 @@ class Table:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.writelines(",".join(r) + "\r\n"
                          for r in (zip(*cols) if cols else [()]))
-
-
-_SCAN_JSON = json.JSONDecoder().scan_once
-_SKIP_WS = WHITESPACE.match
-
-
-def _shared_array(s_and_end, scan_once):
-    """``JSONArray`` for ``Table.load``: one object per distinct cell, so
-    that loading holds the table rather than every copy in the text.
-
-    The columns (objects) are read one at a time through ``scan_once``,
-    which brings each ``values`` (version 1) or ``dictionary`` (version 2)
-    array back here. A list column is read a row at a time, rows with
-    equal text sharing one list; any other array is read whole, equal
-    strings sharing one str. Whitespace between the rows or objects, which
-    ``Table.save`` never writes, sends the array to ``json``'s own parser:
-    the same values, unshared.
-    """
-    s, end = s_and_end
-    start, end = end - 1, _SKIP_WS(s, end).end()
-    if s[end:end + 1] not in ("[", "{"):
-        values, end = _SCAN_JSON(s, start)
-        seen: dict = {}
-        return [seen.setdefault(v, v) if type(v) is str else v
-                for v in values], end
-    scan, rows = (_SCAN_JSON, {}) if s[end] == "[" else (scan_once, None)
-    values = []
-    while True:
-        value, nxt = scan(s, end)
-        values.append(value if rows is None
-                      else rows.setdefault(s[end:nxt], value))
-        end = nxt + 1
-        if s[nxt:end] != "," or s[end:end + 1] in " \t\n\r":
-            break
-    if s[nxt:end] == "]":
-        return values, end
-    return _SCAN_JSON(s, start)
 
 
 def _first_seen_codes(cells: list) -> tuple[list, np.ndarray]:

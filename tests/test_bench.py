@@ -49,7 +49,7 @@ def test_bench_loading_skips_missing(tmp_path, caplog):
 def test_bench_parsers_pipeline_mode():
     corpus = make_template_corpus(n_templates=3, n_lines=120, seed=1)
     report = bench_parsers(corpus["messages"], parsers=("drain", "spell"),
-                           mode="pipeline", repeats=2)
+                           repeats=2)
     phases = [r.phase for r in report.rows]
     assert phases == ["mask", "parse_drain", "total_drain",
                       "parse_spell", "total_spell"]
@@ -63,17 +63,7 @@ def test_bench_parsers_pipeline_mode():
                 mask.seconds[i] + parse.seconds[i])
 
 
-def test_bench_parsers_internal_mode():
-    corpus = make_template_corpus(n_templates=3, n_lines=60, seed=1)
-    report = bench_parsers(corpus["messages"], parsers=("lenma",),
-                           mode="parser_internal", repeats=2)
-    assert [r.phase for r in report.rows] == ["total_lenma"]
-    assert report.rows[0].lines == 60
-
-
 def test_bench_parsers_validation():
-    with pytest.raises(ValueError):
-        bench_parsers(["a"], mode="wat")
     with pytest.raises(ValueError):
         bench_parsers(["a"], parsers=("nosuch",))
 

@@ -189,9 +189,9 @@ def test_bench_subcommands(tmp_path, capsys, synth_dirs):
     assert code == 0
 
     out_csv = tmp_path / "parsers.csv"
-    code = main(["bench", "--task", "parsers", "--format", "hdfs",
+    code = main(["bench", "--task", "offload", "--format", "hdfs",
                  "--log", log, "--labels", labels,
-                 "--parsers", "drain,spell", "--mode", "parser_internal",
+                 "--parsers", "drain,spell",
                  "--repeats", "1", "--out", str(out_csv)])
     captured = capsys.readouterr()
     assert code == 0
@@ -202,6 +202,21 @@ def test_bench_subcommands(tmp_path, capsys, synth_dirs):
                  "--log", log, "--labels", labels, "--parsers", "drain",
                  "--repeats", "1"])
     assert code == 0
+
+
+def test_bench_parsers_writes_pipeline_rows(tmp_path, synth_dirs):
+    out_csv = tmp_path / "parsers.csv"
+    code = main(["bench", "--task", "parsers", "--format", "hdfs",
+                 "--log", str(synth_dirs["log"]),
+                 "--labels", str(synth_dirs["labels"]),
+                 "--parsers", "drain,spell", "--repeats", "1",
+                 "--out", str(out_csv)])
+    assert code == 0
+    phases = [line.split(",")[2] for line in
+              out_csv.read_text(encoding="utf-8").splitlines()[1:]]
+    assert phases == ["mask", "parse_drain", "total_drain",
+                      "parse_spell", "total_spell"]
+    assert main(["bench", "--task", "parsers", "--mode", "pipeline"]) == 1
 
 
 def test_exit_code_config_error(capsys):

@@ -144,6 +144,18 @@ def test_config_validation_errors(tmp_path):
         build(ngram_n=1, chain=["tokenize", "drain", "ngram", "aggregate"])
     with pytest.raises(ConfigError):
         build(contamination=1.5)
+    with pytest.raises(ConfigError):
+        build(min_count=0)
+    # parser parameters are checked before any data is loaded
+    for kind, params in [("drain", {"depth": 1}),
+                         ("drain", {"sim_threshold": 2.0}),
+                         ("drain", {"max_children": 0}),
+                         ("spell", {"tau": -1.0}),
+                         ("lenma", {"threshold": 5.0}),
+                         ("drain", {"wat": 1})]:
+        with pytest.raises(ConfigError, match=kind):
+            build(chain=["tokenize", kind], parser_params={kind: params})
+    build(chain=["tokenize", "spell"], parser_params={"drain": {"depth": 1}})
 
 
 def test_config_file_errors(tmp_path):
