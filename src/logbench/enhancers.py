@@ -10,25 +10,33 @@ anomaly detection.
 from __future__ import annotations
 
 import weakref
-from itertools import chain
 
 import numpy as np
 
 from . import masking
 from .ngram import NGramModel, ngram_score
-from .tables import (EventTable, SequenceTable, Table, _first_seen_codes,
-                     object_column)
+from .tables import (EventTable, SequenceTable, Table, TokenColumn,
+                     _first_seen_codes, object_column)
+
+_TOKENS_OF = "e_tokens_of"
+
+
+def _tokens_of(events: Table, source: str):
+    """The token column coded from ``events[source]``, or None: ``meta``
+    holds a text column, by identity, and the tokens coded from it."""
+    held = events.meta.get(_TOKENS_OF)
+    return held[1] if held and held[0]() is events[source] else None
 
 
 def add_normalized(events: Table, rules=None,
                    column: str = "m_message") -> Table:
     """Masked copy of the message column as ``e_message_normalized``."""
     normalized = masking.normalize(events[column], rules)
-    return events.with_column("e_message_normalized", normalized)
-
-
-# meta key recording which text column ``e_words`` was split from
-_WORDS_OF = "e_words_of"
+    out = events.with_column("e_message_normalized", normalized)
+    if normalized.tokens is not None:
+        out.meta[_TOKENS_OF] = (weakref.ref(out["e_message_normalized"]),
+                                normalized.tokens)
+    return out
 
 
 def _text_source(events: Table) -> str:
@@ -37,26 +45,15 @@ def _text_source(events: Table) -> str:
 
 
 def add_tokens(events: Table) -> Table:
-    """Token lists as ``e_words``, from the normalized text when present."""
+    """Token codes as ``e_words``, from the normalized text when present
+    (as ``normalize`` coded them, when it coded that very column)."""
     source = _text_source(events)
-    tokens = masking.tokenize(events[source])
-    # the lists belong to this column only (rows with equal messages share
-    # one, and cells are read-only), so the table may hold them without a copy
-    out = events.with_column("e_words", object_column(tokens))
-    # the text column the lists were split from, and the lists' column, by
-    # identity: a table that replaces either no longer matches
-    out.meta[_WORDS_OF] = (weakref.ref(out[source]),
-                           weakref.ref(out["e_words"]))
+    tokens = _tokens_of(events, source)
+    if tokens is None:
+        tokens = masking.token_column(events[source])
+    out = events.with_column("e_words", tokens)
+    out.meta[_TOKENS_OF] = (weakref.ref(out[source]), tokens)
     return out
-
-
-def _words_of(events: Table, source: str):
-    """``e_words`` when it was split from ``events[source]``, else None."""
-    refs = events.meta.get(_WORDS_OF)
-    if refs is None or refs[0]() is not events[source] \
-            or "e_words" not in events or refs[1]() is not events["e_words"]:
-        return None
-    return events["e_words"]
 
 
 def add_event_ids(events: Table, parser) -> Table:
@@ -70,7 +67,10 @@ def add_event_ids(events: Table, parser) -> Table:
     continues the same template store.
     """
     source = _text_source(events)
-    tokens = None if parser.masking_rules else _words_of(events, source)
+    tokens = _tokens_of(events, source)
+    if parser.masking_rules or "e_words" not in events \
+            or events["e_words"] is not tokens:
+        tokens = None
     ids = parser.parse(events[source], tokens)
     return events.with_column("e_event_id",
                               np.asarray(ids, dtype=np.int64))
@@ -110,14 +110,13 @@ def aggregate_sequences(events: Table, labels=None) -> SequenceTable:
             np.maximum.reduceat(ts, starts) - np.minimum.reduceat(ts, starts)
             if len(order) else np.zeros(0, dtype="timedelta64[us]"))
 
-    bounds = list(zip(starts.tolist(), ends.tolist()))
     if "e_event_id" in events:
         ids = events["e_event_id"][perm].tolist()
-        columns["event_ids"] = object_column([ids[a:b] for a, b in bounds])
+        columns["event_ids"] = object_column(
+            [ids[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
     if "e_words" in events:
-        words = events["e_words"][perm].tolist()
-        columns["words"] = object_column(
-            [list(chain.from_iterable(words[a:b])) for a, b in bounds])
+        columns["words"] = \
+            TokenColumn.of(events["e_words"])[perm].concat(seq_lens)
 
     meta = {"events_without_seq_id": skipped}
     if labels is not None:

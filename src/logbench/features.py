@@ -7,18 +7,19 @@ training documents; ``vectorize`` turns any documents into a sparse count
 matrix against that fixed vocabulary, tracking out-of-vocabulary terms
 separately instead of dropping them silently.
 
-Documents are only read, so rows may share one list (``tokenize`` shares
-one per distinct message). Both functions work on the flattened corpus:
-one pass over all terms, then numpy on the integer column codes.
+Both count codes, not strings: documents come as a ``TokenColumn`` (lists
+are coded into one first), each distinct term is looked up once, and the
+counting is numpy on the flat codes of all documents.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 from scipy import sparse
+
+from .tables import TokenColumn
 
 
 class Vocabulary:
@@ -52,15 +53,19 @@ def fit_vocabulary(documents, min_count: int = 1) -> Vocabulary:
     """Build the vocabulary of terms seen at least min_count times.
 
     Column order is the order in which terms first appear in the corpus, so
-    the mapping is deterministic for a fixed input order. The terms of all
-    documents are counted in one pass over the flattened corpus.
+    the mapping is deterministic for a fixed input order.
     """
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
-    docs = list(documents)
-    totals = Counter(chain.from_iterable(docs))
-    terms = [t for t, c in totals.items() if c >= min_count]
-    return Vocabulary(dict(zip(terms, range(len(terms)))),
+    docs = TokenColumn.of(documents)
+    codes, _ = docs.flat()
+    first = np.full(len(docs.tokens), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    kept = np.flatnonzero(np.bincount(codes, minlength=len(docs.tokens))
+                          >= min_count)
+    terms = map(docs.tokens.__getitem__,
+                kept[np.argsort(first[kept], kind="stable")].tolist())
+    return Vocabulary(dict(zip(terms, range(len(kept)))),
                       min_count=min_count, fitted_on=len(docs))
 
 
@@ -91,16 +96,15 @@ def vectorize(documents, vocabulary: Vocabulary,
     making a column. With ``binary=True`` counts clip to presence flags
     (the oov counter stays a real count).
 
-    The flattened documents map to column codes in one pass (-1 for an oov
-    term); the cell counts come from the sorted ``row * V + column`` keys,
-    so the matrix is built in canonical form: sorted indices, no duplicates.
+    Each dictionary term maps to its column once (-1 for an oov term); the
+    cell counts come from the sorted ``row * V + column`` keys, so the
+    matrix is built in canonical form: sorted indices, no duplicates.
     """
-    docs = list(documents)
+    docs = TokenColumn.of(documents)
     n_docs, n_terms = len(docs), len(vocabulary)
-    lengths = np.fromiter(map(len, docs), dtype=np.int64, count=n_docs)
-    codes = np.fromiter(
-        map(vocabulary.index.get, chain.from_iterable(docs), repeat(-1)),
-        dtype=np.int64, count=int(lengths.sum()))
+    flat, lengths = docs.flat()
+    codes = np.fromiter(map(vocabulary.index.get, docs.tokens, repeat(-1)),
+                        dtype=np.int64, count=len(docs.tokens))[flat]
     rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
     hit = codes >= 0
     oov = np.bincount(rows[~hit], minlength=n_docs)

@@ -13,11 +13,18 @@ space-delimited chunks, so each distinct chunk of the column is masked once.
 Otherwise each distinct message is masked once. Either way the result is
 mapped back to every row; the output is exactly
 ``[mask_one(m, rules) for m in messages]``.
+
+The chunk pass also codes the tokens of every message (``TokenColumn``),
+splitting each distinct masked chunk once, so ``tokenize`` need not.
 """
 
 from __future__ import annotations
 
 import re
+
+import numpy as np
+
+from .tables import TokenColumn, _first_seen_codes, object_column
 
 _TOKEN_RE = re.compile(r"^<[A-Za-z0-9_]+>$")
 _LOOKAROUND_RE = re.compile(r"\(\?<?[=!]")
@@ -124,7 +131,20 @@ def mask_one(text: str, rules: list[MaskingRule]) -> str:
     return text
 
 
-def normalize(messages, rules: list[MaskingRule] | None = None) -> list[str]:
+def _distinct(messages) -> tuple[list[str], np.ndarray]:
+    """Distinct messages in first-seen order, and each row's index."""
+    distinct, rows = _first_seen_codes(list(messages))
+    if len(rows) and rows.min() < 0:
+        raise TypeError("messages must be str, not None")
+    return distinct, rows
+
+
+class Normalized(list):
+    """Masked messages, with their token column as ``tokens`` or None."""
+    tokens = None
+
+
+def normalize(messages, rules: list[MaskingRule] | None = None) -> Normalized:
     """Apply masking rules to a whole message column.
 
     Returns a new list of the same length; input order is preserved and the
@@ -136,46 +156,61 @@ def normalize(messages, rules: list[MaskingRule] | None = None) -> list[str]:
       distinct messages are split on single spaces, each distinct chunk is
       masked once and every message is rebuilt from its masked chunks. Logs
       whose messages are nearly all distinct still share few chunks, so this
-      is the fast path for the built-in rules.
+      is the fast path for the built-in rules. It also fills ``tokens``
+      with ``token_column`` of the result.
     - Otherwise each distinct message is masked once. When every rule is
       blob-safe and no message contains a newline, the rules run once over a
       newline-joined blob of the distinct messages; else a per-message loop.
     """
     if rules is None:
         rules = default_rules()
-    msgs = list(messages)
-    distinct = list(dict.fromkeys(msgs))
-    masked = None
+    distinct, rows = _distinct(messages)
+    masked = tokens = None
     if rules and all(r.token_local for r in rules):
-        masked = _normalize_chunks(distinct, rules)
+        masked, tokens = _normalize_chunks(distinct, rules)
     if masked is None:
         masked = _normalize_distinct(distinct, rules)
-    if len(distinct) == len(msgs):
-        return masked
-    lookup = dict(zip(distinct, masked))
-    return [lookup[m] for m in msgs]
+    out = Normalized(masked if len(distinct) == len(rows)
+                     else map(masked.__getitem__, rows.tolist()))
+    if tokens is not None:
+        out.tokens = tokens[rows]
+    return out
 
 
-def _normalize_chunks(msgs: list[str],
-                      rules: list[MaskingRule]) -> list[str] | None:
+def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
     """Mask each distinct space-delimited chunk of ``msgs`` once.
 
-    Every rule must be token-local. Returns None when a message contains a
-    newline, or when the rebuilt rows do not line up with ``msgs``.
+    Every rule must be token-local. Returns the masked messages and their
+    token column, one row per message, or (None, None) when a message
+    contains a newline or the rebuilt rows do not line up with ``msgs``.
     """
     blob = "\n".join(msgs)
     if blob.count("\n") != len(msgs) - 1:
-        return None
+        return None, None
     # each "\n" between messages becomes a chunk of its own, which maps to
     # itself: a rule that matches the empty string must not rewrite it
     chunks = blob.replace("\n", " \n ").split(" ")
-    vocab = dict.fromkeys(chunks)
-    vocab.pop("\n", None)
-    lookup = dict(zip(vocab, _normalize_distinct(list(vocab), rules)))
-    lookup["\n"] = "\n"
-    out = " ".join(map(lookup.__getitem__, chunks)) \
+    del blob
+    vocab, ids = _first_seen_codes(chunks)
+    del chunks  # the chunk strings are most of this pass's memory
+    # the first "\n" chunk ends the first message
+    nl = vocab.index("\n") if len(msgs) > 1 else len(vocab)
+    masked = _normalize_distinct(vocab[:nl] + vocab[nl + 1:], rules)
+    masked.insert(nl, "\n")
+    out = " ".join(object_column(masked)[ids].tolist()) \
         .replace(" \n ", "\n").split("\n")
-    return out if len(out) == len(msgs) else None
+    if len(out) != len(msgs):
+        return None, None
+    # a message's tokens are its chunks' tokens in order (spaces separate
+    # tokens); the "\n" chunk ending each message but the last has none
+    pieces, piece_of = _first_seen_codes(masked)
+    per_message = np.diff(np.concatenate((
+        [0], np.flatnonzero(ids == nl) + 1, [len(ids)])))
+    tokens = TokenColumn.of(map(split_tokens, pieces))[piece_of[ids]] \
+        .concat(per_message)
+    # one entry per distinct masked message, not per distinct raw message
+    _, entry_of = _first_seen_codes(out)
+    return out, tokens[np.unique(entry_of, return_index=True)[1][entry_of]]
 
 
 def _normalize_distinct(msgs: list[str], rules: list[MaskingRule]) -> list[str]:
@@ -204,19 +239,16 @@ def split_tokens(text: str) -> list[str]:
     return [p for p in _WS_RE.split(text) if p]
 
 
-def tokenize(messages) -> list[list[str]]:
-    """Token lists for a message column, ``split_tokens`` of each message.
+def token_column(messages) -> TokenColumn:
+    """``split_tokens`` of every message, as codes: each distinct message
+    is split once and rows with equal messages share its entry."""
+    distinct, rows = _distinct(messages)
+    return TokenColumn.of(map(split_tokens, distinct))[rows]
 
-    Each distinct message is split once and equal messages share its list,
-    so the lists are read-only. Each list is copied to its exact size:
-    ``str.split`` leaves room for 12 tokens, which a table of short
-    messages would keep for its lifetime.
-    """
-    msgs = list(messages)
-    distinct = dict.fromkeys(msgs)
-    for m in distinct:
-        distinct[m] = list(split_tokens(m))
-    return list(map(distinct.__getitem__, msgs))
+
+def tokenize(messages) -> list[list[str]]:
+    """``split_tokens`` of each message; equal messages share one list."""
+    return token_column(messages).tolist()
 
 
 def load_masking_rules(path) -> list[MaskingRule]:

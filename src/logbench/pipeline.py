@@ -402,7 +402,7 @@ def _warn_degenerate(train, X_test, predictions) -> None:
                        len(predictions))
 
 
-def _documents(table, config: PipelineConfig) -> list[list[str]]:
+def _documents(table, config: PipelineConfig):
     if config.feature_source == "event_ids":
         if "event_ids" in table:
             return features.render_event_ids(table["event_ids"])
@@ -410,9 +410,8 @@ def _documents(table, config: PipelineConfig) -> list[list[str]]:
         ids, rows = np.unique(table["e_event_id"], return_inverse=True)
         terms = [[f"e{e}"] for e in ids.tolist()]
         return list(map(terms.__getitem__, rows.tolist()))
-    # the token lists are shared, not copied: no featurizer or detector
-    # mutates its documents
-    return list(table["words" if "words" in table else "e_words"])
+    # the token column itself: no featurizer or detector mutates documents
+    return table["words" if "words" in table else "e_words"]
 
 
 def _detect(config: PipelineConfig, train, test, train_docs, test_docs,

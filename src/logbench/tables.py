@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import re
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -53,8 +54,87 @@ def object_column(values: Sequence) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
 
 
+class TokenColumn:
+    """A column of token lists held as codes over one dictionary.
+
+    ``tokens`` holds each distinct token once; entry ``e`` is the list
+    ``tokens[c]`` for ``c`` in ``codes[offsets[e]:offsets[e + 1]]``, and
+    row ``i`` holds entry ``rows[i]``, so rows with equal messages share an
+    entry. ``col[i]`` is a new ``list[str]``; ``col[indices]`` gathers rows
+    over the same codes. Tables treat it as an object column of str lists.
+    """
+
+    dtype = np.dtype(object)
+
+    def __init__(self, tokens: list, codes, offsets, rows):
+        self.tokens = tokens
+        self.codes = _freeze(np.asarray(codes))
+        self.offsets = _freeze(np.asarray(offsets, dtype=np.int64))
+        self.rows = _freeze(np.asarray(rows))
+
+    @classmethod
+    def of(cls, lists) -> "TokenColumn":
+        """A token column as it is, or token lists coded, an entry each."""
+        if isinstance(lists, TokenColumn):
+            return lists
+        lists = list(lists)
+        tokens, codes = _first_seen_codes(list(chain.from_iterable(lists)))
+        offsets = np.cumsum([0, *map(len, lists)])
+        return cls(tokens, codes, offsets, np.arange(len(lists)))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            e = self.rows[key]
+            return list(map(self.tokens.__getitem__, self.codes[
+                self.offsets[e]:self.offsets[e + 1]].tolist()))
+        return TokenColumn(self.tokens, self.codes, self.offsets,
+                           self.rows[key])
+
+    def __iter__(self):
+        return map(self.reader(), range(len(self)))
+
+    def reader(self):
+        """A function building row ``i``'s list, faster than ``col[i]``."""
+        words = object_column(self.tokens)[self.codes].tolist()
+        bounds, rows = self.offsets.tolist(), self.rows.tolist()
+        return lambda i: words[bounds[rows[i]]:bounds[rows[i] + 1]]
+
+    def tolist(self, cell=None) -> list:
+        """Every row's token list, or ``cell`` of it. ``cell`` runs once
+        per entry, and rows sharing an entry share its (read-only) list."""
+        _, first, rows = np.unique(self.rows, return_index=True,
+                                   return_inverse=True)
+        cells = list(map(self.reader(), first.tolist()))
+        if cell is not None:
+            cells = list(map(cell, cells))
+        return list(map(cells.__getitem__, rows.tolist()))
+
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of all rows in row order, and each row's length."""
+        starts = self.offsets[self.rows]
+        lengths = np.diff(self.offsets)[self.rows]
+        if lengths.max(initial=0) <= 1:  # no run longer than one code
+            return self.codes[starts[lengths > 0]], lengths
+        # position k of row j's run reads codes[starts[j] + k]
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return self.codes[np.arange(len(shift)) + shift], lengths
+
+    def concat(self, counts) -> "TokenColumn":
+        """One row per run of ``counts[g]`` rows, joining their tokens."""
+        codes, lengths = self.flat()
+        ends = np.concatenate(([0], np.cumsum(lengths)))
+        return TokenColumn(self.tokens, codes,
+                           ends[np.concatenate(([0], np.cumsum(counts)))],
+                           np.arange(len(counts), dtype=np.int32))
+
+
 def _coerce_column(values) -> np.ndarray:
     """Bring a column candidate into one of the supported array dtypes."""
+    if isinstance(values, TokenColumn):
+        return values
     if isinstance(values, np.ndarray):
         arr = values
         if arr.ndim != 1:
@@ -86,7 +166,7 @@ def _coerce_column(values) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     try:
         arr.flags.writeable = False
-    except ValueError:
+    except (ValueError, AttributeError):  # a TokenColumn freezes its own
         pass
     return arr
 
@@ -289,7 +369,7 @@ def _encode_cells(arr: np.ndarray, tag: str) -> tuple[list, np.ndarray]:
 
     Strings are keyed by value. List rows are keyed by their JSON text,
     which keeps ``[1]``, ``[True]`` and ``[1.0]`` apart; it is computed
-    once per distinct list object.
+    once per distinct list object (per entry of a ``TokenColumn``).
     """
     cells = arr.tolist()
     if tag == _TAG_STR:
@@ -351,6 +431,8 @@ def _csv_cells(arr: np.ndarray) -> list[str]:
             arr.view(np.int64).astype(str), " microseconds"))
         cells[np.isnat(arr)] = ""
         return cells.tolist()
+    if isinstance(arr, TokenColumn):
+        return arr.tolist(" ".join)
     vals = arr.tolist()
     if kind != "O":
         return list(map(str, vals))
@@ -428,7 +510,7 @@ def _null_mask(arr: np.ndarray) -> np.ndarray:
         return np.isnat(arr)
     if kind == "f":
         return np.isnan(arr)
-    if kind == "O":
+    if kind == "O" and not isinstance(arr, TokenColumn):  # no None cells
         cells = arr.tolist()
         try:
             # `in` tests identity before ==, so False means no None cell

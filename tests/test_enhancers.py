@@ -1,3 +1,4 @@
+import gc
 import warnings
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from logbench.enhancers import (add_event_ids, add_ngram_scores,
                                 add_normalized, add_tokens,
                                 aggregate_sequences)
+from logbench.loaders import LoaderSpec, load
 from logbench.masking import default_rules
 from logbench.ngram import ngram_train
 from logbench.parsers import DrainParser
+from logbench.synth import generate_synthetic
 from logbench.tables import EventTable, SequenceTable
 
 
@@ -192,3 +195,29 @@ def test_add_ngram_scores():
     with pytest.raises(ValueError):
         add_ngram_scores(SequenceTable({"seq_id": ["a"], "seq_len": [1]}),
                          model)
+
+
+def _tracked_objects_held(events, normalized):
+    """GC-tracked objects that the token and sequence tables built from
+    ``events`` hold while they are alive."""
+    gc.collect()
+    before = len(gc.get_objects())
+    words = add_tokens(add_normalized(events) if normalized else events)
+    sequences = aggregate_sequences(words)
+    gc.collect()
+    held = len(gc.get_objects()) - before
+    del words, sequences
+    return held
+
+
+@pytest.mark.parametrize("normalized", [True, False],
+                         ids=["normalize-tokenize", "tokenize"])
+def test_token_tables_hold_no_objects_per_row(tmp_path, normalized):
+    held = {}
+    for n in (2_000, 20_000):
+        paths = generate_synthetic(tmp_path / str(n), format="hdfs",
+                                   n_templates=10, n_lines=n, seed=5)
+        events, _ = load(LoaderSpec("hdfs", paths["log"]))
+        _tracked_objects_held(events, normalized)  # first calls may cache
+        held[n] = _tracked_objects_held(events, normalized)
+    assert held[20_000] <= held[2_000] < 100, held

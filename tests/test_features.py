@@ -7,6 +7,8 @@ from scipy import sparse
 
 from logbench.features import (FeatureMatrix, Vocabulary, fit_vocabulary,
                                render_event_ids, vectorize)
+from logbench.masking import token_column
+from logbench.tables import TokenColumn
 
 
 def test_vocabulary_first_seen_order():
@@ -145,6 +147,33 @@ def test_vectorize_against_brute_force():
                     sum(cnt for t, cnt in c.items() if t not in vocab.index)
                 if not binary:
                     assert dense[i].sum() + fm.oov_counts[i] == len(doc)
+
+
+def _coded_variants(docs, other):
+    """``docs`` as token columns: coded alone; split from text; and taken
+    from a column over ``other + docs``, whose dictionary holds unused
+    tokens in an order that is not the first-seen order of ``docs``."""
+    yield TokenColumn.of(docs)
+    yield token_column([" ".join(d) for d in docs])
+    both = TokenColumn.of(list(other)[::-1] + docs)
+    yield both[np.arange(len(other), len(other) + len(docs))]
+
+
+def test_coded_documents_featurize_like_lists():
+    rng = random.Random(11)
+    for train, test, min_count, binary in _cases(rng):
+        want_vocab = fit_vocabulary(train, min_count=min_count)
+        for coded in _coded_variants(train, test):
+            assert len(coded) == len(train)
+            vocab = fit_vocabulary(coded, min_count=min_count)
+            assert list(vocab.index.items()) == \
+                list(want_vocab.index.items())
+            assert vocab.fitted_on == len(train)
+        for docs in (test, train):
+            want = vectorize(docs, want_vocab, binary=binary)
+            for coded in _coded_variants(docs, train):
+                _assert_same_features(
+                    vectorize(coded, want_vocab, binary=binary), want)
 
 
 def test_render_event_ids():

@@ -114,6 +114,17 @@ def test_hdfs_labels_strictness(tmp_path):
         read_hdfs_labels(p)
 
 
+def test_hdfs_labels_row_without_label_names_file_and_line(tmp_path):
+    p = tmp_path / "labels.csv"
+    p.write_text("BlockId,Label\nblk_1,Normal\nblk_2\n")
+    with pytest.raises(ValueError, match=r"labels\.csv:3: expected "
+                       r"BlockId,Label, got 'blk_2'"):
+        read_hdfs_labels(p)
+    p.write_text("BlockId,Label\nblk_1,maybe\n")
+    with pytest.raises(ValueError, match=r"labels\.csv:2: label must be"):
+        read_hdfs_labels(p)
+
+
 def test_hdfs_leading_garbage_dropped(tmp_path):
     p = tmp_path / "t.log"
     p.write_text("no timestamp here\n"

@@ -291,3 +291,68 @@ def test_pattern_with_tab_in_it(tmp_path):
     rules = load_masking_rules(p)
     assert rules[0].token == "<T>"
     assert rules[0].pattern == "a\\tb\td"
+
+
+_PARITY_MESSAGES = [
+    "send 100 bytes", "a\tb  c", "  lead and trail  ", "", "", " ",
+    "tab\t\tend\t", "x\x1cy 7", "\x1c", "no\xa0break 0xff", "\xa0",
+    "a b  c", "send 100 bytes", "10.0.0.1 a\t5", "ü 12 ü",
+    "cr\rlf 3", "blk_-42 x", "trailing\t"]
+
+_PARITY_RULES = {
+    "defaults": default_rules(),
+    # token-local, and it rewrites the tabs that split tokens
+    "tab-rule": [MaskingRule(r"\t", "<TAB>"), MaskingRule(r"\d+", "<N>")],
+    # not token-local: normalize masks whole messages instead of chunks
+    "non-token-local": [MaskingRule(r"a b", "<AB>"),
+                        MaskingRule(r"\s\d+", "<SN>")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PARITY_RULES))
+def test_token_codes_match_split_of_masked_text(name):
+    from logbench.enhancers import add_normalized, add_tokens
+    from logbench.tables import EventTable
+
+    rules = _PARITY_RULES[name]
+    assert all(r.token_local for r in rules) == (name != "non-token-local")
+    msgs = _PARITY_MESSAGES
+    expected = [split_tokens(mask_one(m, rules)) for m in msgs]
+    out = normalize(msgs, rules)
+    assert out == [mask_one(m, rules) for m in msgs]
+    if name == "non-token-local":
+        assert out.tokens is None
+    else:
+        assert [out.tokens[i] for i in range(len(msgs))] == expected
+        assert out.tokens.tolist() == expected
+    table = EventTable({"m_message": msgs, "m_timestamp": [0] * len(msgs)})
+    words = add_tokens(add_normalized(table, rules))["e_words"]
+    assert [words[i] for i in range(len(msgs))] == expected
+    assert list(words) == expected
+    # tokenize alone splits the raw messages
+    raw = add_tokens(table)["e_words"]
+    assert [raw[i] for i in range(len(msgs))] == \
+        [split_tokens(m) for m in msgs]
+    assert tokenize(msgs) == [split_tokens(m) for m in msgs]
+
+
+def test_tokenize_after_normalize_takes_its_codes(monkeypatch):
+    from logbench import masking
+    from logbench.enhancers import add_normalized, add_tokens
+    from logbench.tables import EventTable
+
+    table = EventTable({"m_message": _PARITY_MESSAGES,
+                        "m_timestamp": [0] * len(_PARITY_MESSAGES)})
+    normalized = add_normalized(table)
+
+    def no_split(messages):
+        raise AssertionError("the normalized text was split again")
+    monkeypatch.setattr(masking, "token_column", no_split)
+    words = add_tokens(normalized)["e_words"]
+    assert list(words) == [split_tokens(m) for m in
+                           normalized["e_message_normalized"]]
+    # a replaced text column has no codes, so it is split
+    replaced = normalized.with_column("e_message_normalized",
+                                      list(normalized["m_message"]))
+    with pytest.raises(AssertionError, match="split again"):
+        add_tokens(replaced)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from logbench.cli import main
-from logbench.tables import (EventTable, SequenceTable, Table, _null_mask,
-                             object_column, split_train_test,
+from logbench.tables import (EventTable, SequenceTable, Table, TokenColumn,
+                             _null_mask, object_column, split_train_test,
                              validate_event_table)
 
 
@@ -706,3 +706,45 @@ def test_split_property_loop():
             list(range(n))
         if "seq_id" in cols:
             assert not (set(train["seq_id"]) & set(test["seq_id"]))
+
+
+_ENTRIES = [["a", "b,c"], ['"q"', "\u00fc"], [], ["a", "b,c"], ["x"],
+            ["line\r\nbreak", "y"]]
+
+
+@pytest.mark.parametrize("entries,rows", [
+    # shared entries, an unused one, and two entries of equal content
+    (_ENTRIES, [0, 1, 2, 0, 3, 4, 1, 2, 3]),
+    # rows not in first-seen order of their entries
+    (_ENTRIES, [4, 2, 0, 4, 1]),
+    # only empty lists: tagged as an int list column, as lists would be
+    ([[], ["z"]], [0, 0]),
+    ([["z"]], []),
+], ids=["shared", "reordered", "all-empty", "zero-rows"])
+def test_token_column_io_matches_list_column(tmp_path, entries, rows):
+    coded = TokenColumn.of(entries)[np.asarray(rows, dtype=np.int64)]
+    listed = object_column([list(entries[r]) for r in rows])
+    base = {"m_message": [f"m{i}" for i in range(len(rows))],
+            "m_timestamp": np.arange(len(rows)).astype("datetime64[us]")}
+    a = EventTable({**base, "e_words": coded})
+    b = EventTable({**base, "e_words": listed})
+    assert a["e_words"] is coded
+    assert [coded[i] for i in range(len(rows))] == list(listed)
+    assert a.equals(b) and b.equals(a)
+    for name, t in (("a", a), ("b", b)):
+        t.save(tmp_path / f"{name}.table.json")
+        t.write_csv(tmp_path / f"{name}.csv")
+    for ext in (".table.json", ".csv"):
+        assert (tmp_path / f"a{ext}").read_bytes() == \
+            (tmp_path / f"b{ext}").read_bytes()
+    for name in "ab":
+        back = Table.load(tmp_path / f"{name}.table.json")
+        assert back.equals(a) and back.equals(b)
+    pick = np.asarray([len(rows) - 1, 0], dtype=np.int64) if rows \
+        else np.zeros(0, dtype=np.int64)
+    assert isinstance(a.take(pick)["e_words"], TokenColumn)
+    assert a.take(pick)["e_words"].codes is coded.codes  # codes not copied
+    assert a.take(pick).equals(b.take(pick))
+    assert a.head(2).equals(b.head(2))
+    assert not _null_mask(coded).any()
+    assert validate_event_table(a).is_valid
