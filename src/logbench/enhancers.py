@@ -22,8 +22,8 @@ _TOKENS_OF = "e_tokens_of"
 
 
 def _tokens_of(events: Table, source: str):
-    """The token column coded from ``events[source]``, or None: ``meta``
-    holds a text column, by identity, and the tokens coded from it."""
+    """What ``meta`` holds for ``events[source]`` (by identity), or None:
+    the token column coded from it, or the ``masking.Normalized`` it is."""
     held = events.meta.get(_TOKENS_OF)
     return held[1] if held and held[0]() is events[source] else None
 
@@ -33,9 +33,8 @@ def add_normalized(events: Table, rules=None,
     """Masked copy of the message column as ``e_message_normalized``."""
     normalized = masking.normalize(events[column], rules)
     out = events.with_column("e_message_normalized", normalized)
-    if normalized.tokens is not None:
-        out.meta[_TOKENS_OF] = (weakref.ref(out["e_message_normalized"]),
-                                normalized.tokens)
+    out.meta[_TOKENS_OF] = (weakref.ref(out["e_message_normalized"]),
+                            normalized)
     return out
 
 
@@ -49,6 +48,8 @@ def add_tokens(events: Table) -> Table:
     (as ``normalize`` coded them, when it coded that very column)."""
     source = _text_source(events)
     tokens = _tokens_of(events, source)
+    if isinstance(tokens, masking.Normalized):
+        tokens = tokens.tokens
     if tokens is None:
         tokens = masking.token_column(events[source])
     out = events.with_column("e_words", tokens)

@@ -297,18 +297,17 @@ def read_hdfs_labels(path) -> dict[str, bool]:
         for row in reader:
             if not row:
                 continue
-            where = f"{path}:{reader.line_num}"
             if len(row) < 2:
-                raise ValueError(f"{where}: expected BlockId,Label, "
-                                 f"got {','.join(row)!r}")
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"BlockId,Label, got {','.join(row)!r}")
             value = row[1].strip().lower()
             if value == "anomaly":
                 labels[row[0].strip()] = True
             elif value == "normal":
                 labels[row[0].strip()] = False
             else:
-                raise ValueError(f"{where}: label must be Normal or "
-                                 f"Anomaly, got {row[1]!r}")
+                raise ValueError(f"{path}:{reader.line_num}: label must be "
+                                 f"Normal or Anomaly, got {row[1]!r}")
     return labels
 
 

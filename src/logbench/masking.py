@@ -14,13 +14,14 @@ Otherwise each distinct message is masked once. Either way the result is
 mapped back to every row; the output is exactly
 ``[mask_one(m, rules) for m in messages]``.
 
-The chunk pass also codes the tokens of every message (``TokenColumn``),
-splitting each distinct masked chunk once, so ``tokenize`` need not.
+The chunk pass also keeps what it needs to code every message's tokens on
+request (``TokenColumn``), splitting each distinct masked chunk once.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 import numpy as np
 
@@ -140,8 +141,10 @@ def _distinct(messages) -> tuple[list[str], np.ndarray]:
 
 
 class Normalized(list):
-    """Masked messages, with their token column as ``tokens`` or None."""
-    tokens = None
+    """Masked messages. ``tokens`` is their token column, coded on first
+    read from what the chunk pass kept, or None when it did not run."""
+    _code = None
+    tokens = cached_property(lambda self: self._code and self._code())
 
 
 def normalize(messages, rules: list[MaskingRule] | None = None) -> Normalized:
@@ -156,8 +159,8 @@ def normalize(messages, rules: list[MaskingRule] | None = None) -> Normalized:
       distinct messages are split on single spaces, each distinct chunk is
       masked once and every message is rebuilt from its masked chunks. Logs
       whose messages are nearly all distinct still share few chunks, so this
-      is the fast path for the built-in rules. It also fills ``tokens``
-      with ``token_column`` of the result.
+      is the fast path for the built-in rules. It also keeps what
+      ``tokens`` needs to code the result without splitting it again.
     - Otherwise each distinct message is masked once. When every rule is
       blob-safe and no message contains a newline, the rules run once over a
       newline-joined blob of the distinct messages; else a per-message loop.
@@ -165,23 +168,22 @@ def normalize(messages, rules: list[MaskingRule] | None = None) -> Normalized:
     if rules is None:
         rules = default_rules()
     distinct, rows = _distinct(messages)
-    masked = tokens = None
+    masked = code = None
     if rules and all(r.token_local for r in rules):
-        masked, tokens = _normalize_chunks(distinct, rules)
+        masked, code = _normalize_chunks(distinct, rules)
     if masked is None:
         masked = _normalize_distinct(distinct, rules)
     out = Normalized(masked if len(distinct) == len(rows)
                      else map(masked.__getitem__, rows.tolist()))
-    if tokens is not None:
-        out.tokens = tokens[rows]
+    out._code = code and (lambda: code()[rows])
     return out
 
 
 def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
     """Mask each distinct space-delimited chunk of ``msgs`` once.
 
-    Every rule must be token-local. Returns the masked messages and their
-    token column, one row per message, or (None, None) when a message
+    Every rule must be token-local. Returns the masked messages and a
+    function coding their token column, or (None, None) when a message
     contains a newline or the rebuilt rows do not line up with ``msgs``.
     """
     blob = "\n".join(msgs)
@@ -201,16 +203,19 @@ def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
         .replace(" \n ", "\n").split("\n")
     if len(out) != len(msgs):
         return None, None
-    # a message's tokens are its chunks' tokens in order (spaces separate
-    # tokens); the "\n" chunk ending each message but the last has none
-    pieces, piece_of = _first_seen_codes(masked)
-    per_message = np.diff(np.concatenate((
-        [0], np.flatnonzero(ids == nl) + 1, [len(ids)])))
-    tokens = TokenColumn.of(map(split_tokens, pieces))[piece_of[ids]] \
-        .concat(per_message)
-    # one entry per distinct masked message, not per distinct raw message
-    _, entry_of = _first_seen_codes(out)
-    return out, tokens[np.unique(entry_of, return_index=True)[1][entry_of]]
+
+    def code() -> TokenColumn:
+        # a message's tokens are its chunks' in order; the "\n" chunk
+        # ending each message but the last has none
+        pieces, piece_of = _first_seen_codes(masked)
+        per_message = np.diff(np.concatenate((
+            [0], np.flatnonzero(ids == nl) + 1, [len(ids)])))
+        tokens = TokenColumn.of(map(split_tokens, pieces))[piece_of[ids]] \
+            .concat(per_message)
+        # one entry per distinct masked message, not per distinct raw one
+        _, entry_of = _first_seen_codes(out)
+        return tokens[np.unique(entry_of, return_index=True)[1][entry_of]]
+    return out, code
 
 
 def _normalize_distinct(msgs: list[str], rules: list[MaskingRule]) -> list[str]:

@@ -29,10 +29,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from itertools import repeat
 from operator import eq
 
 from .masking import MaskingRule, mask_one, split_tokens
-from .tables import TokenColumn
 
 WILDCARD = "<*>"
 
@@ -155,13 +155,12 @@ class _ParserBase:
         Same ids and store as calling ``parse_one`` on each message in turn.
         ``tokens``, when given, holds one list per message: exactly what
         ``parse_one`` would prepare from it, the parser's own masking
-        included. On a memo miss the message is mined from ``tokens[i]``
-        instead of being split again. The lists are only read.
+        included. A message missing from the memo is then mined from its
+        list instead of being split again. The lists are only read.
         """
         if tokens is not None and len(tokens) != len(messages):
             raise ValueError(f"{len(tokens)} token lists for "
                              f"{len(messages)} messages")
-        read = None if tokens is None else TokenColumn.of(tokens).reader()
         memo = self._memo
         if self._memo_version != self._version:
             memo.clear()
@@ -170,11 +169,12 @@ class _ParserBase:
         prepare = self._prepare
         ids = []
         append = ids.append
-        for i, m in enumerate(messages):
+        for m, toks in zip(messages,
+                           repeat(None) if tokens is None else tokens):
             event_id = memo.get(m)
             if event_id is None:
                 version = self._version
-                event_id = mine(prepare(m) if read is None else read(i))
+                event_id = mine(prepare(m) if toks is None else toks)
                 if self._version == version:
                     memo[m] = event_id
                 else:

@@ -19,7 +19,7 @@ import numpy as np
 from . import detectors, enhancers, features, loaders, masking
 from .ngram import ngram_train
 from .parsers import PARSERS, make_parser
-from .tables import split_train_test, validate_event_table
+from .tables import TokenColumn, split_train_test, validate_event_table
 
 logger = logging.getLogger("logbench.pipeline")
 
@@ -406,10 +406,10 @@ def _documents(table, config: PipelineConfig):
     if config.feature_source == "event_ids":
         if "event_ids" in table:
             return features.render_event_ids(table["event_ids"])
-        # one shared one-term list per distinct id, read-only like tokens
+        # one entry per distinct id, of its one term, coded once
         ids, rows = np.unique(table["e_event_id"], return_inverse=True)
-        terms = [[f"e{e}"] for e in ids.tolist()]
-        return list(map(terms.__getitem__, rows.tolist()))
+        return TokenColumn([f"e{e}" for e in ids.tolist()],
+                           np.arange(len(ids)), np.arange(len(ids) + 1), rows)
     # the token column itself: no featurizer or detector mutates documents
     return table["words" if "words" in table else "e_words"]
 

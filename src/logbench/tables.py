@@ -55,12 +55,10 @@ def object_column(values: Sequence) -> np.ndarray:
 
 
 class TokenColumn:
-    """A column of token lists held as codes over one dictionary.
-
-    ``tokens`` holds each distinct token once; entry ``e`` is the list
-    ``tokens[c]`` for ``c`` in ``codes[offsets[e]:offsets[e + 1]]``, and
-    row ``i`` holds entry ``rows[i]``, so rows with equal messages share an
-    entry. ``col[i]`` is a new ``list[str]``; ``col[indices]`` gathers rows
+    """A column of token lists held as codes over one dictionary: entry
+    ``e`` is ``tokens[c]`` for ``c`` in ``codes[offsets[e]:offsets[e + 1]]``
+    and row ``i`` holds entry ``rows[i]`` (rows with equal messages share
+    one). ``col[i]`` is a new ``list[str]``; ``col[indices]`` gathers rows
     over the same codes. Tables treat it as an object column of str lists.
     """
 
@@ -94,30 +92,21 @@ class TokenColumn:
                            self.rows[key])
 
     def __iter__(self):
-        return map(self.reader(), range(len(self)))
-
-    def reader(self):
-        """A function building row ``i``'s list, faster than ``col[i]``."""
-        words = object_column(self.tokens)[self.codes].tolist()
-        bounds, rows = self.offsets.tolist(), self.rows.tolist()
-        return lambda i: words[bounds[rows[i]]:bounds[rows[i] + 1]]
+        return iter(self.tolist())
 
     def tolist(self, cell=None) -> list:
         """Every row's token list, or ``cell`` of it. ``cell`` runs once
         per entry, and rows sharing an entry share its (read-only) list."""
-        _, first, rows = np.unique(self.rows, return_index=True,
-                                   return_inverse=True)
-        cells = list(map(self.reader(), first.tolist()))
-        if cell is not None:
-            cells = list(map(cell, cells))
-        return list(map(cells.__getitem__, rows.tolist()))
+        words = object_column(self.tokens)[self.codes].tolist()
+        bounds = self.offsets.tolist()
+        cells = [words[a:b] for a, b in zip(bounds, bounds[1:])]
+        cells = cells if cell is None else list(map(cell, cells))
+        return list(map(cells.__getitem__, self.rows.tolist()))
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """The codes of all rows in row order, and each row's length."""
         starts = self.offsets[self.rows]
         lengths = np.diff(self.offsets)[self.rows]
-        if lengths.max(initial=0) <= 1:  # no run longer than one code
-            return self.codes[starts[lengths > 0]], lengths
         # position k of row j's run reads codes[starts[j] + k]
         shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
         return self.codes[np.arange(len(shift)) + shift], lengths

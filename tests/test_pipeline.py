@@ -377,7 +377,11 @@ def test_event_id_documents_share_one_list_per_id():
     ids = np.asarray([7, 3, 7, 12, 3, 7], dtype=np.int64)
     table = EventTable({"m_message": ["m"] * 6, "e_event_id": ids})
     docs = _documents(table, SimpleNamespace(feature_source="event_ids"))
-    assert docs == [[f"e{e}"] for e in ids.tolist()]
+    # a token column: each distinct id's term is coded once
+    assert sorted(docs.tokens) == ["e12", "e3", "e7"]
+    assert list(docs) == [[f"e{e}"] for e in ids.tolist()]
+    lists = docs.tolist()
+    assert lists == [[f"e{e}"] for e in ids.tolist()]
     for i in range(6):
         for j in range(6):
-            assert (docs[i] is docs[j]) == (ids[i] == ids[j])
+            assert (lists[i] is lists[j]) == (ids[i] == ids[j])
