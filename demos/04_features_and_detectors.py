@@ -3,8 +3,9 @@
 Two supervised models (logistic regression, decision tree) learn from
 labeled training sequences; two unsupervised ones (k-means distance,
 isolation forest) fit the training distribution and flag the far tail; two
-vocabulary models (out-of-vocabulary rate, token rarity) need no matrix at
-all. All detectors share one evaluation report format.
+term-statistics models (out-of-vocabulary rate, term rarity) score from the
+matrix's column sums and out-of-vocabulary counts. All six read the same
+matrices and share one evaluation report format.
 """
 
 import argparse
@@ -50,12 +51,12 @@ def main():
                 X_train, kind, seed=0, contamination=contamination)
             pred, scores = model.predict(X_test), model.score(X_test)
         elif kind == "oov":
-            model = detectors.OOVDetector(0.0).fit(train_docs)
-            scores = model.score(test_docs)
+            model = detectors.OOVDetector(0.0).fit(X_train)
+            scores = model.score(X_test)
             pred = scores > 0.0
         else:
-            model = detectors.RarityDetector().fit(train_docs)
-            scores = model.score(test_docs)
+            model = detectors.RarityDetector().fit(X_train)
+            scores = model.score(X_test)
             pred = detectors.scores_to_labels(scores, contamination)
         rep = evaluate(pred, test["label"], scores=scores)
         auc = "n/a" if rep.auc_roc is None else f"{rep.auc_roc:.3f}"

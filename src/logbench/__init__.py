@@ -26,8 +26,7 @@ from .parsers import DrainParser, LenMaParser, SpellParser, TemplateStore
 from .ngram import NGramModel, ngram_score, ngram_train
 from .enhancers import (add_event_ids, add_ngram_scores, add_normalized,
                         add_tokens, aggregate_sequences)
-from .features import (FeatureMatrix, Vocabulary, fit_vocabulary,
-                       render_event_ids, vectorize)
+from .features import FeatureMatrix, Vocabulary, fit_vocabulary, vectorize
 from .detectors import (DecisionTreeDetector, EvalReport,
                         IsolationForestDetector, KMeansDetector,
                         LogisticRegressionDetector, OOVDetector,
@@ -53,8 +52,7 @@ __all__ = [
     "NGramModel", "ngram_score", "ngram_train",
     "add_event_ids", "add_ngram_scores", "add_normalized", "add_tokens",
     "aggregate_sequences",
-    "FeatureMatrix", "Vocabulary", "fit_vocabulary", "render_event_ids",
-    "vectorize",
+    "FeatureMatrix", "Vocabulary", "fit_vocabulary", "vectorize",
     "DecisionTreeDetector", "EvalReport", "IsolationForestDetector",
     "KMeansDetector", "LogisticRegressionDetector", "OOVDetector",
     "RarityDetector", "auc_roc", "evaluate", "load_model", "save_model",

@@ -8,6 +8,7 @@ headline number; single timings on shared hardware are noise.
 from __future__ import annotations
 
 import logging
+import statistics
 import time
 from pathlib import Path
 
@@ -29,10 +30,7 @@ class BenchRow:
 
     @property
     def median(self) -> float:
-        s = sorted(self.seconds)
-        n = len(s)
-        mid = n // 2
-        return s[mid] if n % 2 else 0.5 * (s[mid - 1] + s[mid])
+        return statistics.median(self.seconds)
 
     @property
     def min(self) -> float:

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from . import bench, loaders, synth
+from .parsers import PARSERS
 from .pipeline import (ConfigError, PipelineConfig, StageError, load_rules,
                        run_chain, run_pipeline, validate_chain)
 from .tables import Table, validate_event_table
@@ -146,6 +147,11 @@ def _bench_messages(args):
 
 
 def _cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError("--repeats must be at least 1")
+    kinds = [k.strip() for k in args.parsers.split(",") if k.strip()]
+    if not kinds or not set(kinds) <= PARSERS.keys():
+        raise ConfigError(f"--parsers must name parsers of {sorted(PARSERS)}")
     if args.task == "loading":
         if not args.log or not args.format:
             raise ConfigError("bench loading needs --format and --log")
@@ -154,11 +160,9 @@ def _cmd_bench(args) -> int:
                  for p in args.log]
         report = bench.bench_loading(specs, repeats=args.repeats)
     elif args.task == "parsers":
-        kinds = [k.strip() for k in args.parsers.split(",") if k.strip()]
         report = bench.bench_parsers(_bench_messages(args), kinds,
                                      repeats=args.repeats)
     else:
-        kinds = [k.strip() for k in args.parsers.split(",") if k.strip()]
         report = bench.bench_masking_offload(_bench_messages(args),
                                              parser=kinds[0],
                                              repeats=args.repeats)

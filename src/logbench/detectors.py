@@ -3,10 +3,12 @@
 Supervised models (logistic regression, decision tree) learn from labeled
 rows; unsupervised models (k-means distance, isolation forest) produce scores
 and get their decision threshold from a contamination quantile frozen at fit
-time. Two token-statistics detectors (out-of-vocabulary fraction, rarity)
-work directly on documents without a feature matrix. Everything here is
-implemented with numpy and scipy.sparse; no external learning library is
-involved.
+time. Two term-statistics detectors (out-of-vocabulary fraction, rarity)
+read the same feature matrix: column sums at fit time, one value per
+vocabulary term plus the row's oov count at score time. Given documents
+instead, they count them against the documents' own vocabulary first.
+Everything here is implemented with numpy and scipy.sparse; no external
+learning library is involved.
 
 The matrix detectors are sparse-native: they take dense or sparse input,
 convert it once to a float64 CSR without duplicate entries, and never
@@ -28,12 +30,12 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from collections import Counter
 
 import numpy as np
 from scipy import sparse
 
-from .features import FeatureMatrix
+from .features import FeatureMatrix, fit_vocabulary, vectorize
+from .tables import TokenColumn
 
 SUPERVISED_KINDS = ("lr", "dt")
 UNSUPERVISED_KINDS = ("kmeans", "iforest")
@@ -855,11 +857,37 @@ class IsolationForestDetector:
 
 
 # ---------------------------------------------------------------------------
-# token statistics detectors
+# term statistics detectors
+
+
+def _as_features(X) -> FeatureMatrix:
+    """X as it is, or documents counted against their own vocabulary."""
+    if isinstance(X, FeatureMatrix):
+        return X
+    docs = TokenColumn.of(X)
+    return vectorize(docs, fit_vocabulary(docs))
+
+
+def _term_counts(X) -> dict[str, int]:
+    """The column sum of each vocabulary term the matrix counts at all."""
+    X = _as_features(X)
+    sums = np.asarray(X.matrix.sum(axis=0)).ravel()
+    return {t: c for t, c in zip(X.vocabulary.terms, sums.tolist()) if c}
+
+
+def _mean_term_value(X, value, oov_value: float) -> np.ndarray:
+    """Each row's mean of ``value(term)``, looked up once per vocabulary
+    term, with ``oov_value`` for each oov term; 0.0 for an empty row."""
+    X = _as_features(X)
+    per_term = np.fromiter(map(value, X.vocabulary.terms), np.float64)
+    lengths = np.asarray(X.matrix.sum(axis=1)).ravel() + X.oov_counts
+    sums = X.matrix @ per_term + X.oov_counts * oov_value
+    return np.divide(sums, lengths, out=np.zeros(len(lengths)),
+                     where=lengths > 0)
 
 
 class OOVDetector:
-    """Score = fraction of a document's tokens never seen in training."""
+    """Score = fraction of a document's terms never seen in training."""
 
     kind = "oov"
 
@@ -867,26 +895,15 @@ class OOVDetector:
         self.threshold = threshold
         self.vocabulary: set[str] = set()
 
-    def fit(self, documents, seed: int = 0):
-        vocab = set()
-        for doc in documents:
-            vocab.update(doc)
-        self.vocabulary = vocab
+    def fit(self, X, seed: int = 0):
+        self.vocabulary = set(_term_counts(X))
         return self
 
-    def score(self, documents) -> np.ndarray:
-        vocab = self.vocabulary
-        out = []
-        for doc in documents:
-            if len(doc) == 0:
-                out.append(0.0)
-                continue
-            misses = sum(1 for t in doc if t not in vocab)
-            out.append(misses / len(doc))
-        return np.asarray(out, dtype=np.float64)
+    def score(self, X) -> np.ndarray:
+        return _mean_term_value(X, lambda t: t not in self.vocabulary, 1.0)
 
-    def predict(self, documents) -> np.ndarray:
-        return self.score(documents) > self.threshold
+    def predict(self, X) -> np.ndarray:
+        return self.score(X) > self.threshold
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "threshold": self.threshold,
@@ -900,11 +917,11 @@ class OOVDetector:
 
 
 class RarityDetector:
-    """Mean negative log frequency of a document's tokens.
+    """Mean negative log frequency of a document's terms.
 
-    Token frequency uses add-one smoothing over the training totals, so an
-    unseen token contributes -log(1 / (T + V)) where T is the training token
-    count and V the distinct-token count. Higher scores mean rarer content.
+    Term frequency uses add-one smoothing over the training totals, so an
+    unseen term contributes -log(1 / (T + V)) where T is the training term
+    count and V the distinct-term count. Higher scores mean rarer content.
     """
 
     kind = "rarity"
@@ -914,30 +931,19 @@ class RarityDetector:
         self.total = 0
         self.distinct = 0
 
-    def fit(self, documents, seed: int = 0):
-        counts: Counter = Counter()
-        for doc in documents:
-            counts.update(doc)
-        self.counts = dict(counts)
-        self.total = sum(counts.values())
-        self.distinct = len(counts)
+    def fit(self, X, seed: int = 0):
+        self.counts = _term_counts(X)
+        self.total = sum(self.counts.values())
+        self.distinct = len(self.counts)
         return self
 
-    def score(self, documents) -> np.ndarray:
-        denom = self.total + self.distinct
-        if denom == 0:
-            return np.zeros(sum(1 for _ in documents), dtype=np.float64)
-        counts = self.counts
-        out = []
-        for doc in documents:
-            if len(doc) == 0:
-                out.append(0.0)
-                continue
-            acc = 0.0
-            for t in doc:
-                acc -= math.log((counts.get(t, 0) + 1) / denom)
-            out.append(acc / len(doc))
-        return np.asarray(out, dtype=np.float64)
+    def score(self, X) -> np.ndarray:
+        counts, denom = self.counts, self.total + self.distinct
+        # with nothing counted in training, every term scores 0
+        unseen = -math.log(1 / denom) if denom else 0.0
+        return _mean_term_value(
+            X, lambda t: -math.log((counts[t] + 1) / denom) if t in counts
+            else unseen, unseen)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "total": self.total,

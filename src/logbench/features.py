@@ -1,11 +1,13 @@
 """Bag-of-words features over token or event-id documents.
 
 A document is a list of string terms: the token list of a message, the
-concatenated tokens of a sequence, or the rendered event ids of a sequence
-("e0 e17 e3 ..."). ``fit_vocabulary`` fixes the term-to-column mapping on
-training documents; ``vectorize`` turns any documents into a sparse count
-matrix against that fixed vocabulary, tracking out-of-vocabulary terms
-separately instead of dropping them silently.
+concatenated tokens of a sequence, or the event ids of a message or a
+sequence as terms ("e0", "e17", ...). ``fit_vocabulary`` fixes the
+term-to-column mapping on training documents; ``vectorize`` turns any
+documents into a sparse count matrix against that fixed vocabulary,
+tracking out-of-vocabulary terms separately instead of dropping them
+silently. Every detector reads these matrices, the term-statistics ones
+(OOV, rarity) included.
 
 Both count codes, not strings: documents come as a ``TokenColumn`` (lists
 are coded into one first), each distinct term is looked up once, and the
@@ -39,10 +41,7 @@ class Vocabulary:
 
     @property
     def terms(self) -> list[str]:
-        out = [None] * len(self.index)
-        for term, j in self.index.items():
-            out[j] = term
-        return out
+        return sorted(self.index, key=self.index.__getitem__)
 
     def __repr__(self) -> str:
         return (f"Vocabulary({len(self.index)} terms, "
@@ -118,8 +117,3 @@ def vectorize(documents, vocabulary: Vocabulary,
         (np.ones_like(counts) if binary else counts, cols, indptr),
         shape=(n_docs, n_terms))
     return FeatureMatrix(matrix, oov, vocabulary)
-
-
-def render_event_ids(id_sequences) -> list[list[str]]:
-    """Turn event id sequences into term documents: 7 becomes "e7"."""
-    return [[f"e{int(e)}" for e in seq] for seq in id_sequences]

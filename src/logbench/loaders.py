@@ -285,29 +285,33 @@ def load_hdfs(log_path, label_path=None):
     return events, sequences
 
 
-def read_hdfs_labels(path) -> dict[str, bool]:
-    """Read a ``BlockId,Label`` csv; Label is Normal or Anomaly."""
-    labels: dict[str, bool] = {}
+def _label_rows(path, header: str):
+    """(line number, key, raw label) of each non-empty row of a two-field
+    csv whose first line is ``header`` (case-insensitive)."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != \
-                ["blockid", "label"]:
-            raise ValueError(f"{path}: expected header BlockId,Label")
+        first = next(reader, None)
+        if first is None or [h.strip().lower() for h in first[:2]] != \
+                header.lower().split(","):
+            raise ValueError(f"{path}: expected header {header}")
         for row in reader:
             if not row:
                 continue
             if len(row) < 2:
                 raise ValueError(f"{path}:{reader.line_num}: expected "
-                                 f"BlockId,Label, got {','.join(row)!r}")
-            value = row[1].strip().lower()
-            if value == "anomaly":
-                labels[row[0].strip()] = True
-            elif value == "normal":
-                labels[row[0].strip()] = False
-            else:
-                raise ValueError(f"{path}:{reader.line_num}: label must be "
-                                 f"Normal or Anomaly, got {row[1]!r}")
+                                 f"{header}, got {','.join(row)!r}")
+            yield reader.line_num, row[0].strip(), row[1]
+
+
+def read_hdfs_labels(path) -> dict[str, bool]:
+    """Read a ``BlockId,Label`` csv; Label is Normal or Anomaly."""
+    labels: dict[str, bool] = {}
+    for line, block, label in _label_rows(path, "BlockId,Label"):
+        value = label.strip().lower()
+        if value not in ("anomaly", "normal"):
+            raise ValueError(f"{path}:{line}: label must be "
+                             f"Normal or Anomaly, got {label!r}")
+        labels[block] = value == "anomaly"
     return labels
 
 
@@ -512,16 +516,10 @@ def read_app_labels(path) -> dict[str, bool]:
     value (for instance a failure type) marks the application anomalous.
     """
     labels: dict[str, bool] = {}
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != \
-                ["application", "label"]:
-            raise ValueError(f"{path}: expected header application,label")
-        for row in reader:
-            if not row:
-                continue
-            labels[row[0].strip()] = row[1].strip().lower() != "normal"
+    for line, app, label in _label_rows(path, "application,label"):
+        if not label.strip():
+            raise ValueError(f"{path}:{line}: empty label for {app!r}")
+        labels[app] = label.strip().lower() != "normal"
     return labels
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import gc
+import itertools
 import logging
 import time
 from pathlib import Path
@@ -353,8 +354,7 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
                                     binary=config.binary_features)
 
     with stage("train", timings):
-        model, predictions, scores = _detect(
-            config, train, test, train_docs, test_docs, X_train, X_test)
+        model, predictions, scores = _detect(config, train, X_train, X_test)
         detectors.save_model(model, out / "model.json")
     _warn_degenerate(train, X_test, predictions)
 
@@ -402,20 +402,23 @@ def _warn_degenerate(train, X_test, predictions) -> None:
                        len(predictions))
 
 
-def _documents(table, config: PipelineConfig):
-    if config.feature_source == "event_ids":
-        if "event_ids" in table:
-            return features.render_event_ids(table["event_ids"])
-        # one entry per distinct id, of its one term, coded once
-        ids, rows = np.unique(table["e_event_id"], return_inverse=True)
-        return TokenColumn([f"e{e}" for e in ids.tolist()],
-                           np.arange(len(ids)), np.arange(len(ids) + 1), rows)
-    # the token column itself: no featurizer or detector mutates documents
-    return table["words" if "words" in table else "e_words"]
+def _documents(table, config: PipelineConfig) -> TokenColumn:
+    """The features stage's documents of ``table``, as a token column."""
+    if config.feature_source == "words":
+        # the token column itself: the featurizer does not mutate documents
+        return table["words" if "words" in table else "e_words"]
+    if "event_ids" in table:  # one entry per sequence
+        seqs = table["event_ids"].tolist()
+        flat = np.fromiter(itertools.chain.from_iterable(seqs), np.int64)
+        offsets, rows = np.cumsum([0, *map(len, seqs)]), np.arange(len(seqs))
+    else:  # one entry per distinct id, shared by the rows that hold it
+        flat, rows = np.unique(table["e_event_id"], return_inverse=True)
+        offsets = np.arange(len(flat) + 1)
+    ids, codes = np.unique(flat, return_inverse=True)
+    return TokenColumn([f"e{e}" for e in ids.tolist()], codes, offsets, rows)
 
 
-def _detect(config: PipelineConfig, train, test, train_docs, test_docs,
-            X_train, X_test):
+def _detect(config: PipelineConfig, train, X_train, X_test):
     kind = config.detector
     if kind in ("lr", "dt"):
         if "label" not in train:
@@ -423,20 +426,18 @@ def _detect(config: PipelineConfig, train, test, train_docs, test_docs,
                 f"detector {kind!r} is supervised and needs labels")
         model = detectors.train_supervised(X_train, train["label"], kind,
                                            seed=config.detector_seed)
-        scores = model.score(X_test)
-        return model, model.predict(X_test), scores
-    if kind in ("kmeans", "iforest"):
+    elif kind in ("kmeans", "iforest"):
         model = detectors.train_unsupervised(
             X_train, kind, seed=config.detector_seed,
             contamination=config.contamination)
-        scores = model.score(X_test)
-        return model, model.predict(X_test), scores
+    elif kind == "oov":
+        model = detectors.OOVDetector(config.oov_threshold).fit(X_train)
+    else:
+        model = detectors.RarityDetector().fit(X_train)
+    scores = model.score(X_test)
     if kind == "oov":
-        model = detectors.OOVDetector(config.oov_threshold).fit(train_docs)
-        scores = model.score(test_docs)
         return model, scores > config.oov_threshold, scores
-    # rarity
-    model = detectors.RarityDetector().fit(train_docs)
-    scores = model.score(test_docs)
-    return model, detectors.scores_to_labels(scores, config.contamination), \
-        scores
+    if kind == "rarity":
+        return model, detectors.scores_to_labels(
+            scores, config.contamination), scores
+    return model, model.predict(X_test), scores

@@ -227,6 +227,21 @@ def test_exit_code_config_error(capsys):
     assert "config error:" in captured.err
 
 
+def test_bench_usage_errors(capsys, synth_dirs):
+    data = ["--format", "hdfs", "--log", str(synth_dirs["log"]),
+            "--labels", str(synth_dirs["labels"])]
+    for task in ("loading", "parsers", "offload"):
+        for repeats in ("0", "-1"):
+            assert main(["bench", "--task", task, *data,
+                         "--repeats", repeats]) == 1
+            assert "config error: --repeats" in capsys.readouterr().err
+    for task in ("parsers", "offload"):
+        for parsers in (",", "drain,nope"):
+            assert main(["bench", "--task", task, *data, "--parsers",
+                         parsers, "--repeats", "1"]) == 1
+            assert "config error: --parsers" in capsys.readouterr().err
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     code = main(["load", "--format", "raw", "--log",
                  str(tmp_path / "nope.log"), "--out", str(tmp_path / "o")])

@@ -18,6 +18,7 @@ from logbench.detectors import (DecisionTreeDetector, EvalReport,
                                 save_model, scores_to_labels,
                                 train_supervised, train_unsupervised)
 from logbench.features import fit_vocabulary, vectorize
+from logbench.tables import TokenColumn
 
 # ---------------------------------------------------------------------------
 # evaluation
@@ -477,6 +478,104 @@ def test_rarity_round_trip(tmp_path):
     save_model(model, p)
     back = load_model(p)
     assert np.allclose(back.score([["a"], ["z"]]), model.score([["a"], ["z"]]))
+
+
+def _oov_reference(train, docs):
+    seen = {t for doc in train for t in doc}
+    return [sum(t not in seen for t in doc) / len(doc) if doc else 0.0
+            for doc in docs]
+
+
+def _rarity_reference(train, docs):
+    counts = Counter(t for doc in train for t in doc)
+    denom = sum(counts.values()) + len(counts)
+    if denom == 0:
+        return [0.0] * len(docs)
+    return [-sum(math.log((counts[t] + 1) / denom) for t in doc) / len(doc)
+            if doc else 0.0 for doc in docs]
+
+
+def _as_inputs(docs, vocabularies):
+    """The same documents as lists, a token column, a generator and
+    feature matrices, one over each vocabulary; each with the documents
+    as the input shows them: a matrix keeps only the count of the terms
+    outside its vocabulary, so they read as one term never seen."""
+    yield "lists", [list(d) for d in docs], docs
+    yield "column", TokenColumn.of(docs), docs
+    yield "generator", (list(d) for d in docs), docs
+    for name, vocab in vocabularies.items():
+        yield (f"matrix over {name}", vectorize(docs, vocab),
+               [[t if t in vocab else "\0unseen" for t in d] for d in docs])
+
+
+def _assert_scores(got, want, docs, exact):
+    assert len(got) == len(want)
+    for g, w, doc in zip(got.tolist(), want, docs):
+        if exact or len(doc) <= 1:
+            assert g == w, (doc, g, w)
+        else:
+            assert g == pytest.approx(w, rel=1e-12, abs=0.0), (doc, g, w)
+
+
+def _zipf_documents(n, seed, n_words=30):
+    rng = np.random.default_rng(seed)
+    return [[f"w{i}" for i in rng.zipf(1.5, rng.integers(0, 12)) % n_words]
+            for _ in range(n)]
+
+
+# (training, test) documents; the random test side ends with every word
+# alone in a one-term document
+_TERM_CASES = {
+    "random": (_zipf_documents(80, 3),
+               _zipf_documents(60, 4) + [[f"w{i}"] for i in range(30)]),
+    "empty documents": ([[], ["a", "a", "b"], []], [[], ["a"], ["z"], []]),
+    "empty vocabulary": ([[], []], [["a"], [], ["b", "b", "a"]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_TERM_CASES))
+@pytest.mark.parametrize("cls, reference, exact", [
+    (OOVDetector, _oov_reference, True),
+    (RarityDetector, _rarity_reference, False),
+], ids=["oov", "rarity"])
+def test_term_detectors_read_any_featurization(tmp_path, case, cls,
+                                               reference, exact):
+    train, test = _TERM_CASES[case]
+    train_vocab = fit_vocabulary(train)
+    other_vocab = fit_vocabulary([["z", "w5", "q"], ["w0", "a"]])
+    want_dict = None
+    for fit_name, fit_input, _ in _as_inputs(
+            train, {"training terms": train_vocab,
+                    "training and other terms":
+                        fit_vocabulary(train + [["never", "w1"]])}):
+        model = cls().fit(fit_input)
+        if want_dict is None:
+            want_dict = model.to_dict()
+        assert model.to_dict() == want_dict, fit_name
+        p = tmp_path / "model.json"
+        save_model(model, p)
+        for fitted in (model, load_model(p)):
+            for _, X, seen in _as_inputs(
+                    test, {"training terms": train_vocab,
+                           "its own terms": fit_vocabulary(test),
+                           "other terms": other_vocab}):
+                _assert_scores(fitted.score(X), reference(train, seen),
+                               seen, exact)
+
+
+def test_term_detectors_fit_the_counted_terms_of_a_matrix():
+    # binary presence and a min_count vocabulary reach the fitted model
+    docs = [["a", "a", "b"], ["a", "c"]]
+    vocab = fit_vocabulary(docs, min_count=2)
+    assert RarityDetector().fit(vectorize(docs, vocab)).counts == {"a": 3}
+    presence = vectorize(docs, fit_vocabulary(docs), binary=True)
+    model = RarityDetector().fit(presence)
+    assert (model.counts, model.total) == ({"a": 2, "b": 1, "c": 1}, 4)
+    assert OOVDetector().fit(vectorize(docs, vocab)).vocabulary == {"a"}
+    # a row's oov terms count: ["b", "c"] is all oov against {"a"}
+    X = vectorize([["a", "b", "c"], ["b", "c"]], vocab)
+    assert OOVDetector().fit(vectorize(docs, vocab)).score(X).tolist() == \
+        [2 / 3, 1.0]
 
 
 # ---------------------------------------------------------------------------

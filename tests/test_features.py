@@ -6,7 +6,7 @@ import pytest
 from scipy import sparse
 
 from logbench.features import (FeatureMatrix, Vocabulary, fit_vocabulary,
-                               render_event_ids, vectorize)
+                               vectorize)
 from logbench.masking import token_column
 from logbench.tables import TokenColumn
 
@@ -175,7 +175,3 @@ def test_coded_documents_featurize_like_lists():
                 _assert_same_features(
                     vectorize(coded, want_vocab, binary=binary), want)
 
-
-def test_render_event_ids():
-    assert render_event_ids([[0, 17, 3], []]) == [["e0", "e17", "e3"], []]
-    assert render_event_ids([np.array([1, 2])]) == [["e1", "e2"]]

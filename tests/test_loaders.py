@@ -430,6 +430,11 @@ def test_app_labels(tmp_path):
     p.write_text("x,y\napp_1,Normal\n")
     with pytest.raises(ValueError):
         read_app_labels(p)
+    # a row without a label, or with an empty one, names its file and line
+    for body in ("app_1\n", "app_1,\n", "app_1,  \n"):
+        p.write_text("application,label\napp_0,Normal\n" + body)
+        with pytest.raises(ValueError, match=r"labels\.csv:3: "):
+            read_app_labels(p)
 
 
 # ---------------------------------------------------------------------------

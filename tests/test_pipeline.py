@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from logbench import enhancers, pipeline
+from logbench import detectors, enhancers, pipeline
 from logbench.loaders import LoaderSpec, load
 from logbench.parsers import DrainParser
 from logbench.pipeline import (ConfigError, PipelineConfig, StageError,
@@ -385,3 +385,39 @@ def test_event_id_documents_share_one_list_per_id():
     for i in range(6):
         for j in range(6):
             assert (lists[i] is lists[j]) == (ids[i] == ids[j])
+
+
+@pytest.fixture(scope="module")
+def hdfs_with_rare_terms(tmp_path_factory, synth_hdfs):
+    """synth_hdfs plus 40 one-line blocks: blocks 2k and 2k + 1 share the
+    term ``pair<k>``, once each, so a split that parts a pair leaves a
+    training term seen once that the test side holds too."""
+    root = tmp_path_factory.mktemp("rare")
+    log, labels = root / "rare.log", root / "rare_labels.csv"
+    lines = [f"081109 235959 99 INFO dfs.DataNode: served pair{b // 2} "
+             f"blk_{9000000 + b}\n" for b in range(40)]
+    log.write_text(synth_hdfs["log"].read_text() + "".join(lines))
+    labels.write_text(synth_hdfs["labels"].read_text() + "".join(
+        f"blk_{9000000 + b},Normal\n" for b in range(40)))
+    return {"log": log, "labels": labels}
+
+
+@pytest.mark.parametrize("detector", ["oov", "rarity"])
+def test_feature_settings_reach_term_statistics_detectors(
+        tmp_path, hdfs_with_rare_terms, monkeypatch, detector):
+    cls = {"oov": detectors.OOVDetector,
+           "rarity": detectors.RarityDetector}[detector]
+    score = cls.score
+    scored = []
+
+    def recording_score(self, X):
+        scored.append(score(self, X))
+        return scored[-1]
+    monkeypatch.setattr(cls, "score", recording_score)
+    for settings in ({}, dict(binary_features=True), dict(min_count=2)):
+        run_pipeline(_hdfs_config(tmp_path, hdfs_with_rare_terms,
+                                  feature_source="words", detector=detector,
+                                  **settings))
+    default, binary, min_count_2 = scored
+    assert not np.array_equal(binary, default)
+    assert not np.array_equal(min_count_2, default)
