@@ -60,9 +60,9 @@ def add_tokens(events: Table) -> Table:
 def add_event_ids(events: Table, parser) -> Table:
     """Run a template miner over the table; adds ``e_event_id``.
 
-    When ``e_words`` was split from the very column the parser reads and
-    the parser has no masking rules of its own, the parser mines those
-    token lists instead of splitting the messages again.
+    When ``e_words`` was coded from the very column the parser reads and
+    the parser has no masking rules of its own, the parser reads that
+    token column instead of coding the messages again.
 
     The parser keeps its state, so calling this again with more data
     continues the same template store.

@@ -32,6 +32,8 @@ logger = logging.getLogger("logbench.loaders")
 
 FORMATS = ("raw", "hdfs", "bgl", "thunderbird", "spirit", "liberty", "hadoop")
 SUPERCOMPUTER_FORMATS = ("bgl", "thunderbird", "spirit", "liberty")
+# formats labelled per sequence: their events carry no label column
+SEQUENCE_LABEL_FORMATS = ("hdfs", "hadoop")
 
 _EPOCH_ORDINAL = _date(1970, 1, 1).toordinal()
 _BLOCK_RE = re.compile(r"blk_-?\d+")

@@ -244,10 +244,14 @@ def split_tokens(text: str) -> list[str]:
     return [p for p in _WS_RE.split(text) if p]
 
 
-def token_column(messages) -> TokenColumn:
-    """``split_tokens`` of every message, as codes: each distinct message
-    is split once and rows with equal messages share its entry."""
+def token_column(messages, rules: list[MaskingRule] | None = None
+                 ) -> TokenColumn:
+    """``split_tokens`` of every message, masked by ``rules`` first when
+    given, as codes: each distinct message is masked and split once and
+    rows with equal messages share its entry."""
     distinct, rows = _distinct(messages)
+    if rules:
+        distinct = [mask_one(m, rules) for m in distinct]
     return TokenColumn.of(map(split_tokens, distinct))[rows]
 
 

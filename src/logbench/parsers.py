@@ -11,17 +11,17 @@ can optionally run masking rules itself (``masking_rules=...``), which is the
 expensive way to do it; the intended flow masks the whole column once with
 ``masking.normalize`` and feeds the parser clean text.
 
-``parse`` mines each distinct message once while the parser state stands
-still. ``parse_one`` is a deterministic function of the parser state and the
-message, and it bumps a state version at every point where it changes what
-a later match reads: a new cluster, a Drain template token turned into a
-wildcard, a new Spell template and state, a new LenMa length vector. Cluster
-counts never influence a decision. So while the version is
-unchanged, a message seen before gets the same event id, and ``parse`` takes
-it from a memo and only increments the cluster count. The memo is cleared
-whenever the version moves, which makes the batch result identical to a
-fresh ``parse_one`` per message. Templates only move toward wildcards, so
-changes stop once the store settles and memo hits then dominate.
+``parse`` reads a ``TokenColumn``: the caller's, or one it codes from the
+messages. It gives the ids and store of ``parse_one`` per message, because
+``parse_one`` is a deterministic function of the parser state and the
+message and cluster counts never influence a decision, so while the state
+stands still a message's id depends on its tokens alone. Drain matches
+whole stretches of unchanged state on codes with numpy and mines only the
+rows that change the store. Spell and LenMa mine each entry of the column
+once: ``_mine`` bumps a state version wherever it changes what a later
+match reads (a new Spell template and state, a new LenMa length vector), a
+repeat of an entry takes its id from a memo that is cleared whenever the
+version moves, and only bumps the cluster count.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from itertools import repeat
 from operator import eq
 
-from .masking import MaskingRule, mask_one, split_tokens
+import numpy as np
+
+from .masking import MaskingRule, mask_one, split_tokens, token_column
+from .tables import TokenColumn
 
 WILDCARD = "<*>"
 
@@ -122,72 +124,80 @@ class TemplateStore:
 
 
 class _ParserBase:
-    """Shared plumbing: optional internal masking, memoized batch parse."""
+    """Shared plumbing: optional internal masking, batch parse of a token
+    column."""
 
     kind = "base"
 
     def __init__(self, masking_rules: list[MaskingRule] | None = None):
         self.masking_rules = masking_rules
         self.store = TemplateStore(self.kind)
-        # bumped by parse_one on every state change that can alter an answer
+        # bumped by _mine on every state change that can alter an answer;
+        # read by the memo of _parse_column, which Drain replaces
         self._version = 0
-        # message -> event id, valid while _version == _memo_version
-        self._memo: dict[str, int] = {}
-        self._memo_version = 0
-
-    def _prepare(self, message: str) -> list[str]:
-        if self.masking_rules:
-            message = mask_one(message, self.masking_rules)
-        return split_tokens(message)
 
     def parse_one(self, message: str) -> int:
         """Assign an event id to one message, updating the store."""
-        return self._mine(self._prepare(message))
+        if self.masking_rules:
+            message = mask_one(message, self.masking_rules)
+        return self._mine(split_tokens(message))
 
     def _mine(self, tokens: list[str]) -> int:
-        """``parse_one`` of the message these tokens were prepared from;
-        the list is only read."""
+        """``parse_one`` of the message these tokens were split from; the
+        list is only read."""
         raise NotImplementedError
 
     def parse(self, messages, tokens=None) -> list[int]:
         """Assign an event id to every message, updating the store.
 
         Same ids and store as calling ``parse_one`` on each message in turn.
-        ``tokens``, when given, holds one list per message: exactly what
-        ``parse_one`` would prepare from it, the parser's own masking
-        included. A message missing from the memo is then mined from its
-        list instead of being split again. The lists are only read.
+        ``tokens``, when given, is a ``TokenColumn`` (or one list per
+        message) holding exactly what ``parse_one`` would split from each
+        message, the parser's own masking included; it is only read.
+        Otherwise each distinct message is masked and split once here.
         """
-        if tokens is not None and len(tokens) != len(messages):
+        if tokens is None:
+            tokens = token_column(messages, self.masking_rules)
+        elif len(tokens) != len(messages):
             raise ValueError(f"{len(tokens)} token lists for "
                              f"{len(messages)} messages")
-        memo = self._memo
-        if self._memo_version != self._version:
-            memo.clear()
+        return self._parse_column(TokenColumn.of(tokens))
+
+    def _parse_column(self, col: TokenColumn) -> list[int]:
+        """Mine each entry once while the version stands still: a repeat
+        only bumps its cluster's count, and an entry's list is built only
+        when it is mined."""
+        memo: dict[int, int] = {}
         clusters = self.store.clusters
         mine = self._mine
-        prepare = self._prepare
         ids = []
         append = ids.append
-        for m, toks in zip(messages,
-                           repeat(None) if tokens is None else tokens):
-            event_id = memo.get(m)
+        for e in col.rows.tolist():
+            event_id = memo.get(e)
             if event_id is None:
                 version = self._version
-                event_id = mine(prepare(m) if toks is None else toks)
+                event_id = mine(col.entry(e))
                 if self._version == version:
-                    memo[m] = event_id
+                    memo[e] = event_id
                 else:
                     memo.clear()
             else:
                 clusters[event_id].count += 1
             append(event_id)
-        self._memo_version = self._version
         return ids
 
 
 # ---------------------------------------------------------------------------
 # Drain
+
+# Drain's batch parse reads rows in windows: the first has _WINDOW_START
+# rows, and each window none of whose rows changes the store is followed by
+# one _WINDOW_GROWTH times larger, up to _WINDOW_MAX rows.
+_WINDOW_START = 16
+_WINDOW_GROWTH = 4
+_WINDOW_MAX = 1 << 16
+# message x template x position comparisons made in one numpy call, at most
+_COMPARE_CELLS = 1 << 22
 
 
 class DrainParser(_ParserBase):
@@ -204,6 +214,17 @@ class DrainParser(_ParserBase):
     The leaf of each (token count, first ``depth - 2`` tokens) key is
     memoized. The memo is exact: nodes are never removed and a full node
     stays full, so a key walks to the same leaf every time.
+
+    ``parse`` matches on codes. A message leaves the store as it is exactly
+    when its leaf exists, its best cluster reaches the threshold and every
+    non-wildcard template position equals the message's token (nothing to
+    rewrite). While the store stands still each message's id is a function
+    of its codes alone, so ``parse`` scores the distinct entries of a
+    window of rows with numpy, one call per route key, accepts the rows
+    before the first one that would change the store, mines that row alone
+    with ``_mine`` and starts the next window after it. A mined row changes
+    only its own leaf (and may give leafless routes a leaf), so an entry is
+    scored again only after a row is mined into its leaf.
     """
 
     kind = "drain"
@@ -251,6 +272,28 @@ class DrainParser(_ParserBase):
             node = child
         return node
 
+    def _find_leaf(self, tokens: list[str]) -> list | None:
+        """The leaf ``_leaf`` returns for these tokens, found without
+        building anything; None where ``_leaf`` would build a node."""
+        key = (len(tokens), *tokens[:self._token_levels])
+        leaf = self._routes.get(key)
+        if leaf is None:
+            node = self._root.get(len(tokens))
+            for token in tokens[:self._token_levels]:
+                if node is None:
+                    return None
+                if token.isdigit():
+                    token = WILDCARD
+                child = node.get(token)
+                if child is None and token != WILDCARD \
+                        and len(node) >= self.max_children:
+                    child = node.get(WILDCARD)
+                node = child
+            if node is None:
+                return None
+            leaf = self._routes[key] = node
+        return leaf
+
     def _mine(self, tokens: list[str]) -> int:
         n = len(tokens)
         key = (n, *tokens[:self._token_levels])
@@ -279,15 +322,131 @@ class DrainParser(_ParserBase):
                 for i, tok in enumerate(tokens):
                     if template[i] != tok and template[i] != WILDCARD:
                         template[i] = WILDCARD
-                        self._version += 1
             best.count += 1
             return best.event_id
         # a new routing node always ends in an empty leaf, so tree growth
         # happens only here
         cluster = self.store._new_cluster(list(tokens))
         leaf.append(cluster)
-        self._version += 1
         return cluster.event_id
+
+    def _parse_column(self, col: TokenColumn) -> list[int]:
+        rows = col.rows
+        lengths = np.diff(col.offsets)
+        keys = self._route_keys(col, lengths)
+        # a template token the column lacks never equals a message code,
+        # and neither does a wildcard, not even a literal <*> in a message
+        code_of = dict(zip(col.tokens, range(len(col.tokens))))
+        code_of[WILDCARD] = -1
+        leaves: dict[int, tuple[list, int]] = {}  # route key -> leaf, slot
+        slot_of: dict[int, int] = {}  # id(leaf) -> slot
+        # edits[slot]: rows mined into the leaf of that slot so far; the
+        # last slot, for entries without a leaf, counts every mined row
+        edits = np.zeros(len(lengths) + 1, dtype=np.int64)
+        # each entry's event id, outcome and leaf slot hold while its
+        # stamp equals the edits of its slot: a row mined into another
+        # leaf cannot change how it matches
+        event = np.zeros(len(lengths), dtype=np.int64)
+        settled = np.zeros(len(lengths), dtype=bool)
+        slot = np.full(len(lengths), -1)
+        stamp = np.full(len(lengths), -1)
+        ids = np.empty(len(rows), dtype=np.int64)
+        mined = []
+        start, size = 0, _WINDOW_START
+        while start < len(rows):
+            window = rows[start:start + size]
+            fresh = np.sort(window[stamp[window] != edits[slot[window]]])
+            if len(fresh):
+                # distinct; np.unique would hash, many times slower here
+                fresh = fresh[np.r_[True, fresh[1:] != fresh[:-1]]]
+                event[fresh], settled[fresh], slot[fresh] = self._match(
+                    col, fresh, keys[fresh], lengths, code_of, leaves,
+                    slot_of)
+                stamp[fresh] = edits[slot[fresh]]
+            ok = settled[window]
+            first = int(ok.argmin())  # the first row that changes the store
+            if ok[first]:
+                ids[start:start + len(window)] = event[window]
+                start += len(window)
+                size = min(size * _WINDOW_GROWTH, _WINDOW_MAX)
+                continue
+            end = start + first
+            ids[start:end] = event[rows[start:end]]
+            tokens = col.entry(rows[end])
+            ids[end] = self._mine(tokens)
+            mined.append(end)
+            edits[-1] += 1
+            changed = slot_of.get(id(self._find_leaf(tokens)))
+            if changed is not None:
+                edits[changed] += 1
+            start, size = end + 1, _WINDOW_START
+        # the mined rows counted themselves; cluster counts never steer a
+        # match, so the accepted rows are counted at the end
+        counts = np.bincount(np.delete(ids, mined),
+                             minlength=len(self.store)).tolist()
+        for cluster, count in zip(self.store.clusters, counts):
+            cluster.count += count
+        return ids.tolist()
+
+    def _route_keys(self, col: TokenColumn, lengths: np.ndarray) -> np.ndarray:
+        """An int64 per entry, equal for entries of equal token count and
+        equal first ``depth - 2`` codes. Keys are ranked down whenever one
+        more level could overflow."""
+        base = len(col.tokens) + 1
+        limit = (np.iinfo(np.int64).max - base) // base
+        starts = col.offsets[:-1]
+        key = lengths.astype(np.int64)
+        for i in range(self._token_levels):
+            if len(key) and key.max() > limit:
+                key = np.unique(key, return_inverse=True)[1]
+            has = lengths > i
+            level = np.zeros(len(key), dtype=np.int64)
+            level[has] = col.codes[starts[has] + i] + 1
+            key = key * base + level
+        return key
+
+    def _match(self, col: TokenColumn, entries, keys, lengths, code_of,
+               leaves, slot_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The event id ``_mine`` gives each entry under the current store,
+        whether it would leave the store as it is, and the slot of its leaf
+        (-1 without one)."""
+        event = np.zeros(len(entries), dtype=np.int64)
+        settled = np.zeros(len(entries), dtype=bool)
+        slot = np.full(len(entries), -1)
+        order = np.argsort(keys)
+        cuts = np.flatnonzero(np.diff(keys[order])) + 1
+        for group in np.split(order, cuts):
+            key = int(keys[group[0]])
+            if key not in leaves:
+                leaf = self._find_leaf(col.entry(entries[group[0]]))
+                if not leaf:  # a message here founds a cluster
+                    continue
+                leaves[key] = leaf, slot_of.setdefault(id(leaf),
+                                                       len(slot_of))
+            leaf, slot[group] = leaves[key]
+            n = int(lengths[entries[group[0]]])
+            templates = np.array(
+                [[code_of.get(t, -2) for t in c.template] for c in leaf],
+                dtype=col.codes.dtype).reshape(len(leaf), n)
+            non_wild = (templates != -1).sum(1)
+            cluster_ids = np.array([c.event_id for c in leaf])
+            # row k is codes[k:k + n]: indexing it by the entries' offsets
+            # gathers their codes
+            runs = np.lib.stride_tricks.sliding_window_view(col.codes, n)
+            step = max(1, _COMPARE_CELLS // (len(leaf) * max(n, 1)))
+            for a in range(0, len(group), step):
+                part = group[a:a + step]
+                codes = runs[col.offsets[entries[part]]]
+                same = (codes[:, None, :] == templates[None]).sum(-1)
+                # argmax takes the first best: the lowest event id
+                best = same.argmax(1)
+                best_same = same[np.arange(len(part)), best]
+                ok = best_same == non_wild[best]
+                if n:
+                    ok &= best_same / n >= self.sim_threshold
+                event[part] = cluster_ids[best]
+                settled[part] = ok
+        return event, settled, slot
 
 
 # ---------------------------------------------------------------------------

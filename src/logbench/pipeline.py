@@ -90,6 +90,12 @@ class PipelineConfig:
 
     def validate(self) -> None:
         validate_chain(self.chain)
+        fmt = self.loader_spec.format
+        if fmt in loaders.SEQUENCE_LABEL_FORMATS \
+                and "aggregate" not in self.chain:
+            raise ConfigError(
+                f"{fmt} labels whole sequences, not events: the chain "
+                f"needs aggregate to evaluate")
         if self.feature_source not in FEATURE_SOURCES:
             raise ConfigError(
                 f"feature source must be one of {FEATURE_SOURCES}")

@@ -85,11 +85,14 @@ class TokenColumn:
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            e = self.rows[key]
-            return list(map(self.tokens.__getitem__, self.codes[
-                self.offsets[e]:self.offsets[e + 1]].tolist()))
+            return self.entry(self.rows[key])
         return TokenColumn(self.tokens, self.codes, self.offsets,
                            self.rows[key])
+
+    def entry(self, e) -> list:
+        """Entry ``e``'s tokens as a new ``list[str]``."""
+        return list(map(self.tokens.__getitem__, self.codes[
+            self.offsets[e]:self.offsets[e + 1]].tolist()))
 
     def __iter__(self):
         return iter(self.tolist())

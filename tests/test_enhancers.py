@@ -12,7 +12,7 @@ from logbench.masking import default_rules
 from logbench.ngram import ngram_train
 from logbench.parsers import DrainParser
 from logbench.synth import generate_synthetic
-from logbench.tables import EventTable, SequenceTable
+from logbench.tables import EventTable, SequenceTable, TokenColumn
 
 
 def _ts(seconds):
@@ -96,6 +96,21 @@ def test_add_event_ids_ignores_tokens_of_another_column():
     parser = _RecordingDrain(masking_rules=default_rules())
     add_event_ids(t, parser)
     assert parser.tokens is None
+
+
+def test_drain_parses_codes_without_per_entry_lists(monkeypatch):
+    t = add_tokens(add_normalized(small_table()))
+    params = [{}, {"depth": 3, "max_children": 1}]
+    expected = [DrainParser(**p).parse(t["e_message_normalized"])
+                for p in params]
+
+    def refuse(self, *args):
+        raise AssertionError("a list per entry was built")
+    monkeypatch.setattr(TokenColumn, "tolist", refuse)
+    monkeypatch.setattr(TokenColumn, "__iter__", refuse)
+    for p, ids in zip(params, expected):
+        out = add_event_ids(t, DrainParser(**p))
+        assert out["e_event_id"].tolist() == ids
 
 
 def test_aggregate_sequences():

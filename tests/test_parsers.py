@@ -1,8 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from logbench.masking import default_rules, split_tokens, tokenize
+from logbench.masking import (default_rules, split_tokens, token_column,
+                               tokenize)
 from logbench.parsers import (WILDCARD, DrainParser, LenMaParser, SpellParser,
                               TemplateStore, make_parser)
 
@@ -468,6 +470,136 @@ def test_drain_matches_unmemoized_reference(params):
             [ref.parse_one(m) for m in msgs], f"trial {trial}"
         assert parser.store.templates == ref.store.templates
         assert _tree(parser._root) == _tree(ref._root)
+
+
+def _assert_batch_is_sequential(parser, steps, params):
+    """Run ``steps`` on ``parser``, each ``("parse", msgs, tokens)`` or
+    ``("one", msgs)``, and compare ids, templates, counts and the routing
+    tree with ``parse_one`` and ``_DrainReference`` per message. ``parse``
+    must mine in Python exactly the rows that change the store."""
+    mine, mined = parser._mine, []
+    parser._mine = lambda tokens: (mined.append(tokens), mine(tokens))[1]
+    ids, msgs, batched = [], [], []
+    for step in steps:
+        if step[0] == "parse":
+            ids += parser.parse(step[1], step[2])
+        else:
+            ids += [parser.parse_one(m) for m in step[1]]
+        msgs += list(step[1])
+        batched += [step[0] == "parse"] * len(step[1])
+    ref, one = _DrainReference(**params), DrainParser(**params)
+    ref_ids, changes = [], 0
+    for m, in_batch in zip(msgs, batched):
+        version = ref._version
+        ref_ids.append(ref.parse_one(m))
+        changes += ref._version != version or not in_batch
+    assert ids == ref_ids == [one.parse_one(m) for m in msgs]
+    assert len(mined) == changes
+    for other in (ref, one):
+        assert parser.store.templates == other.store.templates
+        assert parser.store.counts == other.store.counts
+        assert _tree(parser._root) == _tree(other._root)
+    return ids
+
+
+def test_drain_batch_change_after_long_settled_stretch():
+    # 5,000 rows settle on one template; a new template founds a cluster
+    # at row 5,000 and a rewrite comes at row 9,000, both deep inside a
+    # window that has grown large
+    rng = random.Random(5)
+    msgs = [f"open file f{rng.randrange(300)} mode r" for _ in range(5000)]
+    msgs.append("close file f1 now")
+    msgs += [rng.choice([f"open file f{rng.randrange(300)} mode r",
+                         f"close file f{rng.randrange(300)} now"])
+             for _ in range(3999)]
+    msgs.append("open file f2 mode w")
+    msgs += [f"open file f{rng.randrange(300)} mode r" for _ in range(3000)]
+    parser = DrainParser()
+    ids = _assert_batch_is_sequential(
+        parser, [("parse", msgs, tokenize(msgs))], {})
+    assert ids[5000] == 1 and ids[5001:9000].count(1) > 1000
+    assert parser.store.template_strings() == {
+        0: "open file <*> mode <*>", 1: "close file <*> now"}
+
+
+def test_drain_batch_continues_across_columns_and_parse_one():
+    # the second column's dictionary lacks "r", which the first column put
+    # into a template, and the tokens its messages hold at wildcards
+    first = ["open file x mode r", "open file y mode r",
+             "read block x of 3 bytes", "read block y of 4 bytes"] * 50
+    second = ["open file z mode w", "open file q mode w",
+              "read block z of 5 bytes", "write block z of 6 bytes"] * 50
+    col1, col2 = token_column(first), token_column(second)
+    assert not {"r", "x", "y", "3", "4"} & set(col2.tokens)
+    parser = DrainParser()
+    _assert_batch_is_sequential(
+        parser, [("parse", first, col1), ("parse", second, col2)], {})
+    assert parser.store.template_strings() == {
+        0: "open file <*> mode <*>", 1: "read block <*> of <*> bytes",
+        2: "write block z of 6 bytes"}
+    for params in ({}, {"depth": 3, "max_children": 2}):
+        rng = random.Random(str(params))
+        pool = _token_corpus(rng, 40)
+        msgs = [rng.choice(pool) for _ in range(600)]
+        _assert_batch_is_sequential(DrainParser(**params), [
+            ("parse", msgs[:200], token_column(msgs[:200])),
+            ("one", msgs[200:300]),
+            ("parse", msgs[300:], None)], params)
+
+
+@pytest.mark.parametrize("params", [{"depth": 8},
+                                    {"depth": 8, "max_children": 1}])
+def test_drain_batch_deep_routes_over_a_large_vocabulary(params):
+    # 2,047 tokens make a code base of 2**11: six levels of codes times
+    # the token count would wrap int64, and a wrapped key drops the count
+    vocab = [f"w{i}" for i in range(2047)]
+    head = vocab[:6]
+    rng = random.Random(8)
+    pool = [" ".join(vocab[i:i + 9]) for i in range(0, len(vocab), 9)]
+    pool += [" ".join(head + rng.sample(vocab, k)) for k in range(4)] * 3
+    pool += [" ".join(rng.sample(vocab[:3], 2) + rng.sample(vocab, 6))
+             for _ in range(100)]
+    pool += [" ".join(rng.sample(vocab, rng.randrange(10)))
+             for _ in range(100)]
+    msgs = pool + [rng.choice(pool) for _ in range(2000)]
+    col = token_column(msgs)
+    assert len(col.tokens) == 2047
+    entries = range(len(col.offsets) - 1)
+    routes = [(len(col.entry(e)), *col.entry(e)[:6]) for e in entries]
+
+    def wrapped(route):
+        key = route[0]
+        for t in route[1:] + (None,) * (7 - len(route)):
+            key = (key * 2048 + (0 if t is None else int(t[1:]) + 1)) % 2**64
+        return key
+    assert len({wrapped(r) for r in routes}) < len(set(routes))
+    parser = DrainParser(**params)
+    keys = parser._route_keys(col, np.diff(col.offsets)).tolist()
+    assert len(set(zip(routes, keys))) == len(set(routes)) == len(set(keys))
+    _assert_batch_is_sequential(parser, [("parse", msgs, col)], params)
+
+
+def test_drain_batch_empty_messages_digit_heads_literal_wildcards():
+    # "6789 a b" routes through the wildcard "12 a b" and "345 a b" made
+    # and changes nothing, so the batch must not mine it
+    base = ["", "", "12 a b", "345 a b", "6789 a b", "<*> a b", "a <*> c",
+            "a b c", "<*> <*>", "<*> x", "7", "8", "a <*> <*>", ""]
+    rng = random.Random(3)
+    msgs = base + [rng.choice(base) for _ in range(500)]
+    for params in ({}, {"depth": 3}, {"max_children": 1},
+                   {"sim_threshold": 0.9}):
+        _assert_batch_is_sequential(DrainParser(**params),
+                                    [("parse", msgs, tokenize(msgs))],
+                                    params)
+
+
+def test_drain_batch_ties_go_to_the_lowest_event_id():
+    # "a b x" matches "a <*> x" and "a b <*>" at 2 of 3 positions each,
+    # and neither needs a rewrite
+    msgs = ["a p x", "a q x", "a b y", "a b z"] + ["a b x", "a r x"] * 50
+    ids = _assert_batch_is_sequential(
+        DrainParser(depth=3), [("parse", msgs, None)], {"depth": 3})
+    assert ids[:6] == [0, 0, 1, 1, 0, 0]
 
 
 def test_matches_positional_and_subsequence():

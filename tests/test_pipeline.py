@@ -158,6 +158,19 @@ def test_config_validation_errors(tmp_path):
     build(chain=["tokenize", "spell"], parser_params={"drain": {"depth": 1}})
 
 
+@pytest.mark.parametrize("fmt", ["hdfs", "hadoop"])
+def test_sequence_labelled_format_needs_aggregate(tmp_path, fmt):
+    # refused up front: neither path exists, so nothing could have loaded
+    spec = LoaderSpec(fmt, tmp_path / "nope", tmp_path / "labels.csv")
+    for source, chain in [("words", ["normalize", "tokenize", "drain"]),
+                          ("event_ids", ["tokenize", "spell"])]:
+        with pytest.raises(ConfigError, match=rf"^{fmt} .*aggregate"):
+            PipelineConfig(spec, chain, tmp_path / "o",
+                           feature_source=source)
+        PipelineConfig(spec, chain + ["aggregate"], tmp_path / "o",
+                       feature_source=source)
+
+
 def test_config_file_errors(tmp_path):
     with pytest.raises(FileNotFoundError):
         PipelineConfig.from_file(tmp_path / "missing.ini")
