@@ -157,10 +157,8 @@ def bench_masking_offload(messages, parser: str = "drain", rules=None,
     internal_seconds = []
     for _ in range(repeats):
         def run_pipeline_variant():
-            # as `normalize, tokenize, <parser>` does: the parser reads the
-            # token column the masking pass keeps
             masked = masking.normalize(messages, rules)
-            return make_parser(parser, **params).parse(masked, masked.tokens)
+            return make_parser(parser, **params).parse(masked)
 
         elapsed, _ = _timed(run_pipeline_variant)
         pipeline_seconds.append(elapsed)

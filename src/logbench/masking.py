@@ -248,7 +248,11 @@ def token_column(messages, rules: list[MaskingRule] | None = None
                  ) -> TokenColumn:
     """``split_tokens`` of every message, masked by ``rules`` first when
     given, as codes: each distinct message is masked and split once and
-    rows with equal messages share its entry."""
+    rows with equal messages share its entry. Without ``rules``, a
+    ``normalize`` result gives the token column its masking pass kept."""
+    if not rules and isinstance(messages, Normalized) \
+            and messages.tokens is not None:
+        return messages.tokens
     distinct, rows = _distinct(messages)
     if rules:
         distinct = [mask_one(m, rules) for m in distinct]

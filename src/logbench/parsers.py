@@ -154,7 +154,9 @@ class _ParserBase:
         ``tokens``, when given, is a ``TokenColumn`` (or one list per
         message) holding exactly what ``parse_one`` would split from each
         message, the parser's own masking included; it is only read.
-        Otherwise each distinct message is masked and split once here.
+        Otherwise ``masking.token_column`` codes them: each distinct
+        message is masked and split once, unless they are a
+        ``masking.normalize`` result that kept its token column.
         """
         if tokens is None:
             tokens = token_column(messages, self.masking_rules)
@@ -222,9 +224,7 @@ class DrainParser(_ParserBase):
     of its codes alone, so ``parse`` scores the distinct entries of a
     window of rows with numpy, one call per route key, accepts the rows
     before the first one that would change the store, mines that row alone
-    with ``_mine`` and starts the next window after it. A mined row changes
-    only its own leaf (and may give leafless routes a leaf), so an entry is
-    scored again only after a row is mined into its leaf.
+    with ``_mine`` and starts the next window after it.
     """
 
     kind = "drain"
@@ -247,52 +247,25 @@ class DrainParser(_ParserBase):
         # (token count, first depth - 2 tokens) -> the leaf _leaf returns
         self._routes: dict[tuple, list] = {}
 
-    def _leaf(self, tokens: list[str]) -> list:
-        """Walk (and build) the routing path for these tokens."""
-        path_len = min(self._token_levels, len(tokens))
+    def _leaf(self, tokens: list[str], build: bool = True) -> list | None:
+        """Walk the routing path for these tokens, building the missing
+        nodes; without ``build`` the walk builds nothing and gives None
+        where it would build a node."""
+        path = tokens[:self._token_levels]
         node = self._root
-        child = node.get(len(tokens))
-        if child is None:
-            child = [] if path_len == 0 else {}
-            node[len(tokens)] = child
-        node = child
-        for i in range(path_len):
-            token = tokens[i]
-            if token.isdigit():
-                token = WILDCARD
-            leaf_level = i == path_len - 1
-            child = node.get(token)
-            if child is None:
-                if token != WILDCARD and len(node) >= self.max_children:
-                    token = WILDCARD
-                    child = node.get(token)
-                if child is None:
-                    child = [] if leaf_level else {}
-                    node[token] = child
-            node = child
-        return node
-
-    def _find_leaf(self, tokens: list[str]) -> list | None:
-        """The leaf ``_leaf`` returns for these tokens, found without
-        building anything; None where ``_leaf`` would build a node."""
-        key = (len(tokens), *tokens[:self._token_levels])
-        leaf = self._routes.get(key)
-        if leaf is None:
-            node = self._root.get(len(tokens))
-            for token in tokens[:self._token_levels]:
-                if node is None:
-                    return None
+        for level, token in enumerate([len(tokens), *path]):
+            if level:  # below the root, which is keyed by token count
                 if token.isdigit():
                     token = WILDCARD
-                child = node.get(token)
-                if child is None and token != WILDCARD \
-                        and len(node) >= self.max_children:
-                    child = node.get(WILDCARD)
-                node = child
-            if node is None:
-                return None
-            leaf = self._routes[key] = node
-        return leaf
+                if token not in node and len(node) >= self.max_children:
+                    token = WILDCARD
+            child = node.get(token)
+            if child is None:
+                if not build:
+                    return None
+                child = node[token] = [] if level == len(path) else {}
+            node = child
+        return node
 
     def _mine(self, tokens: list[str]) -> int:
         n = len(tokens)
@@ -338,31 +311,20 @@ class DrainParser(_ParserBase):
         # and neither does a wildcard, not even a literal <*> in a message
         code_of = dict(zip(col.tokens, range(len(col.tokens))))
         code_of[WILDCARD] = -1
-        leaves: dict[int, tuple[list, int]] = {}  # route key -> leaf, slot
-        slot_of: dict[int, int] = {}  # id(leaf) -> slot
-        # edits[slot]: rows mined into the leaf of that slot so far; the
-        # last slot, for entries without a leaf, counts every mined row
-        edits = np.zeros(len(lengths) + 1, dtype=np.int64)
-        # each entry's event id, outcome and leaf slot hold while its
-        # stamp equals the edits of its slot: a row mined into another
-        # leaf cannot change how it matches
-        event = np.zeros(len(lengths), dtype=np.int64)
+        # each entry's event id and whether it leaves the store as it is,
+        # under the store as it stands in the current window
+        event = np.zeros(len(lengths), dtype=np.int32)
         settled = np.zeros(len(lengths), dtype=bool)
-        slot = np.full(len(lengths), -1)
-        stamp = np.full(len(lengths), -1)
-        ids = np.empty(len(rows), dtype=np.int64)
+        ids = np.empty(len(rows), dtype=np.int32)
         mined = []
         start, size = 0, _WINDOW_START
         while start < len(rows):
             window = rows[start:start + size]
-            fresh = np.sort(window[stamp[window] != edits[slot[window]]])
-            if len(fresh):
-                # distinct; np.unique would hash, many times slower here
-                fresh = fresh[np.r_[True, fresh[1:] != fresh[:-1]]]
-                event[fresh], settled[fresh], slot[fresh] = self._match(
-                    col, fresh, keys[fresh], lengths, code_of, leaves,
-                    slot_of)
-                stamp[fresh] = edits[slot[fresh]]
+            entries = np.sort(window)
+            # distinct; np.unique would hash, many times slower here
+            entries = entries[np.r_[True, entries[1:] != entries[:-1]]]
+            event[entries], settled[entries] = self._match(
+                col, entries, keys[entries], lengths, code_of)
             ok = settled[window]
             first = int(ok.argmin())  # the first row that changes the store
             if ok[first]:
@@ -372,13 +334,8 @@ class DrainParser(_ParserBase):
                 continue
             end = start + first
             ids[start:end] = event[rows[start:end]]
-            tokens = col.entry(rows[end])
-            ids[end] = self._mine(tokens)
+            ids[end] = self._mine(col.entry(rows[end]))
             mined.append(end)
-            edits[-1] += 1
-            changed = slot_of.get(id(self._find_leaf(tokens)))
-            if changed is not None:
-                edits[changed] += 1
             start, size = end + 1, _WINDOW_START
         # the mined rows counted themselves; cluster counts never steer a
         # match, so the accepted rows are counted at the end
@@ -405,25 +362,18 @@ class DrainParser(_ParserBase):
             key = key * base + level
         return key
 
-    def _match(self, col: TokenColumn, entries, keys, lengths, code_of,
-               leaves, slot_of) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _match(self, col: TokenColumn, entries, keys, lengths, code_of
+               ) -> tuple[np.ndarray, np.ndarray]:
         """The event id ``_mine`` gives each entry under the current store,
-        whether it would leave the store as it is, and the slot of its leaf
-        (-1 without one)."""
+        and whether it would leave the store as it is."""
         event = np.zeros(len(entries), dtype=np.int64)
         settled = np.zeros(len(entries), dtype=bool)
-        slot = np.full(len(entries), -1)
         order = np.argsort(keys)
         cuts = np.flatnonzero(np.diff(keys[order])) + 1
         for group in np.split(order, cuts):
-            key = int(keys[group[0]])
-            if key not in leaves:
-                leaf = self._find_leaf(col.entry(entries[group[0]]))
-                if not leaf:  # a message here founds a cluster
-                    continue
-                leaves[key] = leaf, slot_of.setdefault(id(leaf),
-                                                       len(slot_of))
-            leaf, slot[group] = leaves[key]
+            leaf = self._leaf(col.entry(entries[group[0]]), build=False)
+            if not leaf:  # a message here founds a cluster
+                continue
             n = int(lengths[entries[group[0]]])
             templates = np.array(
                 [[code_of.get(t, -2) for t in c.template] for c in leaf],
@@ -446,7 +396,7 @@ class DrainParser(_ParserBase):
                     ok &= best_same / n >= self.sim_threshold
                 event[part] = cluster_ids[best]
                 settled[part] = ok
-        return event, settled, slot
+        return event, settled
 
 
 # ---------------------------------------------------------------------------

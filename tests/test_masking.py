@@ -4,7 +4,7 @@ import pytest
 
 from logbench.masking import (MaskingRule, default_rules, load_masking_rules,
                               mask_one, normalize, save_masking_rules,
-                              split_tokens, tokenize)
+                              split_tokens, token_column, tokenize)
 
 
 def test_reference_example():
@@ -334,6 +334,20 @@ def test_token_codes_match_split_of_masked_text(name):
     assert [raw[i] for i in range(len(msgs))] == \
         [split_tokens(m) for m in msgs]
     assert tokenize(msgs) == [split_tokens(m) for m in msgs]
+
+
+def test_token_column_of_a_normalize_result_is_its_kept_column():
+    out = normalize(_PARITY_MESSAGES)
+    assert token_column(out) is out.tokens
+    assert out.tokens.tolist() == [split_tokens(m) for m in out]
+    # plain text, rules still to apply, or a pass that kept no codes
+    assert token_column(list(out)).tolist() == out.tokens.tolist()
+    rules = _PARITY_RULES["tab-rule"]
+    assert token_column(out, rules).tolist() == \
+        [split_tokens(mask_one(m, rules)) for m in out]
+    other = normalize(_PARITY_MESSAGES, _PARITY_RULES["non-token-local"])
+    assert other.tokens is None
+    assert token_column(other).tolist() == [split_tokens(m) for m in other]
 
 
 def test_tokenize_after_normalize_takes_its_codes(monkeypatch):

@@ -472,6 +472,32 @@ def test_drain_matches_unmemoized_reference(params):
         assert _tree(parser._root) == _tree(ref._root)
 
 
+@pytest.mark.parametrize("params", [{}, {"depth": 5, "max_children": 1},
+                                    {"depth": 3, "max_children": 2}])
+def test_drain_walk_without_building_finds_the_built_leaf(params):
+    # the batch parse finds leaves with _leaf(build=False): it must give
+    # the leaf the building walk reaches, or None exactly where that walk
+    # grows the tree
+    rng = random.Random(str(params))
+    vocab = ["a", "b", "c", "d", "12", "7", WILDCARD]
+    parser = DrainParser(**params)
+    found_some = grew = 0
+    for _ in range(600):
+        tokens = [rng.choice(vocab) for _ in range(rng.randrange(6))]
+        found = parser._leaf(tokens, build=False)
+        before = _tree(parser._root)
+        built = parser._leaf(tokens)
+        if found is None:
+            assert _tree(parser._root) != before
+            grew += 1
+        else:
+            assert found is built and _tree(parser._root) == before
+            found_some += 1
+        if rng.random() < 0.3:
+            parser._mine(tokens)
+    assert found_some > 100 and grew > 10
+
+
 def _assert_batch_is_sequential(parser, steps, params):
     """Run ``steps`` on ``parser``, each ``("parse", msgs, tokens)`` or
     ``("one", msgs)``, and compare ids, templates, counts and the routing
@@ -537,6 +563,13 @@ def test_drain_batch_continues_across_columns_and_parse_one():
     assert parser.store.template_strings() == {
         0: "open file <*> mode <*>", 1: "read block <*> of <*> bytes",
         2: "write block z of 6 bytes"}
+    # "r" is missing from the second column, where "x" holds code 0:
+    # "x y x" must rewrite the template, not match it as it stands
+    parser = DrainParser()
+    _assert_batch_is_sequential(
+        parser, [("parse", ["x y r"] * 3, None),
+                 ("parse", ["x y x"] * 3, None)], {})
+    assert parser.store.template_strings() == {0: "x y <*>"}
     for params in ({}, {"depth": 3, "max_children": 2}):
         rng = random.Random(str(params))
         pool = _token_corpus(rng, 40)
