@@ -21,8 +21,7 @@ products sum in another order than dense BLAS.
 Logistic regression trains on the distinct (feature row, label) pairs of
 its training set, each weighted by its count, rather than on every row:
 the loss and gradient are the same in real arithmetic, and a repetitive log
-holds few distinct rows. Its weights may differ from a per-row fit in the
-last bits, since the sums run in another order.
+holds few distinct rows. A small in-module L-BFGS minimizes that loss.
 """
 
 from __future__ import annotations
@@ -242,7 +241,7 @@ def scores_to_labels(scores, contamination: float = 0.03) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# logistic regression (full-batch gradient descent)
+# logistic regression (L-BFGS on distinct rows)
 
 
 def _distinct_rows(X, y: np.ndarray):
@@ -286,7 +285,7 @@ def _weighted_loss(z: np.ndarray, w: np.ndarray, yf: np.ndarray, counts,
 def _weighted_gradient(z: np.ndarray, w: np.ndarray, M, yf: np.ndarray,
                        counts, n: int, l2: float):
     """Gradient of :func:`_weighted_loss` in (w, b) at margins z."""
-    p = 1.0 / (1.0 + np.exp(-z))
+    p = np.exp(-np.logaddexp(0.0, -z))  # sigmoid, no overflow at any z
     residual = counts * (p - yf) / n
     gw = np.asarray(M.T @ residual).ravel() + l2 * w
     return gw, float(residual.sum())
@@ -307,13 +306,55 @@ def logistic_gradient(w: np.ndarray, b: float, X, y: np.ndarray, l2: float):
                               1.0, len(y), l2)
 
 
-class LogisticRegressionDetector:
-    """Binary logistic regression trained by full-batch gradient descent.
+def _lbfgs(fun_and_grad, x0: np.ndarray, tol: float, max_iter: int):
+    """Minimize a smooth function by L-BFGS (Liu & Nocedal, 1989).
 
-    Weights start at zero, the step size starts at 0.1 and halves within an
-    epoch whenever a step would increase the loss, so the recorded loss
-    history is monotonically non-increasing. Training stops when the
-    improvement drops below ``tol`` or after ``max_epochs``.
+    ``fun_and_grad(x)`` returns ``(f, g)``. The direction comes from the
+    two-loop recursion over the last 10 (s, y) pairs with y.s > 0, or is
+    -g when that does not descend; the step halves from 1 until f falls by
+    the Armijo condition. Stops when max |g| <= tol, when no step is
+    accepted, or after ``max_iter`` iterations. Returns ``(x, history)``:
+    the last iterate and f at each accepted one, x0 first.
+    """
+    x = x0
+    f, g = fun_and_grad(x)
+    history, pairs, scale = [f], [], 1.0
+    for _ in range(max_iter):
+        if np.abs(g).max() <= tol:
+            break
+        d, alphas = -g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * np.dot(s, d))
+            d = d - alphas[-1] * y
+        d = d * scale
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            d = d + (a - rho * np.dot(y, d)) * s
+        slope = np.dot(g, d)
+        if slope >= 0:
+            d, slope = -g, -np.dot(g, g)
+        for step in 0.5 ** np.arange(40):
+            x_new = x + step * d
+            f_new, g_new = fun_and_grad(x_new)
+            if f_new < f and f_new <= f + 1e-4 * step * slope:
+                break
+        else:
+            break
+        s, y = x_new - x, g_new - g
+        if np.dot(s, y) > 0:
+            pairs = (pairs + [(s, y, 1.0 / np.dot(s, y))])[-10:]
+            scale = np.dot(s, y) / np.dot(y, y)
+        x, f, g = x_new, f_new, g_new
+        history.append(f)
+    return x, history
+
+
+class LogisticRegressionDetector:
+    """Binary logistic regression trained by L-BFGS (:func:`_lbfgs`).
+
+    Weights start at zero. Training stops when the largest gradient entry
+    is at most ``tol``, when no step along the search direction lowers the
+    loss, or after ``max_epochs`` L-BFGS iterations. ``loss_history`` holds
+    the loss at every accepted iterate and strictly decreases.
 
     Fit trains on the distinct (feature row, label) pairs of the training
     set, each weighted by its count: the same loss and gradient as over all
@@ -322,9 +363,8 @@ class LogisticRegressionDetector:
 
     kind = "lr"
 
-    def __init__(self, learning_rate: float = 0.1, l2: float = 1e-4,
-                 tol: float = 1e-6, max_epochs: int = 1000):
-        self.learning_rate = learning_rate
+    def __init__(self, l2: float = 1e-4, tol: float = 1e-6,
+                 max_epochs: int = 1000):
         self.l2 = l2
         self.tol = tol
         self.max_epochs = max_epochs
@@ -342,32 +382,18 @@ class LogisticRegressionDetector:
         n = len(y)
         U, labels, counts = _distinct_rows(M, y)
         yf = labels.astype(np.float64)
-        w = np.zeros(U.shape[1], dtype=np.float64)
-        b = 0.0
-        z = _margins(w, b, U)
-        loss = _weighted_loss(z, w, yf, counts, n, self.l2)
-        self.loss_history = [loss]
-        for _ in range(self.max_epochs):
+
+        def loss_and_gradient(x):
+            w, b = x[:-1], x[-1]
+            z = _margins(w, b, U)
             gw, gb = _weighted_gradient(z, w, U, yf, counts, n, self.l2)
-            step = self.learning_rate
-            while True:
-                w_new = w - step * gw
-                b_new = b - step * gb
-                z_new = _margins(w_new, b_new, U)
-                new_loss = _weighted_loss(z_new, w_new, yf, counts, n,
-                                          self.l2)
-                if new_loss <= loss or step < 1e-12:
-                    break
-                step *= 0.5
-            if new_loss > loss:
-                break
-            improvement = loss - new_loss
-            w, b, z, loss = w_new, b_new, z_new, new_loss
-            self.loss_history.append(loss)
-            if improvement < self.tol:
-                break
-        self.weights = w
-        self.bias = b
+            return (_weighted_loss(z, w, yf, counts, n, self.l2),
+                    np.append(gw, gb))
+
+        x, self.loss_history = _lbfgs(loss_and_gradient,
+                                      np.zeros(U.shape[1] + 1), self.tol,
+                                      self.max_epochs)
+        self.weights, self.bias = x[:-1], float(x[-1])
         return self
 
     def score(self, X) -> np.ndarray:
@@ -382,7 +408,6 @@ class LogisticRegressionDetector:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "learning_rate": self.learning_rate,
             "l2": self.l2,
             "tol": self.tol,
             "max_epochs": self.max_epochs,
@@ -392,8 +417,8 @@ class LogisticRegressionDetector:
 
     @classmethod
     def from_dict(cls, obj) -> "LogisticRegressionDetector":
-        model = cls(obj["learning_rate"], obj["l2"], obj["tol"],
-                    obj["max_epochs"])
+        # files written before L-BFGS also carry a "learning_rate"
+        model = cls(obj["l2"], obj["tol"], obj["max_epochs"])
         model.weights = np.asarray(obj["weights"], dtype=np.float64)
         model.bias = float(obj["bias"])
         return model

@@ -1,17 +1,23 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from logbench import detectors
 from logbench.detectors import (DecisionTreeDetector, EvalReport,
                                 IsolationForestDetector, KMeansDetector,
                                 LogisticRegressionDetector, OOVDetector,
                                 RarityDetector, _avg_path_length, _TreeNode,
-                                _best_split, _distinct_rows, _harmonic,
+                                _best_split, _distinct_rows, _harmonic, _lbfgs,
                                 _quantile_threshold, _tie_average_ranks,
                                 auc_roc, evaluate,
                                 load_model, logistic_gradient, logistic_loss,
@@ -243,6 +249,46 @@ def test_lr_round_trip(tmp_path):
     back = load_model(p)
     assert isinstance(back, LogisticRegressionDetector)
     assert np.allclose(back.score(X), model.score(X))
+
+
+def test_lr_loads_model_with_learning_rate(tmp_path):
+    # model.json as written while lr trained by gradient descent
+    p = tmp_path / "lr.json"
+    p.write_text(json.dumps({"kind": "lr", "learning_rate": 0.1, "l2": 1e-4,
+                             "tol": 1e-6, "max_epochs": 1000,
+                             "weights": [2.0, -1.0], "bias": 0.5}))
+    model = load_model(p)
+    assert (model.l2, model.tol, model.max_epochs) == (1e-4, 1e-6, 1000)
+    np.testing.assert_allclose(model.score(np.array([[0.0, 0.5]])),
+                               [0.5])
+    assert "learning_rate" not in model.to_dict()
+
+
+def test_lr_separable_unregularized_fit_raises_no_warning():
+    # far-apart classes and no l2: trial steps reach margins past 709,
+    # where 1 / (1 + exp(-z)) overflows
+    X, y = _blobs(seed=1, n=20, gap=8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = LogisticRegressionDetector(l2=0.0).fit(10.0 * X, y)
+    assert (model.predict(10.0 * X) == y).all()
+    h = np.asarray(model.loss_history)
+    assert len(h) > 1 and np.all(np.diff(h) < 0)
+
+
+def test_lr_fit_does_not_import_scipy_optimize():
+    # scipy.optimize costs about 26 MB of peak RSS to import
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import logbench\n"
+            "from logbench.detectors import LogisticRegressionDetector\n"
+            "LogisticRegressionDetector().fit(np.eye(4), [0, 0, 1, 1])\n"
+            "assert 'scipy.optimize' not in sys.modules\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 # ---------------------------------------------------------------------------
@@ -891,40 +937,27 @@ def _per_row_loss(w, b, M, y, l2):
 
 def _per_row_gradient(w, b, M, y, l2):
     z = np.asarray(M @ w).ravel() + b
-    p = 1.0 / (1.0 + np.exp(-z))
+    p = np.exp(-np.logaddexp(0.0, -z))
     residual = (p - y.astype(np.float64)) / len(y)
     return np.asarray(M.T @ residual).ravel() + l2 * w, float(residual.sum())
 
 
 class _PerRowLogistic(LogisticRegressionDetector):
-    """Reference: gradient descent over every training row."""
+    """Reference: the same L-BFGS over every training row."""
 
     def fit(self, X, y, seed=0):
         M = X.matrix if hasattr(X, "matrix") else X
         y = np.asarray(y, dtype=bool)
-        w = np.zeros(M.shape[1], dtype=np.float64)
-        b = 0.0
-        loss = _per_row_loss(w, b, M, y, self.l2)
-        self.loss_history = [loss]
-        for _ in range(self.max_epochs):
+
+        def loss_and_gradient(x):
+            w, b = x[:-1], x[-1]
             gw, gb = _per_row_gradient(w, b, M, y, self.l2)
-            step = self.learning_rate
-            while True:
-                w_new = w - step * gw
-                b_new = b - step * gb
-                new_loss = _per_row_loss(w_new, b_new, M, y, self.l2)
-                if new_loss <= loss or step < 1e-12:
-                    break
-                step *= 0.5
-            if new_loss > loss:
-                break
-            improvement = loss - new_loss
-            w, b, loss = w_new, b_new, new_loss
-            self.loss_history.append(loss)
-            if improvement < self.tol:
-                break
-        self.weights = w
-        self.bias = b
+            return _per_row_loss(w, b, M, y, self.l2), np.append(gw, gb)
+
+        x, self.loss_history = _lbfgs(loss_and_gradient,
+                                      np.zeros(M.shape[1] + 1), self.tol,
+                                      self.max_epochs)
+        self.weights, self.bias = x[:-1], float(x[-1])
         return self
 
 
@@ -977,18 +1010,46 @@ LR_PARITY_INPUTS = ["dense-blobs", "one-hot-int64-csr",
                     "canonical-csr-stored-zeros"]
 
 
+# Separable, with a far row of 40s: near its optimum the loss (about
+# 0.0015) moves by less than one ulp over weight changes of 1e-7, so two
+# L-BFGS runs whose sums round differently end 2e-7 to 1e-6 apart at any
+# tol. Its full fits are compared by predictions; its objective is pinned
+# at every point the fit evaluates.
+LR_ILL_DETERMINED = {"noncanonical-csr"}
+
+
 @pytest.mark.parametrize("name", LR_PARITY_INPUTS)
-def test_lr_matches_per_row_reference(name):
+def test_lr_matches_per_row_reference(name, monkeypatch):
     X, y = _lr_parity_input(name)
     before = X.copy()
+    seen = []
+
+    def recording_lbfgs(fun_and_grad, x0, tol, max_iter):
+        def record(x):
+            f, g = fun_and_grad(x)
+            seen.append((x.copy(), f, g))
+            return f, g
+        return _lbfgs(record, x0, tol, max_iter)
+
+    monkeypatch.setattr(detectors, "_lbfgs", recording_lbfgs)
     new = LogisticRegressionDetector().fit(X, y)
+    # at every point the distinct-row fit evaluates, its loss and gradient
+    # are the per-row ones
+    assert len(seen) >= len(new.loss_history) > 1
+    for x, f, g in seen:
+        w, b = x[:-1], x[-1]
+        assert abs(f - _per_row_loss(w, b, X, y, new.l2)) <= 1e-12
+        gw, gb = _per_row_gradient(w, b, X, y, new.l2)
+        np.testing.assert_allclose(g, np.append(gw, gb), rtol=0, atol=1e-12)
     ref = _PerRowLogistic().fit(X, y)
-    assert len(new.loss_history) == len(ref.loss_history)
-    np.testing.assert_allclose(new.loss_history, ref.loss_history,
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(new.weights, ref.weights, rtol=0, atol=1e-12)
-    assert abs(new.bias - ref.bias) <= 1e-12
     assert np.array_equal(new.predict(X), ref.predict(X))
+    if name not in LR_ILL_DETERMINED:
+        assert len(new.loss_history) == len(ref.loss_history)
+        np.testing.assert_allclose(new.loss_history, ref.loss_history,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(new.weights, ref.weights, rtol=0,
+                                   atol=1e-12)
+        assert abs(new.bias - ref.bias) <= 1e-12
     # the caller's matrix is read, never canonicalized in place
     if sparse.issparse(X):
         for attr in ("data", "indices", "indptr"):
