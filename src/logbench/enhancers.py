@@ -9,33 +9,20 @@ anomaly detection.
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from . import masking
 from .ngram import NGramModel, ngram_score
-from .tables import (EventTable, SequenceTable, Table, TokenColumn,
-                     _first_seen_codes, object_column)
-
-_TOKENS_OF = "e_tokens_of"
-
-
-def _tokens_of(events: Table, source: str):
-    """What ``meta`` holds for ``events[source]`` (by identity), or None:
-    the token column coded from it, or the ``masking.Normalized`` it is."""
-    held = events.meta.get(_TOKENS_OF)
-    return held[1] if held and held[0]() is events[source] else None
+from .tables import (CodedColumn, EventTable, SequenceTable, Table,
+                     TokenColumn, object_column)
 
 
 def add_normalized(events: Table, rules=None,
                    column: str = "m_message") -> Table:
-    """Masked copy of the message column as ``e_message_normalized``."""
-    normalized = masking.normalize(events[column], rules)
-    out = events.with_column("e_message_normalized", normalized)
-    out.meta[_TOKENS_OF] = (weakref.ref(out["e_message_normalized"]),
-                            normalized)
-    return out
+    """Masked copy of the message column as ``e_message_normalized``, a
+    ``CodedColumn`` that keeps what coding its tokens takes."""
+    return events.with_column("e_message_normalized",
+                              masking.normalize(events[column], rules))
 
 
 def _text_source(events: Table) -> str:
@@ -45,34 +32,34 @@ def _text_source(events: Table) -> str:
 
 def add_tokens(events: Table) -> Table:
     """Token codes as ``e_words``, from the normalized text when present
-    (as ``normalize`` coded them, when it coded that very column)."""
+    (as ``normalize`` coded them, when it made that very column). The text
+    column is kept coded, and the rows of ``e_words`` are its codes."""
     source = _text_source(events)
-    tokens = _tokens_of(events, source)
-    if isinstance(tokens, masking.Normalized):
-        tokens = tokens.tokens
+    text = CodedColumn.of(events[source])
+    tokens = text.tokens
     if tokens is None:
-        tokens = masking.token_column(events[source])
-    out = events.with_column("e_words", tokens)
-    out.meta[_TOKENS_OF] = (weakref.ref(out[source]), tokens)
-    return out
+        tokens = masking.token_column(text)
+    return events.with_column(source, text).with_column("e_words", tokens)
 
 
 def add_event_ids(events: Table, parser) -> Table:
     """Run a template miner over the table; adds ``e_event_id``.
 
-    When ``e_words`` was coded from the very column the parser reads and
-    the parser has no masking rules of its own, the parser reads that
-    token column instead of coding the messages again.
+    When ``e_words`` was coded from the very column the parser reads (its
+    rows are that column's codes) and the parser has no masking rules of
+    its own, the parser reads that token column instead of coding the
+    messages again.
 
     The parser keeps its state, so calling this again with more data
     continues the same template store.
     """
-    source = _text_source(events)
-    tokens = _tokens_of(events, source)
-    if parser.masking_rules or "e_words" not in events \
-            or events["e_words"] is not tokens:
+    text = events[_text_source(events)]
+    tokens = events["e_words"] if "e_words" in events else None
+    if parser.masking_rules or not isinstance(tokens, TokenColumn) \
+            or not isinstance(text, CodedColumn) \
+            or tokens.rows is not text.codes:
         tokens = None
-    ids = parser.parse(events[source], tokens)
+    ids = parser.parse(text, tokens)
     return events.with_column("e_event_id",
                               np.asarray(ids, dtype=np.int64))
 
@@ -91,7 +78,8 @@ def aggregate_sequences(events: Table, labels=None) -> SequenceTable:
     if "seq_id" not in events:
         raise ValueError("aggregate_sequences needs a seq_id column")
     # first-seen code of every row's sequence; -1 for a null seq_id
-    order, codes = _first_seen_codes(events["seq_id"].tolist())
+    seq_ids = CodedColumn.of(events["seq_id"]).first_seen()
+    order, codes = seq_ids.dictionary, seq_ids.codes
     kept = np.flatnonzero(codes >= 0)
     skipped = len(codes) - len(kept)
     # rows grouped by sequence, each group in row order
@@ -100,7 +88,7 @@ def aggregate_sequences(events: Table, labels=None) -> SequenceTable:
     ends = np.cumsum(seq_lens)
     starts = ends - seq_lens
     columns: dict = {
-        "seq_id": order,
+        "seq_id": CodedColumn(order, np.arange(len(order))),
         "seq_len": seq_lens,
     }
 

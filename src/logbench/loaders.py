@@ -8,8 +8,10 @@ exists in the same file, otherwise they are dropped; both cases are counted
 in ``table.meta`` and reported through the module logger, so no input is
 silently lost.
 
-Low-cardinality string columns are interned, which keeps multi-gigabyte
-datasets loadable and is also measurably faster than storing fresh strings.
+Low-cardinality string columns are coded as they are read: each becomes a
+``CodedColumn``, its distinct values in first-seen order plus an int32 code
+per row. That keeps multi-gigabyte datasets loadable, and table files, CSV
+export and validation read the codes instead of coding the strings again.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ import os
 import re
 from dataclasses import dataclass
 from datetime import date as _date
+from operator import itemgetter
 from pathlib import Path
 from sys import intern
 
 import numpy as np
 
-from .tables import (EventTable, SequenceTable, _first_seen_codes,
-                     object_column)
+from .tables import (CodedColumn, EventTable, SequenceTable,
+                     _first_seen_codes, object_column)
 
 logger = logging.getLogger("logbench.loaders")
 
@@ -163,8 +166,11 @@ class _HdfsColumns:
         self.seqs: list = []
         self.epochs = [np.zeros(0, dtype=np.int64)]
         self.pids = [np.zeros(0, dtype=np.int64)]
-        self.levels = [object_column([])]
-        self.comps = [object_column([])]
+        # codes over dictionaries that grow block by block
+        self.level_of: dict[str, int] = {}
+        self.comp_of: dict[str, int] = {}
+        self.levels = [np.zeros(0, dtype=np.int32)]
+        self.comps = [np.zeros(0, dtype=np.int32)]
         self.lines_read = self.dropped = self.merged = 0
 
     def add_block(self, lines: list[str]) -> None:
@@ -198,10 +204,11 @@ class _HdfsColumns:
         self.epochs.append(((day * 86400 + sec) * 1_000_000)[keep])
         self.pids.append(np.fromiter(map(int, pids), np.int64, len(pids)))
         level_dict, level_codes = _first_seen_codes(levels)
-        self.levels.append(object_column(
-            [intern(v) for v in level_dict])[level_codes[keep]])
-        self.comps.append(object_column(
-            [intern(c[:-1]) for c in comp_dict])[comp_codes[keep]])
+        self.levels.append(_recode(self.level_of, level_dict)
+                           [level_codes[keep]])
+        self.comps.append(_recode(self.comp_of,
+                                  [c[:-1] for c in comp_dict])
+                          [comp_codes[keep]])
 
         accepted = np.zeros(len(lines), dtype=bool)
         accepted[rows[keep]] = True
@@ -216,6 +223,14 @@ class _HdfsColumns:
             else:
                 self.messages[row] += "\n" + lines[i]
                 self.merged += 1
+
+
+def _recode(code_of: dict, values: list) -> np.ndarray:
+    """The code of each of ``values`` in ``code_of``, adding new ones. The
+    dictionary may gain values only rejected lines hold, and stand out of
+    first-seen order: ``CodedColumn.first_seen`` drops and reorders."""
+    return np.fromiter((code_of.setdefault(v, len(code_of)) for v in values),
+                       np.int32, len(values))
 
 
 def load_hdfs(log_path, label_path=None):
@@ -262,13 +277,14 @@ def load_hdfs(log_path, label_path=None):
             "merged_continuations": cols.merged,
             "rows_without_seq_id": no_seq}
     events = EventTable({
-        # code -1 picks the trailing None
-        "seq_id": object_column(seq_ids + [None])[seq_codes],
+        "seq_id": CodedColumn(seq_ids, seq_codes),
         "m_message": object_column(cols.messages),
         "m_timestamp": _to_timestamps(np.concatenate(cols.epochs)),
         "pid": np.concatenate(cols.pids),
-        "level": np.concatenate(cols.levels),
-        "component": np.concatenate(cols.comps),
+        "level": CodedColumn(list(cols.level_of),
+                             np.concatenate(cols.levels)).first_seen(),
+        "component": CodedColumn(list(cols.comp_of),
+                                 np.concatenate(cols.comps)).first_seen(),
     }, meta=meta)
 
     labels = read_hdfs_labels(label_path) if label_path is not None else {}
@@ -276,7 +292,7 @@ def load_hdfs(log_path, label_path=None):
         if label_path is not None else 0
     seq_meta = {"source": str(log_path), "sequences_unlabeled": unlabeled}
     sequences = SequenceTable({
-        "seq_id": object_column(seq_ids),
+        "seq_id": CodedColumn(seq_ids, np.arange(len(seq_ids))),
         "label": np.asarray([labels.get(s, False) for s in seq_ids],
                             dtype=bool),
         "seq_len": np.bincount(seq_codes[seq_codes >= 0],
@@ -321,6 +337,17 @@ def read_hdfs_labels(path) -> dict[str, bool]:
 # BGL / Thunderbird / Spirit / Liberty
 
 
+# every space-delimited field of a line: the second is the epoch, the last
+# the message, and one all but distinct time field stays plain text
+_SUPERCOMPUTER_FIELDS = {
+    "bgl": ("alert_tag", "epoch", "date", "node", "time_full",
+            "node_repeat", "type", "component", "level", "m_message"),
+    "tbird": ("alert_tag", "epoch", "date", "admin", "month", "day", "time",
+              "location", "m_message"),
+}
+_PLAIN_FIELDS = ("time_full", "time")
+
+
 def load_supercomputer(log_path, format: str) -> EventTable:
     """Load one of the space-delimited supercomputer logs.
 
@@ -336,114 +363,76 @@ def load_supercomputer(log_path, format: str) -> EventTable:
 
     An alert tag of ``-`` means normal; anything else labels the event as an
     anomaly. Timestamps come from the epoch field.
+
+    Each line's few-valued fields are coded together: the tuple of them is
+    one dictionary key, so a line costs one lookup, and each column's
+    dictionary and codes come from the distinct tuples afterwards. The
+    message is coded as read too; a continuation line makes the merged
+    text a message of its own.
     """
     if format not in SUPERCOMPUTER_FORMATS:
         raise ValueError(f"format must be one of {SUPERCOMPUTER_FORMATS}")
-    if format == "bgl":
-        return _load_bgl(log_path)
-    return _load_tbird_family(log_path, format)
-
-
-def _load_bgl(log_path) -> EventTable:
-    alerts, epochs, dates, nodes = [], [], [], []
-    fulltimes, nodereps, types_, comps, levels, messages = \
-        [], [], [], [], [], []
+    fields = _SUPERCOMPUTER_FIELDS["bgl" if format == "bgl" else "tbird"]
+    n_fields = len(fields)
+    plain = next(i for i, f in enumerate(fields) if f in _PLAIN_FIELDS)
+    coded = [i for i in range(n_fields - 1) if i not in (1, plain)]
+    key_of = itemgetter(*coded)
+    code_of: dict[tuple, int] = {}
+    message_of: dict[str, int] = {}
+    combos, epochs, times, messages = [], [], [], []
+    last = ""  # the message of the last event
     dropped = merged = 0
     lines_read = 0
     with open(log_path, "r", encoding="utf-8", errors="replace",
               newline="\n") as f:
         for line in f:
             lines_read += 1
-            p = line.rstrip("\n").split(" ", 9)
-            if len(p) == 10:
+            p = line.rstrip("\n").split(" ", n_fields - 1)
+            if len(p) == n_fields:
                 try:
-                    epoch = int(p[1])
+                    epoch = int(p[1]) * 1_000_000
                 except ValueError:
-                    epoch = None
-                if epoch is not None:
-                    alerts.append(intern(p[0]))
-                    epochs.append(epoch * 1_000_000)
-                    dates.append(intern(p[2]))
-                    nodes.append(intern(p[3]))
-                    fulltimes.append(p[4])
-                    nodereps.append(intern(p[5]))
-                    types_.append(intern(p[6]))
-                    comps.append(intern(p[7]))
-                    levels.append(intern(p[8]))
-                    messages.append(p[9])
+                    pass
+                else:
+                    key = key_of(p)
+                    try:
+                        combos.append(code_of[key])
+                    except KeyError:
+                        combos.append(code_of.setdefault(key, len(code_of)))
+                    last = p[-1]
+                    try:
+                        messages.append(message_of[last])
+                    except KeyError:
+                        messages.append(message_of.setdefault(
+                            last, len(message_of)))
+                    epochs.append(epoch)
+                    times.append(p[plain])
                     continue
             if messages:
-                messages[-1] = messages[-1] + "\n" + line.rstrip("\n")
+                last = last + "\n" + line.rstrip("\n")
+                messages[-1] = message_of.setdefault(last, len(message_of))
                 merged += 1
             else:
                 dropped += 1
 
     meta = {"source": str(log_path), "lines_read": lines_read,
             "dropped_lines": dropped, "merged_continuations": merged}
-    label = np.asarray([a != "-" for a in alerts], dtype=bool)
+    combos = np.fromiter(combos, np.int32, len(combos))
+    # a merge can leave a message no row holds
+    columns = {fields[plain]: object_column(times),
+               "m_message": CodedColumn(list(message_of), np.fromiter(
+                   messages, np.int32, len(messages))).first_seen()}
+    for j, i in enumerate(coded):
+        # the tuples are in first-seen order, so each field's values are too
+        dictionary, codes = _first_seen_codes([key[j] for key in code_of])
+        columns[fields[i]] = CodedColumn(dictionary, codes[combos])
+    alerts = columns["alert_tag"]
     table = EventTable({
-        "label": label,
-        "alert_tag": object_column(alerts),
+        "label": np.asarray([a != "-" for a in alerts.dictionary],
+                            dtype=bool)[alerts.codes],
+        "alert_tag": alerts,
         "m_timestamp": _to_timestamps(epochs),
-        "date": object_column(dates),
-        "node": object_column(nodes),
-        "time_full": object_column(fulltimes),
-        "node_repeat": object_column(nodereps),
-        "type": object_column(types_),
-        "component": object_column(comps),
-        "level": object_column(levels),
-        "m_message": object_column(messages),
-    }, meta=meta)
-    _warn_counts("bgl", meta)
-    return table
-
-
-def _load_tbird_family(log_path, format: str) -> EventTable:
-    alerts, epochs, dates, admins = [], [], [], []
-    months, days, times, locations, messages = [], [], [], [], []
-    dropped = merged = 0
-    lines_read = 0
-    with open(log_path, "r", encoding="utf-8", errors="replace",
-              newline="\n") as f:
-        for line in f:
-            lines_read += 1
-            p = line.rstrip("\n").split(" ", 8)
-            if len(p) == 9:
-                try:
-                    epoch = int(p[1])
-                except ValueError:
-                    epoch = None
-                if epoch is not None:
-                    alerts.append(intern(p[0]))
-                    epochs.append(epoch * 1_000_000)
-                    dates.append(intern(p[2]))
-                    admins.append(intern(p[3]))
-                    months.append(intern(p[4]))
-                    days.append(intern(p[5]))
-                    times.append(p[6])
-                    locations.append(intern(p[7]))
-                    messages.append(p[8])
-                    continue
-            if messages:
-                messages[-1] = messages[-1] + "\n" + line.rstrip("\n")
-                merged += 1
-            else:
-                dropped += 1
-
-    meta = {"source": str(log_path), "lines_read": lines_read,
-            "dropped_lines": dropped, "merged_continuations": merged}
-    label = np.asarray([a != "-" for a in alerts], dtype=bool)
-    table = EventTable({
-        "label": label,
-        "alert_tag": object_column(alerts),
-        "m_timestamp": _to_timestamps(epochs),
-        "date": object_column(dates),
-        "admin": object_column(admins),
-        "month": object_column(months),
-        "day": object_column(days),
-        "time": object_column(times),
-        "location": object_column(locations),
-        "m_message": object_column(messages),
+        **{name: columns[name] for name in fields[2:]},
     }, meta=meta)
     _warn_counts(format, meta)
     return table

@@ -10,22 +10,22 @@ Logs repeat heavily, and ``normalize`` exploits that at two grains. When
 every rule is token-local (it can never match a space and behaves the same
 at a space as at a string edge), a message is the space-joined masks of its
 space-delimited chunks, so each distinct chunk of the column is masked once.
-Otherwise each distinct message is masked once. Either way the result is
-mapped back to every row; the output is exactly
-``[mask_one(m, rules) for m in messages]``.
+Otherwise each distinct message is masked once. Either way the result is a
+``CodedColumn``: the distinct masked messages and each row's code, whose
+cells are exactly ``[mask_one(m, rules) for m in messages]``.
 
 The chunk pass also keeps what it needs to code every message's tokens on
-request (``TokenColumn``), splitting each distinct masked chunk once.
+request (``CodedColumn.tokens``), splitting each distinct masked chunk once.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
 
 import numpy as np
 
-from .tables import TokenColumn, _first_seen_codes, object_column
+from .tables import (CodedColumn, TokenColumn, _first_seen_codes,
+                     _first_seen_order, object_column)
 
 _TOKEN_RE = re.compile(r"^<[A-Za-z0-9_]+>$")
 _LOOKAROUND_RE = re.compile(r"\(\?<?[=!]")
@@ -132,59 +132,55 @@ def mask_one(text: str, rules: list[MaskingRule]) -> str:
     return text
 
 
-def _distinct(messages) -> tuple[list[str], np.ndarray]:
-    """Distinct messages in first-seen order, and each row's index."""
-    distinct, rows = _first_seen_codes(list(messages))
-    if len(rows) and rows.min() < 0:
+def _coded(messages) -> CodedColumn:
+    """The messages as a coded column; a TypeError for a None message."""
+    text = CodedColumn.of(messages)
+    if len(text) and text.codes.min() < 0:
         raise TypeError("messages must be str, not None")
-    return distinct, rows
+    return text
 
 
-class Normalized(list):
-    """Masked messages. ``tokens`` is their token column, coded on first
-    read from what the chunk pass kept, or None when it did not run."""
-    _code = None
-    tokens = cached_property(lambda self: self._code and self._code())
-
-
-def normalize(messages, rules: list[MaskingRule] | None = None) -> Normalized:
+def normalize(messages, rules: list[MaskingRule] | None = None
+              ) -> CodedColumn:
     """Apply masking rules to a whole message column.
 
-    Returns a new list of the same length; input order is preserved and the
-    operation is idempotent for the built-in rules (placeholders do not match
-    any rule). The result is exactly ``[mask_one(m, rules) for m in
-    messages]``; how it is computed depends on the rules and the messages:
+    Returns a ``CodedColumn`` of the same length: the distinct masked
+    messages in first-seen order and each row's code. Its cells are exactly
+    ``[mask_one(m, rules) for m in messages]``, and the operation is
+    idempotent for the built-in rules (placeholders do not match any rule).
+    How it is computed depends on the rules and the messages:
 
     - When every rule is token-local and no message contains a newline, the
       distinct messages are split on single spaces, each distinct chunk is
       masked once and every message is rebuilt from its masked chunks. Logs
       whose messages are nearly all distinct still share few chunks, so this
-      is the fast path for the built-in rules. It also keeps what
-      ``tokens`` needs to code the result without splitting it again.
+      is the fast path for the built-in rules. It also keeps what the
+      result's ``tokens`` needs to code it without splitting it again.
     - Otherwise each distinct message is masked once. When every rule is
       blob-safe and no message contains a newline, the rules run once over a
       newline-joined blob of the distinct messages; else a per-message loop.
     """
     if rules is None:
         rules = default_rules()
-    distinct, rows = _distinct(messages)
+    text = _coded(messages).first_seen()
     masked = code = None
     if rules and all(r.token_local for r in rules):
-        masked, code = _normalize_chunks(distinct, rules)
+        masked, code = _normalize_chunks(text.dictionary, rules)
     if masked is None:
-        masked = _normalize_distinct(distinct, rules)
-    out = Normalized(masked if len(distinct) == len(rows)
-                     else map(masked.__getitem__, rows.tolist()))
-    out._code = code and (lambda: code()[rows])
-    return out
+        masked = _normalize_distinct(text.dictionary, rules)
+    dictionary, entry_of = _first_seen_codes(masked)
+    return CodedColumn(dictionary, entry_of[text.codes],
+                       code and (lambda: code(entry_of)))
 
 
 def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
     """Mask each distinct space-delimited chunk of ``msgs`` once.
 
     Every rule must be token-local. Returns the masked messages and a
-    function coding their token column, or (None, None) when a message
-    contains a newline or the rebuilt rows do not line up with ``msgs``.
+    function coding their tokens, one compact entry per distinct masked
+    message given each message's code among those (``entry_of``), or
+    (None, None) when a message contains a newline or the rebuilt rows do
+    not line up with ``msgs``.
     """
     blob = "\n".join(msgs)
     if blob.count("\n") != len(msgs) - 1:
@@ -204,7 +200,7 @@ def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
     if len(out) != len(msgs):
         return None, None
 
-    def code() -> TokenColumn:
+    def code(entry_of: np.ndarray) -> TokenColumn:
         # a message's tokens are its chunks' in order; the "\n" chunk
         # ending each message but the last has none
         pieces, piece_of = _first_seen_codes(masked)
@@ -212,9 +208,11 @@ def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
             [0], np.flatnonzero(ids == nl) + 1, [len(ids)])))
         tokens = TokenColumn.of(map(split_tokens, pieces))[piece_of[ids]] \
             .concat(per_message)
-        # one entry per distinct masked message, not per distinct raw one
-        _, entry_of = _first_seen_codes(out)
-        return tokens[np.unique(entry_of, return_index=True)[1][entry_of]]
+        # the first message of each distinct masked one stands for it, and
+        # runs of one row each pack their entries in order
+        first = _first_seen_order(entry_of)[1]
+        return tokens if len(first) == len(msgs) \
+            else tokens[first].concat(np.ones(len(first), dtype=np.int64))
     return out, code
 
 
@@ -250,13 +248,15 @@ def token_column(messages, rules: list[MaskingRule] | None = None
     given, as codes: each distinct message is masked and split once and
     rows with equal messages share its entry. Without ``rules``, a
     ``normalize`` result gives the token column its masking pass kept."""
-    if not rules and isinstance(messages, Normalized) \
-            and messages.tokens is not None:
-        return messages.tokens
-    distinct, rows = _distinct(messages)
+    text = _coded(messages)
+    if not rules and text.tokens is not None:
+        return text.tokens
+    distinct = text.dictionary
     if rules:
         distinct = [mask_one(m, rules) for m in distinct]
-    return TokenColumn.of(map(split_tokens, distinct))[rows]
+    entries = TokenColumn.of(map(split_tokens, distinct))
+    return TokenColumn(entries.tokens, entries.codes, entries.offsets,
+                       text.codes)
 
 
 def tokenize(messages) -> list[list[str]]:

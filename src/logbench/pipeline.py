@@ -362,7 +362,7 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
     with stage("train", timings):
         model, predictions, scores = _detect(config, train, X_train, X_test)
         detectors.save_model(model, out / "model.json")
-    _warn_degenerate(train, X_test, predictions)
+    _warn_degenerate(train, test, X_test, predictions)
 
     with stage("evaluate", timings):
         if "label" not in test:
@@ -386,14 +386,17 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
     return eval_report
 
 
-def _warn_degenerate(train, X_test, predictions) -> None:
+def _warn_degenerate(train, test, X_test, predictions) -> None:
     """Log outcomes that leave the report without meaning; the run goes on
     and report.json is unchanged."""
-    if "label" in train:
-        labels = np.asarray(train["label"], dtype=bool)
-        if labels.all() or not labels.any():
-            logger.warning("degenerate: training has a single class (%s)",
-                           "all anomalous" if labels.any() else "all normal")
+    for side, table, outcome in (("training", train, ""),
+                                 ("test", test, "; AUC is undefined")):
+        if "label" in table:
+            labels = np.asarray(table["label"], dtype=bool)
+            if labels.all() or not labels.any():
+                logger.warning("degenerate: %s has a single class (%s)%s",
+                               side, "all anomalous" if labels.any()
+                               else "all normal", outcome)
     if X_test.matrix.nnz == 0 and X_test.oov_counts.sum() > 0:
         logger.warning("degenerate: every test document is out of "
                        "vocabulary (%d terms, none in the %d-term "

@@ -4,6 +4,9 @@ Every dataset in this package is held as a small set of named numpy columns of
 equal length. Two concrete layouts exist: event tables (one row per log line)
 and sequence tables (one row per trace / block / application run). Tables are
 treated as immutable after construction; every operation returns a new table.
+A column of few distinct strings is a ``CodedColumn`` (a dictionary plus
+int32 codes) and a column of token lists a ``TokenColumn``; both read as
+object columns, and saving, CSV export and validation work on their codes.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import base64
 import json
 import re
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
@@ -97,14 +101,17 @@ class TokenColumn:
     def __iter__(self):
         return iter(self.tolist())
 
-    def tolist(self, cell=None) -> list:
-        """Every row's token list, or ``cell`` of it. ``cell`` runs once
-        per entry, and rows sharing an entry share its (read-only) list."""
+    def entries(self, cell=None) -> list:
+        """Every entry's token list, or ``cell`` of it."""
         words = object_column(self.tokens)[self.codes].tolist()
         bounds = self.offsets.tolist()
         cells = [words[a:b] for a, b in zip(bounds, bounds[1:])]
-        cells = cells if cell is None else list(map(cell, cells))
-        return list(map(cells.__getitem__, self.rows.tolist()))
+        return cells if cell is None else list(map(cell, cells))
+
+    def tolist(self, cell=None) -> list:
+        """Every row's token list, or ``cell`` of it. ``cell`` runs once
+        per entry, and rows sharing an entry share its (read-only) list."""
+        return list(map(self.entries(cell).__getitem__, self.rows.tolist()))
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """The codes of all rows in row order, and each row's length."""
@@ -123,9 +130,84 @@ class TokenColumn:
                            np.arange(len(counts), dtype=np.int32))
 
 
+class CodedColumn:
+    """A column of str cells held as a dictionary plus int32 codes: row
+    ``i`` holds ``dictionary[codes[i]]``, or None where its code is -1.
+    ``col[i]`` is the cell; ``col[indices]`` gathers codes over the same
+    dictionary, which may then hold unused entries or stand out of
+    first-seen order (``first_seen`` restores it). Tables treat it as an
+    object column of str.
+
+    ``tokens`` is the column's ``TokenColumn``, whose rows are ``codes``
+    itself, when the code that built the column kept what it takes
+    (``code_tokens``: one compact entry per dictionary entry, coded on
+    first read), else None.
+    """
+
+    dtype = np.dtype(object)
+
+    def __init__(self, dictionary: list, codes, code_tokens=None):
+        self.dictionary = dictionary
+        self.codes = _freeze(np.asarray(codes, dtype=np.int32))
+        self._code_tokens = code_tokens
+
+    @classmethod
+    def of(cls, cells) -> "CodedColumn":
+        """A coded column as it is, or hashable cells coded in first-seen
+        order."""
+        if isinstance(cells, CodedColumn):
+            return cells
+        return cls(*_first_seen_codes(
+            cells.tolist() if isinstance(cells, np.ndarray) else list(cells)))
+
+    @cached_property
+    def tokens(self) -> TokenColumn | None:
+        code, self._code_tokens = self._code_tokens, None
+        if code is None:
+            return None
+        entries = code()
+        return TokenColumn(entries.tokens, entries.codes, entries.offsets,
+                           self.codes)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            code = self.codes[key]
+            return None if code < 0 else self.dictionary[code]
+        return CodedColumn(self.dictionary, self.codes[key])
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        cells = object_column(self.dictionary + [None])[self.codes]
+        return cells if dtype is None else cells.astype(dtype)
+
+    def tolist(self) -> list:
+        return self.__array__().tolist()
+
+    def first_seen(self) -> "CodedColumn":
+        """The column with its dictionary in first-seen order of the rows
+        and no unused entry: itself when it already is, as a loader or
+        ``masking.normalize`` builds it, else re-coded in numpy."""
+        codes, size = self.codes, len(self.dictionary)
+        # in first-seen order every code is at most one above the highest
+        # code before it, and the highest of all is the last entry
+        top = np.maximum.accumulate(np.concatenate(([-1], codes)))
+        if top[-1] == size - 1 and (codes <= top[:-1] + 1).all():
+            return self
+        used = _first_seen_order(codes)[0]
+        recode = np.full(size + 1, -1, dtype=np.int32)  # [-1] stays -1
+        recode[used] = np.arange(len(used), dtype=np.int32)
+        return CodedColumn(list(map(self.dictionary.__getitem__,
+                                    used.tolist())), recode[codes])
+
+
 def _coerce_column(values) -> np.ndarray:
     """Bring a column candidate into one of the supported array dtypes."""
-    if isinstance(values, TokenColumn):
+    if isinstance(values, (TokenColumn, CodedColumn)):
         return values
     if isinstance(values, np.ndarray):
         arr = values
@@ -158,7 +240,7 @@ def _coerce_column(values) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     try:
         arr.flags.writeable = False
-    except (ValueError, AttributeError):  # a TokenColumn freezes its own
+    except (ValueError, AttributeError):  # a coded column freezes its own
         pass
     return arr
 
@@ -244,6 +326,15 @@ class Table:
     def _column_tag(self, arr: np.ndarray) -> str:
         if arr.dtype.kind in _KINDS:
             return _KINDS[arr.dtype.kind][1]
+        if isinstance(arr, CodedColumn):
+            return _TAG_STR
+        if isinstance(arr, TokenColumn) and len(arr):
+            # the first row that holds a token decides
+            filled = np.flatnonzero(np.diff(arr.offsets)[arr.rows])
+            if not len(filled):
+                return _TAG_INT_LIST
+            first = arr.tokens[arr.codes[arr.offsets[arr.rows[filled[0]]]]]
+            return _TAG_STR_LIST if isinstance(first, str) else _TAG_INT_LIST
         # object column: the first non-null value decides; a list column
         # takes its element type from its first non-empty list
         tag = None
@@ -262,8 +353,9 @@ class Table:
 
     def save(self, path) -> None:
         """Write the table as compact JSON, format version 2: each object
-        column as its distinct cells plus one int32 code per row, every other
-        column as its raw bytes. Equal content gives equal bytes."""
+        column as its distinct cells in first-seen order plus one int32 code
+        per row, every other column as its raw bytes. Equal content gives
+        equal bytes, coded or not."""
         cols = []
         for name, arr in self._columns.items():
             tag = self._column_tag(arr)
@@ -299,9 +391,9 @@ class Table:
 
     @classmethod
     def load(cls, path) -> "Table":
-        """Read a table file of version 2 or 1. In version 2, equal cells of
-        an object column come back as one shared object; version 1 cells are
-        each their own object."""
+        """Read a table file of version 2 or 1. In version 2, a str column
+        comes back as a ``CodedColumn`` and equal cells of a list column as
+        one shared object; version 1 cells are each their own object."""
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
         if obj.get("format") != _FORMAT_NAME:
@@ -330,7 +422,7 @@ class Table:
         it: lists space separated, None and NaT empty, other values ``str``.
         Each column is rendered once and the rows are streamed to the file.
         """
-        cols = [_csv_quoted([name] + _csv_cells(arr))
+        cols = [_csv_quoted([name]) + _csv_column(arr)
                 for name, arr in self._columns.items()]
         if len(cols) == 1:
             # csv quotes the empty field of a one-field row
@@ -338,6 +430,21 @@ class Table:
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.writelines(",".join(r) + "\r\n"
                          for r in (zip(*cols) if cols else [()]))
+
+
+def _first_seen_order(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct non-negative values of an int array in order of first
+    appearance, and the index where each first appears. One sort of value
+    and index packed into an int64 and a neighbour compare: ``np.unique``
+    hashes int arrays and a stable argsort merges, each several times
+    slower."""
+    n = len(codes)
+    key = np.sort(codes.astype(np.int64) * n + np.arange(n))
+    value = key // n  # -1 stays -1: key // n floors
+    head = np.ones(n, dtype=bool)
+    head[1:] = value[1:] != value[:-1]
+    first = np.sort((key - value * n)[head & (value >= 0)])
+    return codes[first], first
 
 
 def _first_seen_codes(cells: list) -> tuple[list, np.ndarray]:
@@ -357,28 +464,35 @@ def _first_seen_codes(cells: list) -> tuple[list, np.ndarray]:
 
 def _encode_cells(arr: np.ndarray, tag: str) -> tuple[list, np.ndarray]:
     """Dictionary and codes of an object column, its cells cast to ``str``
-    or ``list`` by its tag.
+    or ``list`` by its tag, both in first-seen order.
 
-    Strings are keyed by value. List rows are keyed by their JSON text,
+    Strings are keyed by value: a ``CodedColumn`` brings its own codes,
+    any other column is coded here. List rows are keyed by their JSON text,
     which keeps ``[1]``, ``[True]`` and ``[1.0]`` apart; it is computed
-    once per distinct list object (per entry of a ``TokenColumn``).
+    once per distinct list object (per used entry of a ``TokenColumn``).
     """
-    cells = arr.tolist()
-    if tag == _TAG_STR:
+    if isinstance(arr, TokenColumn):
+        used = _first_seen_order(arr.rows)[0]
+        at = np.zeros(len(arr.offsets) - 1, dtype=np.int32)
+        at[used] = np.arange(len(used), dtype=np.int32)
+        objects, codes = list(map(arr.entry, used.tolist())), at[arr.rows]
+    elif tag == _TAG_STR:
         try:
-            dictionary, codes = _first_seen_codes(cells)
-            if set(map(type, dictionary)) <= {str}:
-                return dictionary, codes
+            col = CodedColumn.of(arr).first_seen()
+            if set(map(type, col.dictionary)) <= {str}:
+                return col.dictionary, col.codes
         except TypeError:  # an unhashable cell, such as a list
             pass
         # cast first: 1, True and 1.0 are equal keys but different text
         return _first_seen_codes([None if v is None else str(v)
-                                  for v in cells])
-    objects, codes = _first_seen_codes(list(map(id, cells)))
-    at = np.empty(len(objects), dtype=np.int64)
-    at[codes] = np.arange(len(cells))  # a row holding each distinct object
-    objects = [None if v is None else v if type(v) is list else list(v)
-               for v in map(cells.__getitem__, at.tolist())]
+                                  for v in arr.tolist()])
+    else:
+        cells = arr.tolist()
+        objects, codes = _first_seen_codes(list(map(id, cells)))
+        at = np.empty(len(objects), dtype=np.int64)
+        at[codes] = np.arange(len(cells))  # a row holding each object
+        objects = [None if v is None else v if type(v) is list else list(v)
+                   for v in map(cells.__getitem__, at.tolist())]
     keys = [None if v is None else _dumps(v) for v in objects]
     texts, text_codes = _first_seen_codes(keys)
     row_of = dict(zip(keys, objects))  # equal text, equal content
@@ -412,7 +526,25 @@ def _decode_v2_column(col: dict, rows: int, path) -> np.ndarray:
     if rows and not -1 <= values.min() <= values.max() < len(dictionary):
         raise ValueError(f"{where} has codes outside "
                          f"[-1, {len(dictionary)})")
+    if tag == _TAG_STR and set(map(type, dictionary)) <= {str}:
+        return CodedColumn(dictionary, values)
     return object_column(dictionary + [None])[values]
+
+
+def _csv_column(arr: np.ndarray) -> list[str]:
+    """Quoted CSV text of every cell of one column. The entries of a coded
+    column, and the two values of a bool one, are rendered and quoted once
+    and gathered by codes."""
+    if isinstance(arr, CodedColumn):
+        entries, codes = list(map(str, arr.dictionary)), arr.codes
+    elif isinstance(arr, TokenColumn):
+        entries, codes = arr.entries(" ".join), arr.rows
+    elif arr.dtype.kind == "b":
+        entries, codes = ["False", "True"], arr.view(np.int8)
+    else:
+        return _csv_quoted(_csv_cells(arr))
+    # code -1, a None cell, picks the empty field
+    return object_column(_csv_quoted(entries) + [""])[codes].tolist()
 
 
 def _csv_cells(arr: np.ndarray) -> list[str]:
@@ -423,8 +555,6 @@ def _csv_cells(arr: np.ndarray) -> list[str]:
             arr.view(np.int64).astype(str), " microseconds"))
         cells[np.isnat(arr)] = ""
         return cells.tolist()
-    if isinstance(arr, TokenColumn):
-        return arr.tolist(" ".join)
     vals = arr.tolist()
     if kind != "O":
         return list(map(str, vals))
@@ -502,6 +632,8 @@ def _null_mask(arr: np.ndarray) -> np.ndarray:
         return np.isnat(arr)
     if kind == "f":
         return np.isnan(arr)
+    if isinstance(arr, CodedColumn):
+        return arr.codes < 0
     if kind == "O" and not isinstance(arr, TokenColumn):  # no None cells
         cells = arr.tolist()
         try:
@@ -554,7 +686,7 @@ def split_train_test(table: Table, train_fraction: float, seed: int):
     if "seq_id" in table:
         # units in first-seen order: a row opens one where its seq_id is
         # None or first seen, i.e. its code exceeds every earlier code
-        _, codes = _first_seen_codes(table["seq_id"].tolist())
+        codes = CodedColumn.of(table["seq_id"]).first_seen().codes
         before = np.maximum.accumulate(np.concatenate(([-1], codes)))[:-1]
         opens = (codes < 0) | (codes > before)
         unit_of_row = np.cumsum(opens) - 1

@@ -10,8 +10,8 @@ from logbench.loaders import (LoaderSpec, load, load_hadoop, load_hdfs,
                               load_raw, load_supercomputer, read_app_labels,
                               read_hdfs_labels)
 from logbench.synth import generate_synthetic
-from logbench.tables import (EventTable, SequenceTable, object_column,
-                             validate_event_table)
+from logbench.tables import (CodedColumn, EventTable, SequenceTable,
+                             object_column, validate_event_table)
 
 
 def test_spec_validation(tmp_path):
@@ -371,6 +371,98 @@ def test_spirit_liberty_share_layout(data_dir):
     a = load_supercomputer(data_dir / "tbird_sample.log", "spirit")
     b = load_supercomputer(data_dir / "tbird_sample.log", "liberty")
     assert a.equals(b)
+
+
+_BGL_FIELDS = ["alert_tag", "epoch", "date", "node", "time_full",
+               "node_repeat", "type", "component", "level", "m_message"]
+_TBIRD_FIELDS = ["alert_tag", "epoch", "date", "admin", "month", "day",
+                 "time", "location", "m_message"]
+
+
+def _load_supercomputer_per_line(log_path, fields):
+    """Reference: the per-line loop with one list of strings per field
+    that the coded loader replaced."""
+    cols = {name: [] for name in fields}
+    dropped = merged = lines_read = 0
+    with open(log_path, "r", encoding="utf-8", errors="replace",
+              newline="\n") as f:
+        for line in f:
+            lines_read += 1
+            p = line.rstrip("\n").split(" ", len(fields) - 1)
+            if len(p) == len(fields):
+                try:
+                    p[1] = int(p[1]) * 1_000_000
+                except ValueError:
+                    p = None
+                if p is not None:
+                    for name, value in zip(fields, p):
+                        cols[name].append(value)
+                    continue
+            if cols["m_message"]:
+                cols["m_message"][-1] += "\n" + line.rstrip("\n")
+                merged += 1
+            else:
+                dropped += 1
+    epochs = cols.pop("epoch")
+    return EventTable({
+        "label": np.asarray([a != "-" for a in cols["alert_tag"]],
+                            dtype=bool),
+        "alert_tag": object_column(cols.pop("alert_tag")),
+        "m_timestamp": np.asarray(epochs, dtype=np.int64)
+        .view("datetime64[us]"),
+        **{name: object_column(v) for name, v in cols.items()},
+    }, meta={"source": str(log_path), "lines_read": lines_read,
+             "dropped_lines": dropped, "merged_continuations": merged})
+
+
+_BGL_LINE = ("- {e} 2005.06.03 R0{n} 2005-06-03-15.42.{e} R0{n} RAS KERNEL "
+             "{l} {m}")
+_SUPERCOMPUTER_CASES = {
+    "bgl": [
+        "leading garbage",
+        _BGL_LINE.format(e=50, n=1, l="INFO", m="shared message"),
+        _BGL_LINE.format(e=51, n=2, l="INFO", m="shared message"),
+        "\tcontinues a message an earlier row also holds",
+        _BGL_LINE.format(e=52, n=1, l="FATAL", m="only once"),
+        "\tcontinues a message no other row holds",
+        "\tand again",
+        _BGL_LINE.format(e="x", n=1, l="INFO", m="bad epoch continues"),
+        "- 53 too few fields",
+        _BGL_LINE.format(e=54, n=2, l="INFO", m="crlf\r"),
+        "KERNDTLB 55 2005.06.03 R03 t R03 RAS APP WARNING  two  spaces ",
+        _BGL_LINE.format(e=56, n=1, l="INFO", m="only once"),
+        _BGL_LINE.format(e=57, n=3, l="INFO", m="no trailing newline"),
+    ],
+    "thunderbird": [
+        "- 1131566461 2005.11.09 dn228 Nov 9 12:01:01 dn228/dn228 a: b",
+        "\tcontinued",
+        "ALERT 1131566462 2005.11.09 dn3 Nov 10 12:01:02 dn3/dn3 a: b",
+        "- 1131566463 2005.11.09 dn228 Nov 9 12:01:03 dn228/dn228 a: b",
+    ],
+}
+
+
+@pytest.mark.parametrize("lines", [None, 0, 1, 5])
+@pytest.mark.parametrize("fmt", sorted(_SUPERCOMPUTER_CASES))
+def test_supercomputer_matches_per_line_reference(tmp_path, fmt, lines):
+    text = "\n".join(_SUPERCOMPUTER_CASES[fmt][:lines])
+    log = tmp_path / "t.log"
+    log.write_bytes(text.encode("utf-8"))
+    got = load_supercomputer(log, fmt)
+    want = _load_supercomputer_per_line(
+        log, _BGL_FIELDS if fmt == "bgl" else _TBIRD_FIELDS)
+    assert got.column_names == want.column_names
+    assert got.equals(want) and got.meta == want.meta
+    for name in got:
+        col = got[name]
+        if isinstance(col, CodedColumn):
+            assert col.first_seen() is col  # first-seen, no unused entry
+    for t, stem in ((got, "got"), (want, "want")):
+        t.save(tmp_path / f"{stem}.table.json")
+        t.write_csv(tmp_path / f"{stem}.csv")
+    for ext in (".table.json", ".csv"):
+        assert (tmp_path / f"got{ext}").read_bytes() == \
+            (tmp_path / f"want{ext}").read_bytes()
 
 
 # ---------------------------------------------------------------------------

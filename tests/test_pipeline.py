@@ -373,7 +373,27 @@ def test_single_class_training_warns(tmp_path, caplog):
     caplog.set_level(logging.WARNING, logger="logbench.pipeline")
     run_pipeline(_hdfs_config(tmp_path, data, detector="rarity"))
     assert _degenerate_warnings(caplog) == [
-        "degenerate: training has a single class (all normal)"]
+        "degenerate: training has a single class (all normal)",
+        "degenerate: test has a single class (all normal); AUC is undefined"]
+
+
+def test_single_class_test_side_warns(tmp_path, caplog):
+    # two anomalous blocks, and the split puts both on the training side
+    data = generate_synthetic(tmp_path / "data", format="hdfs",
+                              n_templates=4, n_lines=600, anomaly_rate=0.02,
+                              seed=9)
+    caplog.set_level(logging.WARNING, logger="logbench.pipeline")
+    report = run_pipeline(_hdfs_config(tmp_path, data, detector="dt"))
+    warnings = _degenerate_warnings(caplog)
+    assert "degenerate: test has a single class (all normal); AUC is " \
+        "undefined" in warnings
+    assert not any(w.startswith("degenerate: training") for w in warnings)
+    assert report.auc_roc is None and report.tp + report.fn == 0
+    # the warning leaves report.json as it was
+    saved = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert saved["auc_roc"] is None
+    assert set(saved) == {"tp", "fp", "fn", "tn", "accuracy", "precision",
+                          "recall", "f1_binary", "auc_roc", "wall_clock_ms"}
 
 
 def test_healthy_run_warns_nothing(tmp_path, synth_hdfs, caplog):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from logbench.cli import main
-from logbench.tables import (EventTable, SequenceTable, Table, TokenColumn,
-                             _null_mask, object_column, split_train_test,
+from logbench.tables import (CodedColumn, EventTable, SequenceTable, Table,
+                             TokenColumn, _first_seen_order, _null_mask,
+                             object_column, split_train_test,
                              validate_event_table)
 
 
@@ -748,3 +749,101 @@ def test_token_column_io_matches_list_column(tmp_path, entries, rows):
     assert a.head(2).equals(b.head(2))
     assert not _null_mask(coded).any()
     assert validate_event_table(a).is_valid
+
+
+# every character csv quotes, None cells, an empty string and repeats
+_CODED_CELLS = ["a,b", None, 'say "hi"', "cr\rlf", "line\nbreak", "",
+                "plain", "a,b", None, "plain", "x"]
+
+
+def _csv_reference(rows) -> bytes:
+    """What ``csv.writer`` writes for ``rows``, None as an empty field."""
+    import io
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["" if v is None else v for v in r]
+                               for r in rows])
+    return buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("idx", [
+    np.array([3, 3, 0, 0, 10, 3]),
+    np.arange(10, -1, -1),
+    np.array([True, False, False, True] * 2 + [False, True, True]),
+    np.zeros(0, dtype=np.int64),
+], ids=["repeated", "reordered", "boolean", "empty"])
+def test_coded_column_gathers_like_an_object_column(tmp_path, idx):
+    coded = CodedColumn.of(_CODED_CELLS)
+    plain = object_column(_CODED_CELLS)
+    assert coded.dictionary == ["a,b", 'say "hi"', "cr\rlf", "line\nbreak",
+                                "", "plain", "x"]
+    assert coded.codes.dtype == np.int32 and coded.codes[1] == -1
+    part, want = coded[idx], plain[idx].tolist()
+    assert isinstance(part, CodedColumn)
+    assert part.dictionary is coded.dictionary
+    assert len(part) == len(want) and part.tolist() == want
+    assert list(part) == want and [part[i] for i in range(len(want))] == want
+    assert np.asarray(part).tolist() == want
+    assert _null_mask(part).tolist() == [v is None for v in want]
+    # the gather may leave unused and reordered entries; first_seen drops
+    # and reorders them, and is the column itself once they are in order
+    seen = part.first_seen()
+    assert seen.dictionary == list(dict.fromkeys(v for v in want
+                                                 if v is not None))
+    assert seen.tolist() == want and seen.first_seen() is seen
+    # a table holding either saves, exports and compares alike
+    for name, col in (("coded", part), ("plain", plain[idx])):
+        t = Table({"s": col, "n": np.arange(len(want))})
+        t.save(tmp_path / f"{name}.table.json")
+        t.write_csv(tmp_path / f"{name}.csv")
+    for ext in (".table.json", ".csv"):
+        assert (tmp_path / f"coded{ext}").read_bytes() == \
+            (tmp_path / f"plain{ext}").read_bytes()
+    assert (tmp_path / "coded.csv").read_bytes() == _csv_reference(
+        [["s", "n"]] + [[v, str(i)] for i, v in enumerate(want)])
+    a, b = Table({"s": part}), Table({"s": plain[idx]})
+    assert a.equals(b) and b.equals(a)
+    back = Table.load(tmp_path / "coded.table.json")
+    assert isinstance(back["s"], CodedColumn) and back["s"].tolist() == want
+    if idx.dtype != bool:  # Table.take reads row numbers
+        taken = Table({"s": coded}).take(idx)
+        assert isinstance(taken["s"], CodedColumn) and taken.equals(b)
+
+
+def test_coded_column_equals_compares_cells():
+    a = Table({"s": CodedColumn(["x", "y"], [0, 1, -1, 0])})
+    assert a.equals(Table({"s": ["x", "y", None, "x"]}))
+    assert a.equals(Table({"s": CodedColumn(["y", "x", "z"], [1, 0, -1, 1])}))
+    assert not a.equals(Table({"s": ["x", "y", "x", "x"]}))
+    assert not a.equals(Table({"s": CodedColumn(["x", "y"], [0, 1, -1, 1])}))
+
+
+@pytest.mark.parametrize("cells", [["", None, "x", ""], [None], [""], []],
+                         ids=["mixed", "none", "empty-string", "no-rows"])
+def test_one_coded_column_csv_quotes_empty_fields(tmp_path, cells):
+    # csv quotes the lone empty field of a one-field row
+    Table({"s": CodedColumn.of(cells)}).write_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == \
+        _csv_reference([["s"]] + [[v] for v in cells])
+
+
+def test_v1_str_column_loads_and_saves_as_v2(tmp_path):
+    t = Table({"s": CodedColumn.of(_CODED_CELLS)})
+    _reference_save(t, tmp_path / "v1.table.json")
+    back = Table.load(tmp_path / "v1.table.json")
+    assert back.equals(t) and back["s"].tolist() == _CODED_CELLS
+    back.save(tmp_path / "a.table.json")
+    t.save(tmp_path / "b.table.json")
+    assert (tmp_path / "a.table.json").read_bytes() == \
+        (tmp_path / "b.table.json").read_bytes()
+
+
+def test_first_seen_order_matches_unique():
+    rng = np.random.default_rng(5)
+    for n, k in ((0, 1), (1, 1), (50, 3), (1000, 40), (1000, 5000)):
+        codes = rng.integers(-1, k, size=n).astype(np.int32)
+        values, first = _first_seen_order(codes)
+        kept = np.unique(codes[codes >= 0], return_index=True)
+        at = np.flatnonzero(codes >= 0)[kept[1]]
+        order = np.argsort(at)
+        assert values.tolist() == kept[0][order].tolist()
+        assert first.tolist() == at[order].tolist()
