@@ -5,7 +5,8 @@ labeled training sequences; two unsupervised ones (k-means distance,
 isolation forest) fit the training distribution and flag the far tail; two
 term-statistics models (out-of-vocabulary rate, term rarity) score from the
 matrix's column sums and out-of-vocabulary counts. All six read the same
-matrices and share one evaluation report format.
+matrices, come from one registry, and are scored once each: the same
+scores give the predictions (``flag``) and the AUC.
 """
 
 import argparse
@@ -41,23 +42,11 @@ def main():
     print(f"{'detector':10s} {'f1':>6s} {'prec':>6s} {'rec':>6s} {'auc':>6s}")
 
     contamination = args.anomaly_rate
-    for kind in ("lr", "dt", "kmeans", "iforest", "oov", "rarity"):
-        if kind in ("lr", "dt"):
-            model = detectors.train_supervised(X_train, train["label"],
-                                               kind, seed=0)
-            pred, scores = model.predict(X_test), model.score(X_test)
-        elif kind in ("kmeans", "iforest"):
-            model = detectors.train_unsupervised(
-                X_train, kind, seed=0, contamination=contamination)
-            pred, scores = model.predict(X_test), model.score(X_test)
-        elif kind == "oov":
-            model = detectors.OOVDetector(0.0).fit(X_train)
-            scores = model.score(X_test)
-            pred = scores > 0.0
-        else:
-            model = detectors.RarityDetector().fit(X_train)
-            scores = model.score(X_test)
-            pred = detectors.scores_to_labels(scores, contamination)
+    for kind, cls in detectors.DETECTORS.items():
+        y = train["label"] if cls.supervised else None
+        model = cls.from_settings(contamination).fit(X_train, y, seed=0)
+        scores = model.score(X_test)
+        pred = model.flag(scores)
         rep = evaluate(pred, test["label"], scores=scores)
         auc = "n/a" if rep.auc_roc is None else f"{rep.auc_roc:.3f}"
         print(f"{kind:10s} {rep.f1_binary:6.3f} {rep.precision:6.3f} "

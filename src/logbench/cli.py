@@ -19,7 +19,7 @@ from pathlib import Path
 from . import bench, loaders, synth
 from .parsers import PARSERS
 from .pipeline import (ConfigError, PipelineConfig, StageError, load_rules,
-                       run_chain, run_pipeline, validate_chain)
+                       run_chain, run_pipeline, validate_chain, write_tables)
 from .tables import Table, validate_event_table
 
 
@@ -89,14 +89,9 @@ def _cmd_load(args) -> int:
     report = validate_event_table(events)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    events.save(out / "events.table.json")
-    if args.csv:
-        events.write_csv(out / "events.csv")
+    write_tables(out, events, sequences, args.csv)
     line = f"events: {len(events)} rows -> {out / 'events.table.json'}"
     if sequences is not None:
-        sequences.save(out / "sequences.table.json")
-        if args.csv:
-            sequences.write_csv(out / "sequences.csv")
         line += f"; sequences: {len(sequences)} rows"
     print(line)
     print(f"validation: {report.summary()}")
@@ -115,13 +110,8 @@ def _cmd_enhance(args) -> int:
         store.save(out / "templates.json")
         print(f"{store.parser_kind}: {len(store)} templates "
               f"-> {out / 'templates.json'}")
-    events.save(out / "events.table.json")
-    if args.csv:
-        events.write_csv(out / "events.csv")
+    write_tables(out, events, seq_table, args.csv)
     if seq_table is not None:
-        seq_table.save(out / "sequences.table.json")
-        if args.csv:
-            seq_table.write_csv(out / "sequences.csv")
         print(f"sequences: {len(seq_table)} rows")
     print(f"events: {len(events)} rows, columns {events.column_names}")
     return 0

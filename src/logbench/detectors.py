@@ -1,14 +1,16 @@
 """Anomaly detectors and binary evaluation.
 
-Supervised models (logistic regression, decision tree) learn from labeled
-rows; unsupervised models (k-means distance, isolation forest) produce scores
-and get their decision threshold from a contamination quantile frozen at fit
-time. Two term-statistics detectors (out-of-vocabulary fraction, rarity)
-read the same feature matrix: column sums at fit time, one value per
-vocabulary term plus the row's oov count at score time. Given documents
-instead, they count them against the documents' own vocabulary first.
-Everything here is implemented with numpy and scipy.sparse; no external
-learning library is involved.
+Each detector has ``fit(X, y, seed=0)`` (``y`` optional unless supervised),
+its own ``score(X)`` and a ``flag(scores)`` rule (:class:`Detector`);
+:data:`DETECTORS` maps each ``kind`` to its class. Supervised models
+(logistic regression, decision tree) learn from labeled rows; unsupervised
+models (k-means distance, isolation forest) flag from a contamination
+quantile of their training scores, frozen at fit time. Two term-statistics
+detectors (out-of-vocabulary fraction, rarity) read the same feature matrix:
+column sums at fit time, one value per vocabulary term plus the row's oov
+count at score time. Given documents instead, they count them against the
+documents' own vocabulary first. Everything here is implemented with numpy
+and scipy.sparse; no external learning library is involved.
 
 The matrix detectors are sparse-native: they take dense or sparse input,
 convert it once to a float64 CSR without duplicate entries, and never
@@ -35,10 +37,6 @@ from scipy import sparse
 
 from .features import FeatureMatrix, fit_vocabulary, vectorize
 from .tables import TokenColumn
-
-SUPERVISED_KINDS = ("lr", "dt")
-UNSUPERVISED_KINDS = ("kmeans", "iforest")
-
 
 def _as_matrix(X):
     if isinstance(X, FeatureMatrix):
@@ -221,14 +219,19 @@ def _flagged_count(contamination: float, n: int) -> int:
     return min(n, math.ceil(round(contamination * n, 9)))
 
 
+def _checked_contamination(value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("contamination must be in [0, 1]")
+    return value
+
+
 def scores_to_labels(scores, contamination: float = 0.03) -> np.ndarray:
     """Flag the top :func:`_flagged_count` scores as anomalies.
 
     Ties at the cut are broken by row order (earlier rows win), so the
     result is deterministic.
     """
-    if not 0.0 <= contamination <= 1.0:
-        raise ValueError("contamination must be in [0, 1]")
+    _checked_contamination(contamination)
     scores = np.asarray(scores, dtype=np.float64)
     n = len(scores)
     out = np.zeros(n, dtype=bool)
@@ -238,6 +241,33 @@ def scores_to_labels(scores, contamination: float = 0.03) -> np.ndarray:
     order = np.argsort(-scores, kind="mergesort")
     out[order[:k]] = True
     return out
+
+
+# ---------------------------------------------------------------------------
+# the detector contract
+
+
+class Detector:
+    """A prediction flags a score of at least ``threshold``: 0.5 here, a
+    constant never saved; the quantile detectors set theirs at fit time.
+    ``fit(X, y, seed)`` needs ``y`` where the class is ``supervised``."""
+
+    supervised = False
+    threshold = 0.5
+
+    @classmethod
+    def from_settings(cls, contamination=0.03, oov_threshold=0.0):
+        """A detector holding the ``[detect]`` settings its kind reads."""
+        model = cls()
+        if hasattr(model, "contamination"):
+            model.contamination = _checked_contamination(contamination)
+        return model
+
+    def flag(self, scores) -> np.ndarray:
+        return np.asarray(scores) >= self.threshold
+
+    def predict(self, X) -> np.ndarray:
+        return self.flag(self.score(X))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +378,7 @@ def _lbfgs(fun_and_grad, x0: np.ndarray, tol: float, max_iter: int):
     return x, history
 
 
-class LogisticRegressionDetector:
+class LogisticRegressionDetector(Detector):
     """Binary logistic regression trained by L-BFGS (:func:`_lbfgs`).
 
     Weights start at zero. Training stops when the largest gradient entry
@@ -362,6 +392,7 @@ class LogisticRegressionDetector:
     """
 
     kind = "lr"
+    supervised = True
 
     def __init__(self, l2: float = 1e-4, tol: float = 1e-6,
                  max_epochs: int = 1000):
@@ -401,9 +432,6 @@ class LogisticRegressionDetector:
         M = _as_matrix(X)
         z = np.asarray(M @ self.weights).ravel() + self.bias
         return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
-    def predict(self, X) -> np.ndarray:
-        return self.score(X) >= 0.5
 
     def to_dict(self) -> dict:
         return {
@@ -535,10 +563,11 @@ def _best_split(X, y: np.ndarray):
     return int(g_col[k]), float(threshold), best_gain
 
 
-class DecisionTreeDetector:
+class DecisionTreeDetector(Detector):
     """Binary CART: Gini impurity, midpoint thresholds, depth cap 20."""
 
     kind = "dt"
+    supervised = True
 
     def __init__(self, max_depth: int = 20):
         if max_depth < 0:
@@ -606,9 +635,6 @@ class DecisionTreeDetector:
             stack.append((node.right, rows[~left]))
         return out
 
-    def predict(self, X) -> np.ndarray:
-        return self.score(X) >= 0.5
-
     def _node_dict(self, node: _TreeNode) -> dict:
         if node.is_leaf:
             return {"prob": node.prob, "n": node.n}
@@ -642,7 +668,7 @@ class DecisionTreeDetector:
 # k-means distance detector
 
 
-class KMeansDetector:
+class KMeansDetector(Detector):
     """Two-cluster k-means; the anomaly score is distance to the nearest
     centroid. The first centroid is a seeded random row, the second the row
     farthest from it, then standard alternation until assignments settle.
@@ -654,9 +680,8 @@ class KMeansDetector:
                  contamination: float = 0.03):
         self.n_clusters = n_clusters
         self.max_iter = max_iter
-        self.contamination = contamination
+        self.contamination = _checked_contamination(contamination)
         self.centroids: np.ndarray | None = None
-        self.threshold = 0.0
         self.seed = 0
 
     @staticmethod
@@ -668,7 +693,7 @@ class KMeansDetector:
             - 2.0 * (X @ centroids.T)
         return np.maximum(sq, 0.0)
 
-    def fit(self, X, seed: int = 0):
+    def fit(self, X, y=None, seed: int = 0):
         M = _as_csr(X)
         n = M.shape[0]
         if n < 2:
@@ -693,16 +718,12 @@ class KMeansDetector:
                 if count:
                     centroids[c] = M[members].sum(axis=0) / count
         self.centroids = centroids
-        train_scores = self.score(M)
-        self.threshold = _quantile_threshold(train_scores, self.contamination)
+        self.threshold = _quantile_threshold(self.score(M), self.contamination)
         return self
 
     def score(self, X) -> np.ndarray:
         M = _as_csr(X)
         return np.sqrt(self._distances(M, self.centroids).min(axis=1))
-
-    def predict(self, X) -> np.ndarray:
-        return self.score(X) >= self.threshold
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n_clusters": self.n_clusters,
@@ -748,7 +769,7 @@ def _avg_path_length(n: int) -> float:
     return 2.0 * _harmonic(n - 1) - 2.0 * (n - 1) / n
 
 
-class IsolationForestDetector:
+class IsolationForestDetector(Detector):
     """Isolation forest: 100 random trees on subsamples of at most 256 rows.
 
     Scores follow the standard 2^(-E[h(x)] / c(psi)) form, so larger means
@@ -763,10 +784,9 @@ class IsolationForestDetector:
                  contamination: float = 0.03):
         self.n_trees = n_trees
         self.max_samples = max_samples
-        self.contamination = contamination
+        self.contamination = _checked_contamination(contamination)
         self.trees: list[dict] = []
         self.psi = 0
-        self.threshold = 0.0
         self.seed = 0
 
     def _build(self, S: sparse.csc_array, cols: np.ndarray,
@@ -809,7 +829,7 @@ class IsolationForestDetector:
                 "right": self._build(S, cols, rows[~mask], depth + 1, limit,
                                      rng)}
 
-    def fit(self, X, seed: int = 0):
+    def fit(self, X, y=None, seed: int = 0):
         M = _as_csr(X)
         n = M.shape[0]
         if n < 2:
@@ -824,8 +844,7 @@ class IsolationForestDetector:
             cols = np.unique(sample.indices)
             self.trees.append(self._build(sample[:, cols].tocsc(), cols,
                                           np.arange(self.psi), 0, limit, rng))
-        train_scores = self.score(M)
-        self.threshold = _quantile_threshold(train_scores, self.contamination)
+        self.threshold = _quantile_threshold(self.score(M), self.contamination)
         return self
 
     @staticmethod
@@ -859,9 +878,6 @@ class IsolationForestDetector:
         # in the last bit and would move the saved threshold
         return np.asarray([2.0 ** v for v in exponents.tolist()],
                           dtype=np.float64)
-
-    def predict(self, X) -> np.ndarray:
-        return self.score(X) >= self.threshold
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "n_trees": self.n_trees,
@@ -911,8 +927,9 @@ def _mean_term_value(X, value, oov_value: float) -> np.ndarray:
                      where=lengths > 0)
 
 
-class OOVDetector:
-    """Score = fraction of a document's terms never seen in training."""
+class OOVDetector(Detector):
+    """Score = fraction of a document's terms never seen in training;
+    flagged when strictly above ``threshold``."""
 
     kind = "oov"
 
@@ -920,15 +937,19 @@ class OOVDetector:
         self.threshold = threshold
         self.vocabulary: set[str] = set()
 
-    def fit(self, X, seed: int = 0):
+    @classmethod
+    def from_settings(cls, contamination=0.03, oov_threshold=0.0):
+        return cls(oov_threshold)
+
+    def fit(self, X, y=None, seed: int = 0):
         self.vocabulary = set(_term_counts(X))
         return self
 
     def score(self, X) -> np.ndarray:
         return _mean_term_value(X, lambda t: t not in self.vocabulary, 1.0)
 
-    def predict(self, X) -> np.ndarray:
-        return self.score(X) > self.threshold
+    def flag(self, scores) -> np.ndarray:
+        return np.asarray(scores) > self.threshold
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "threshold": self.threshold,
@@ -941,22 +962,24 @@ class OOVDetector:
         return model
 
 
-class RarityDetector:
+class RarityDetector(Detector):
     """Mean negative log frequency of a document's terms.
 
     Term frequency uses add-one smoothing over the training totals, so an
     unseen term contributes -log(1 / (T + V)) where T is the training term
     count and V the distinct-term count. Higher scores mean rarer content.
+    ``flag`` takes the top ``contamination`` share of the scores it gets.
     """
 
     kind = "rarity"
+    contamination = 0.03
 
     def __init__(self):
         self.counts: dict[str, int] = {}
         self.total = 0
         self.distinct = 0
 
-    def fit(self, X, seed: int = 0):
+    def fit(self, X, y=None, seed: int = 0):
         self.counts = _term_counts(X)
         self.total = sum(self.counts.values())
         self.distinct = len(self.counts)
@@ -969,6 +992,9 @@ class RarityDetector:
         return _mean_term_value(
             X, lambda t: -math.log((counts[t] + 1) / denom) if t in counts
             else unseen, unseen)
+
+    def flag(self, scores) -> np.ndarray:
+        return scores_to_labels(scores, self.contamination)
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "total": self.total,
@@ -988,36 +1014,28 @@ class RarityDetector:
 # training entry points and model persistence
 
 
+DETECTORS = {cls.kind: cls for cls in (
+    LogisticRegressionDetector, DecisionTreeDetector, KMeansDetector,
+    IsolationForestDetector, OOVDetector, RarityDetector)}
+
+
+def _registered(kind: str, supervised: bool) -> type[Detector]:
+    if kind not in DETECTORS or DETECTORS[kind].supervised != supervised:
+        raise ValueError(f"{kind!r} is not a detector kind with supervised="
+                         f"{supervised}")
+    return DETECTORS[kind]
+
+
 def train_supervised(X, y, kind: str = "lr", seed: int = 0):
-    """Fit a supervised detector; kind is "lr" or "dt"."""
-    if kind == "lr":
-        return LogisticRegressionDetector().fit(X, y, seed=seed)
-    if kind == "dt":
-        return DecisionTreeDetector().fit(X, y, seed=seed)
-    raise ValueError(f"unknown supervised kind {kind!r}, "
-                     f"expected one of {SUPERVISED_KINDS}")
+    """Fit a supervised detector of :data:`DETECTORS`: "lr" or "dt"."""
+    return _registered(kind, True)().fit(X, y, seed=seed)
 
 
 def train_unsupervised(X, kind: str = "kmeans", seed: int = 0,
                        contamination: float = 0.03):
-    """Fit an unsupervised detector; kind is "kmeans" or "iforest"."""
-    if kind == "kmeans":
-        return KMeansDetector(contamination=contamination).fit(X, seed=seed)
-    if kind == "iforest":
-        return IsolationForestDetector(contamination=contamination) \
-            .fit(X, seed=seed)
-    raise ValueError(f"unknown unsupervised kind {kind!r}, "
-                     f"expected one of {UNSUPERVISED_KINDS}")
-
-
-_MODEL_CLASSES = {
-    "lr": LogisticRegressionDetector,
-    "dt": DecisionTreeDetector,
-    "kmeans": KMeansDetector,
-    "iforest": IsolationForestDetector,
-    "oov": OOVDetector,
-    "rarity": RarityDetector,
-}
+    """Fit an unsupervised detector of :data:`DETECTORS`."""
+    return _registered(kind, False).from_settings(contamination) \
+        .fit(X, seed=seed)
 
 
 def save_model(model, path) -> None:
@@ -1031,8 +1049,6 @@ def save_model(model, path) -> None:
 def load_model(path):
     with open(path, "r", encoding="utf-8") as f:
         obj = json.load(f)
-    kind = obj.get("kind")
-    cls = _MODEL_CLASSES.get(kind)
-    if cls is None:
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
-    return cls.from_dict(obj)
+    if obj.get("kind") not in DETECTORS:
+        raise ValueError(f"{path}: unknown model kind {obj.get('kind')!r}")
+    return DETECTORS[obj["kind"]].from_dict(obj)

@@ -25,7 +25,6 @@ from .tables import TokenColumn, split_train_test, validate_event_table
 logger = logging.getLogger("logbench.pipeline")
 
 CHAIN_STEPS = ("normalize", "tokenize", *PARSERS, "ngram", "aggregate")
-DETECTOR_KINDS = ("lr", "dt", "kmeans", "iforest", "oov", "rarity")
 FEATURE_SOURCES = ("words", "event_ids")
 _PARSER_KEYS = {"drain": ("depth", "sim_threshold", "max_children"),
                "spell": ("tau",),
@@ -104,9 +103,9 @@ class PipelineConfig:
             raise ConfigError("event_ids features require a parser")
         if self.feature_source == "words" and "tokenize" not in self.chain:
             raise ConfigError("words features require tokenize in the chain")
-        if self.detector not in DETECTOR_KINDS:
+        if self.detector not in detectors.DETECTORS:
             raise ConfigError(
-                f"detector must be one of {DETECTOR_KINDS}")
+                f"detector must be one of {tuple(detectors.DETECTORS)}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError("split fraction must be in (0, 1)")
         if self.ngram_n < 2:
@@ -368,22 +367,27 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
         if "label" not in test:
             raise ValueError(
                 "evaluation needs labels; this loader provides none")
-        truth = test["label"]
-        eval_report = detectors.evaluate(predictions, truth, scores=scores,
-                                         wall_clock_ms=timings)
+        eval_report = detectors.evaluate(predictions, test["label"],
+                                         scores=scores)
 
     # the evaluate timing lands in `timings` only once its stage exits
     eval_report.wall_clock_ms = dict(timings)
     eval_report.save_json(out / "report.json")
     eval_report.save_csv(out / "report.csv")
     if config.save_tables:
-        events.save(out / "events.table.json")
-        events.write_csv(out / "events.csv")
-        if seq_table is not None:
-            seq_table.save(out / "sequences.table.json")
-            seq_table.write_csv(out / "sequences.csv")
+        write_tables(out, events, seq_table, csv=True)
     logger.info("pipeline done: %r", eval_report)
     return eval_report
+
+
+def write_tables(out: Path, events, sequences=None, csv: bool = False) -> None:
+    """Save each table given as ``out/<name>.table.json``, and as
+    ``out/<name>.csv`` too with ``csv``."""
+    for name, table in (("events", events), ("sequences", sequences)):
+        if table is not None:
+            table.save(out / f"{name}.table.json")
+            if csv:
+                table.write_csv(out / f"{name}.csv")
 
 
 def _warn_degenerate(train, test, X_test, predictions) -> None:
@@ -428,25 +432,14 @@ def _documents(table, config: PipelineConfig) -> TokenColumn:
 
 
 def _detect(config: PipelineConfig, train, X_train, X_test):
-    kind = config.detector
-    if kind in ("lr", "dt"):
-        if "label" not in train:
-            raise ValueError(
-                f"detector {kind!r} is supervised and needs labels")
-        model = detectors.train_supervised(X_train, train["label"], kind,
-                                           seed=config.detector_seed)
-    elif kind in ("kmeans", "iforest"):
-        model = detectors.train_unsupervised(
-            X_train, kind, seed=config.detector_seed,
-            contamination=config.contamination)
-    elif kind == "oov":
-        model = detectors.OOVDetector(config.oov_threshold).fit(X_train)
-    else:
-        model = detectors.RarityDetector().fit(X_train)
+    """Fit the configured detector, score the test matrix once and flag
+    those scores. Returns (model, predictions, scores)."""
+    cls = detectors.DETECTORS[config.detector]
+    if cls.supervised and "label" not in train:
+        raise ValueError(f"detector {config.detector!r} is supervised and "
+                         f"needs labels")
+    model = cls.from_settings(config.contamination, config.oov_threshold) \
+        .fit(X_train, train["label"] if cls.supervised else None,
+             seed=config.detector_seed)
     scores = model.score(X_test)
-    if kind == "oov":
-        return model, scores > config.oov_threshold, scores
-    if kind == "rarity":
-        return model, detectors.scores_to_labels(
-            scores, config.contamination), scores
-    return model, model.predict(X_test), scores
+    return model, model.flag(scores), scores

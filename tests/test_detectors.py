@@ -13,7 +13,7 @@ import pytest
 from scipy import sparse
 
 from logbench import detectors
-from logbench.detectors import (DecisionTreeDetector, EvalReport,
+from logbench.detectors import (DETECTORS, DecisionTreeDetector, EvalReport,
                                 IsolationForestDetector, KMeansDetector,
                                 LogisticRegressionDetector, OOVDetector,
                                 RarityDetector, _avg_path_length, _TreeNode,
@@ -638,6 +638,54 @@ def test_train_dispatch():
         train_supervised(X, y, "kmeans")
     with pytest.raises(ValueError):
         train_unsupervised(X, "lr")
+
+
+def test_registry_maps_each_kind_to_its_class():
+    assert list(DETECTORS) == ["lr", "dt", "kmeans", "iforest", "oov",
+                               "rarity"]
+    for kind, cls in DETECTORS.items():
+        assert cls.kind == kind
+        assert cls.supervised == (kind in ("lr", "dt"))
+        # each class scores and fits by its own code, flags by the shared rule
+        assert "fit" in cls.__dict__ and "score" in cls.__dict__
+        assert "predict" not in cls.__dict__
+
+
+@pytest.mark.parametrize("contamination", [-0.2, -1e-9, 1.0 + 1e-9, 1.5])
+def test_contamination_outside_unit_interval_raises(contamination):
+    X = np.random.default_rng(0).random((50, 3))
+    builds = (lambda: KMeansDetector(contamination=contamination),
+              lambda: IsolationForestDetector(contamination=contamination),
+              lambda: train_unsupervised(X, "iforest",
+                                         contamination=contamination),
+              lambda: RarityDetector.from_settings(contamination))
+    for build in builds:
+        with pytest.raises(ValueError, match="contamination"):
+            build()
+
+
+@pytest.mark.parametrize("contamination, flagged", [(0.0, 0), (1.0, 50)])
+def test_contamination_bounds_are_accepted(contamination, flagged):
+    docs = [[f"t{int(v * 8)}" for v in row]
+            for row in np.random.default_rng(0).random((50, 3))]
+    X = vectorize(docs, fit_vocabulary(docs))
+    for kind in ("kmeans", "iforest", "rarity"):
+        model = train_unsupervised(X, kind, contamination=contamination)
+        assert model.contamination == contamination
+        assert int(model.predict(X).sum()) == flagged
+
+
+def test_flag_rules():
+    scores = np.array([0.2, 0.5, 0.7])
+    X, y = _blobs(seed=1, n=15)
+    for model in (train_supervised(X, y, "lr"), train_supervised(X, y, "dt")):
+        assert model.flag(scores).tolist() == [False, True, True]
+    assert OOVDetector(0.5).flag(scores).tolist() == [False, False, True]
+    model = RarityDetector.from_settings(contamination=1 / 3)
+    assert model.flag(scores).tolist() == [False, False, True]
+    kmeans = train_unsupervised(X, "kmeans")
+    kmeans.threshold = 0.5
+    assert kmeans.flag(scores).tolist() == [False, True, True]
 
 
 def test_load_model_unknown_kind(tmp_path):

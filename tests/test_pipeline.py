@@ -420,6 +420,36 @@ def test_event_id_documents_share_one_list_per_id():
             assert (lists[i] is lists[j]) == (ids[i] == ids[j])
 
 
+@pytest.mark.parametrize("detector", ["lr", "dt", "kmeans", "iforest", "oov",
+                                      "rarity"])
+def test_test_matrix_is_scored_once(tmp_path, synth_hdfs, monkeypatch,
+                                    detector):
+    matrices = []
+    vectorize = pipeline.features.vectorize
+
+    def recording_vectorize(*args, **kwargs):
+        matrices.append(vectorize(*args, **kwargs))
+        return matrices[-1]
+    monkeypatch.setattr(pipeline.features, "vectorize", recording_vectorize)
+    scored = []
+    for cls in (detectors.LogisticRegressionDetector,
+                detectors.DecisionTreeDetector, detectors.KMeansDetector,
+                detectors.IsolationForestDetector, detectors.OOVDetector,
+                detectors.RarityDetector):
+        def counting_score(self, X, score=cls.score):
+            scored.append(X)
+            return score(self, X)
+        monkeypatch.setattr(cls, "score", counting_score)
+    for _ in range(2):
+        matrices.clear()
+        scored.clear()
+        run_pipeline(_hdfs_config(tmp_path, synth_hdfs, detector=detector))
+        _, X_test = matrices
+        # kmeans and iforest also score their training rows once, in fit
+        assert sum(X is X_test for X in scored) == 1
+        assert len(scored) <= 2
+
+
 @pytest.fixture(scope="module")
 def hdfs_with_rare_terms(tmp_path_factory, synth_hdfs):
     """synth_hdfs plus 40 one-line blocks: blocks 2k and 2k + 1 share the
