@@ -646,7 +646,8 @@ def test_registry_maps_each_kind_to_its_class():
     for kind, cls in DETECTORS.items():
         assert cls.kind == kind
         assert cls.supervised == (kind in ("lr", "dt"))
-        # each class scores and fits by its own code, flags by the shared rule
+        # own fit and score methods (a tracer patches them per class), and
+        # the one shared predict
         assert "fit" in cls.__dict__ and "score" in cls.__dict__
         assert "predict" not in cls.__dict__
 

@@ -445,9 +445,9 @@ def test_test_matrix_is_scored_once(tmp_path, synth_hdfs, monkeypatch,
         scored.clear()
         run_pipeline(_hdfs_config(tmp_path, synth_hdfs, detector=detector))
         _, X_test = matrices
-        # kmeans and iforest also score their training rows once, in fit
         assert sum(X is X_test for X in scored) == 1
-        assert len(scored) <= 2
+        # kmeans and iforest also score their training rows once, in fit
+        assert len(scored) == (2 if detector in ("kmeans", "iforest") else 1)
 
 
 @pytest.fixture(scope="module")
