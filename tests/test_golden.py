@@ -17,14 +17,18 @@ from logbench.synth import generate_synthetic
 
 _HDFS_CHAIN = ["normalize", "tokenize", "drain", "aggregate"]
 # one small run per loader family: bgl-ingest's chain and features, and
-# hdfs-detect's with the aggregate step; then one HDFS run on event-id
-# features per other detector kind. oov flags nothing there: every test id
-# is known, its scores are all 0, and its threshold of 0 is strict.
+# hdfs-detect's with the aggregate step; hdfs-detect's full chain, which
+# also trains the n-gram model; then one HDFS run on event-id features per
+# other detector kind. oov flags nothing there: every test id is known, its
+# scores are all 0, and its threshold of 0 is strict.
 _RUNS = {
     "bgl": ("bgl", dict(chain=["normalize", "tokenize", "drain"],
                         feature_source="event_ids", detector="rarity")),
     "hdfs": ("hdfs", dict(chain=_HDFS_CHAIN, feature_source="words",
                           detector="dt")),
+    "hdfs-ngram": ("hdfs", dict(chain=["normalize", "tokenize", "drain",
+                                       "ngram", "aggregate"],
+                                feature_source="words", detector="dt")),
     **{f"hdfs-{kind}": ("hdfs", dict(chain=_HDFS_CHAIN,
                                      feature_source="event_ids",
                                      detector=kind))
@@ -57,6 +61,12 @@ _GOLDEN = {
             "9058b09edae88facd8c1f3fb87771dc03736c27e35901e43c78b28c917c273ed",
         "model.json":
             "de0674a1d82c11b0c87f4a105717e837f301917b8eb7c9598542767a7e68485e",
+        "report.json":
+            "eaf4772c31f68fff7deacb76c80fefd5e2996ce24428f9dde1b163266eef3bef",
+    },
+    "hdfs-ngram": {
+        "ngram_model.json":
+            "00a89201b1d1da57ac58450bd6a52d1a07967470d7fddfe18213ccf3b8c7ca7e",
         "report.json":
             "eaf4772c31f68fff7deacb76c80fefd5e2996ce24428f9dde1b163266eef3bef",
     },
