@@ -14,8 +14,10 @@ Otherwise each distinct message is masked once. Either way the result is a
 ``CodedColumn``: the distinct masked messages and each row's code, whose
 cells are exactly ``[mask_one(m, rules) for m in messages]``.
 
-The chunk pass also keeps what it needs to code every message's tokens on
-request (``CodedColumn.tokens``), splitting each distinct masked chunk once.
+The chunk pass finds the distinct masked messages from their masked-chunk
+codes, and renders their text only when it is read. It also keeps what it
+needs to code their tokens on request (``CodedColumn.tokens``), splitting
+each distinct masked chunk once.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ import numpy as np
 
 from .tables import (CodedColumn, TokenColumn, _first_seen_codes,
                      _first_seen_order, object_column)
+
+# messages whose chunks are split and coded at a time
+_CHUNK_BLOCK = 4096
 
 _TOKEN_RE = re.compile(r"^<[A-Za-z0-9_]+>$")
 _LOOKAROUND_RE = re.compile(r"\(\?<?[=!]")
@@ -151,11 +156,13 @@ def normalize(messages, rules: list[MaskingRule] | None = None
     How it is computed depends on the rules and the messages:
 
     - When every rule is token-local and no message contains a newline, the
-      distinct messages are split on single spaces, each distinct chunk is
-      masked once and every message is rebuilt from its masked chunks. Logs
-      whose messages are nearly all distinct still share few chunks, so this
-      is the fast path for the built-in rules. It also keeps what the
-      result's ``tokens`` needs to code it without splitting it again.
+      distinct messages are split on single spaces, a block of them at a
+      time, and each distinct chunk is masked once. Logs whose messages are
+      nearly all distinct still share few chunks, so this is the fast path
+      for the built-in rules.
+      The distinct masked messages are found from their chunks' codes; the
+      result renders them on first read, and its ``tokens`` codes them
+      without splitting them again.
     - Otherwise each distinct message is masked once. When every rule is
       blob-safe and no message contains a newline, the rules run once over a
       newline-joined blob of the distinct messages; else a per-message loop.
@@ -163,57 +170,83 @@ def normalize(messages, rules: list[MaskingRule] | None = None
     if rules is None:
         rules = default_rules()
     text = _coded(messages).first_seen()
-    masked = code = None
     if rules and all(r.token_local for r in rules):
-        masked, code = _normalize_chunks(text.dictionary, rules)
-    if masked is None:
-        masked = _normalize_distinct(text.dictionary, rules)
-    dictionary, entry_of = _first_seen_codes(masked)
-    return CodedColumn(dictionary, entry_of[text.codes],
-                       code and (lambda: code(entry_of)))
+        chunked = _normalize_chunks(text.dictionary, rules)
+        if chunked is not None:
+            render, entry_of, code = chunked
+            return CodedColumn(render, entry_of[text.codes], code)
+    dictionary, entry_of = _first_seen_codes(
+        _normalize_distinct(text.dictionary, rules))
+    return CodedColumn(dictionary, entry_of[text.codes])
 
 
 def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
     """Mask each distinct space-delimited chunk of ``msgs`` once.
 
-    Every rule must be token-local. Returns the masked messages and a
-    function coding their tokens, one compact entry per distinct masked
-    message given each message's code among those (``entry_of``), or
-    (None, None) when a message contains a newline or the rebuilt rows do
-    not line up with ``msgs``.
+    Every rule must be token-local. Returns, for the distinct masked
+    messages, a function rendering them in first-seen order, each message's
+    code among them (``entry_of``) and a function coding their tokens, one
+    compact entry per distinct masked message; or None when a message
+    contains a newline.
+
+    A masked chunk holds no space, so a masked message is equal to another
+    exactly when their sequences of masked-chunk codes are: the distinct
+    masked messages are found from those codes, and only one message of
+    each is rendered or split into tokens.
     """
-    blob = "\n".join(msgs)
-    if blob.count("\n") != len(msgs) - 1:
-        return None, None
-    # each "\n" between messages becomes a chunk of its own, which maps to
-    # itself: a rule that matches the empty string must not rewrite it
-    chunks = blob.replace("\n", " \n ").split(" ")
-    del blob
-    vocab, ids = _first_seen_codes(chunks)
-    del chunks  # the chunk strings are most of this pass's memory
+    if not msgs:
+        return None
+    # the chunks are coded a block of messages at a time, in first-seen
+    # order over all blocks: their strings are most of this pass's memory
+    code_of, parts = {}, []
+    for a in range(0, len(msgs), _CHUNK_BLOCK):
+        block = msgs[a:a + _CHUNK_BLOCK]
+        # each " \n " between messages leaves a chunk of its own, which
+        # maps to itself: a rule that matches the empty string must not
+        # rewrite it; a block after the first opens with the one before it
+        text = ("\n " if a else "") + " \n ".join(block)
+        if text.count("\n") != len(block) - (a == 0):
+            return None
+        chunks = text.split(" ")
+        fresh = [c for c in dict.fromkeys(chunks) if c not in code_of]
+        code_of.update(zip(fresh, range(len(code_of),
+                                        len(code_of) + len(fresh))))
+        parts.append(np.fromiter(map(code_of.__getitem__, chunks),
+                                 dtype=np.int32, count=len(chunks)))
+    vocab, ids = list(code_of), np.concatenate(parts)
+    # here and below, what is no longer needed goes before the next large
+    # array is built: on mostly distinct messages, this pass sets a
+    # pipeline run's peak memory
+    del code_of, chunks, parts
     # the first "\n" chunk ends the first message
     nl = vocab.index("\n") if len(msgs) > 1 else len(vocab)
     masked = _normalize_distinct(vocab[:nl] + vocab[nl + 1:], rules)
     masked.insert(nl, "\n")
-    out = " ".join(object_column(masked)[ids].tolist()) \
-        .replace(" \n ", "\n").split("\n")
-    if len(out) != len(msgs):
-        return None, None
+    pieces, piece_of = _first_seen_codes(masked)
+    # every message's masked-chunk codes, each run ended by the "\n" code
+    # (the last run by one appended)
+    run = np.append(piece_of[ids], piece_of[nl])
+    bounds = np.concatenate(([0], np.flatnonzero(ids == nl) + 1, [len(run)]))
+    # a message's key is its run as bytes
+    keys, at = run.tobytes(), (bounds * run.itemsize).tolist()
+    del ids
+    keys = list(map(keys.__getitem__, map(slice, at[:-1], at[1:])))
+    entry_of = _first_seen_codes(keys)[1]
+    del keys
+    # the first message of each distinct masked one stands for it
+    kept, lengths = TokenColumn(pieces, run, bounds,
+                                _first_seen_order(entry_of)[1]).flat()
 
-    def code(entry_of: np.ndarray) -> TokenColumn:
-        # a message's tokens are its chunks' in order; the "\n" chunk
-        # ending each message but the last has none
-        pieces, piece_of = _first_seen_codes(masked)
-        per_message = np.diff(np.concatenate((
-            [0], np.flatnonzero(ids == nl) + 1, [len(ids)])))
-        tokens = TokenColumn.of(map(split_tokens, pieces))[piece_of[ids]] \
-            .concat(per_message)
-        # the first message of each distinct masked one stands for it, and
-        # runs of one row each pack their entries in order
-        first = _first_seen_order(entry_of)[1]
-        return tokens if len(first) == len(msgs) \
-            else tokens[first].concat(np.ones(len(first), dtype=np.int64))
-    return out, code
+    def render() -> list[str]:
+        # the last run's "\n" is dropped; every other one splits two runs
+        return " ".join(object_column(pieces)[kept[:-1]].tolist()) \
+            .split(" \n ")
+
+    def code() -> TokenColumn:
+        # a message's tokens are its chunks' in order; "\n" has none
+        return TokenColumn.of(map(split_tokens, pieces))[kept] \
+            .concat(lengths)
+    return render, entry_of, code
 
 
 def _normalize_distinct(msgs: list[str], rules: list[MaskingRule]) -> list[str]:

@@ -9,6 +9,9 @@ against a real context too.
 from __future__ import annotations
 
 import json
+from itertools import chain
+
+import numpy as np
 
 START_ID = -1  # reserved sentinel, never a real event id
 
@@ -24,19 +27,19 @@ class NGramModel:
         self.context_totals: dict[tuple[int, ...], int] = {}
 
     def update(self, sequence) -> None:
-        seq = [START_ID] * (self.n - 1) + [int(e) for e in sequence]
+        """Count the transitions of one more sequence."""
+        self._add([sequence])
+
+    def _add(self, sequences) -> None:
         counts = self.counts
         totals = self.context_totals
-        span = self.n - 1
-        for i in range(len(seq) - span):
-            context = tuple(seq[i:i + span])
-            nxt = seq[i + span]
+        for *context, nxt, count in _window_counts(sequences, self.n):
+            context = tuple(context)
             bucket = counts.get(context)
             if bucket is None:
-                bucket = {}
-                counts[context] = bucket
-            bucket[nxt] = bucket.get(nxt, 0) + 1
-            totals[context] = totals.get(context, 0) + 1
+                bucket = counts[context] = {}
+            bucket[nxt] = bucket.get(nxt, 0) + count
+            totals[context] = totals.get(context, 0) + count
 
     def probability(self, context: tuple[int, ...], event: int) -> float:
         """P(event | context): count ratio, 0.0 for unseen pairs."""
@@ -72,11 +75,57 @@ class NGramModel:
         return model
 
 
+def _window_counts(sequences, n: int) -> list[list[int]]:
+    """Every distinct window of n ids over the sequences, each padded on
+    the left with n-1 ``START_ID``, with its count appended, in sorted
+    order. Each window is packed into one int64 key and the keys are
+    counted by one ``np.unique``; ids are ranked down first when their
+    range is wide, and the keys whenever one more id could overflow."""
+    seqs = list(sequences)
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64,
+                       count=int(lengths.sum()))
+    if not len(flat):
+        return []
+    # the id at flat[k], of sequence i, sits at k + (i + 1) * (n - 1)
+    at = np.arange(len(flat)) + np.repeat(
+        np.arange(1, len(seqs) + 1) * (n - 1), lengths)
+    padded = np.full(len(flat) + len(seqs) * (n - 1), START_ID,
+                     dtype=np.int64)
+    padded[at] = flat
+    # row k is the window that ends at flat[k]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, n)[at - n + 1]
+    low = min(int(flat.min()), START_ID)
+    ids = None
+    if int(flat.max()) - low < 1 << 31:
+        values = windows - low
+    else:
+        ids, values = np.unique(windows, return_inverse=True)
+        values = values.reshape(windows.shape)
+    base = int(values.max()) + 1
+    limit = (np.iinfo(np.int64).max - base) // base
+    key, ranked = values[:, 0], {}
+    for i in range(1, n):
+        if key.max() > limit:
+            ranked[i], key = np.unique(key, return_inverse=True)
+        key = key * base + values[:, i]
+    key, count = np.unique(key, return_counts=True)
+    # unpack each distinct key into its window, last id first
+    out = np.empty((len(key), n + 1), dtype=np.int64)
+    out[:, n] = count
+    for i in range(n - 1, 0, -1):
+        key, out[:, i] = np.divmod(key, base)
+        if i in ranked:
+            key = ranked[i][key]
+    out[:, 0] = key
+    out[:, :n] = out[:, :n] + low if ids is None else ids[out[:, :n]]
+    return out.tolist()
+
+
 def ngram_train(sequences, n: int = 2) -> NGramModel:
     """Fit transition counts on an iterable of event id sequences."""
     model = NGramModel(n)
-    for seq in sequences:
-        model.update(seq)
+    model._add(sequences)
     return model
 
 

@@ -138,16 +138,21 @@ class CodedColumn:
     first-seen order (``first_seen`` restores it). Tables treat it as an
     object column of str.
 
-    ``tokens`` is the column's ``TokenColumn``, whose rows are ``codes``
-    itself, when the code that built the column kept what it takes
-    (``code_tokens``: one compact entry per dictionary entry, coded on
-    first read), else None.
+    ``dictionary`` may be given as a function that renders it, which runs
+    on its first read: a pass that reads only ``codes`` and ``tokens``
+    never builds the strings. ``tokens`` is the column's ``TokenColumn``,
+    whose rows are ``codes`` itself, when the code that built the column
+    kept what it takes (``code_tokens``: one compact entry per dictionary
+    entry, coded on first read), else None.
     """
 
     dtype = np.dtype(object)
 
-    def __init__(self, dictionary: list, codes, code_tokens=None):
-        self.dictionary = dictionary
+    def __init__(self, dictionary, codes, code_tokens=None):
+        if callable(dictionary):
+            self._render = dictionary
+        else:
+            self.dictionary = dictionary
         self.codes = _freeze(np.asarray(codes, dtype=np.int32))
         self._code_tokens = code_tokens
 
@@ -159,6 +164,11 @@ class CodedColumn:
             return cells
         return cls(*_first_seen_codes(
             cells.tolist() if isinstance(cells, np.ndarray) else list(cells)))
+
+    @cached_property
+    def dictionary(self) -> list:
+        render, self._render = self._render, None
+        return render()
 
     @cached_property
     def tokens(self) -> TokenColumn | None:

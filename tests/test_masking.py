@@ -298,6 +298,60 @@ def test_pattern_with_tab_in_it(tmp_path):
     assert rules[0].pattern == "a\\tb\td"
 
 
+_ORACLE_WORDS = ["a", "35", "0xF3A2", "10.1.2.3", "beef", "ü", "ü7",
+                 "x\ty", "\t", "", "a\xa0b", "<NUM>", "blk_-42", "z\x1c9"]
+# fixed messages the random ones are drawn next to: empty ones, space runs,
+# leading and trailing spaces, tabs, non-ASCII text, and chunk sequences
+# that are prefixes of one another
+_ORACLE_FIXED = ["", " ", "  ", "a", "a ", "a  ", " a", "a 35", "a 35 ",
+                 "a\t35", "\t", "ü 12 ü", "  lead and trail  "]
+
+
+def _first_seen(cells):
+    return list(dict.fromkeys(cells))
+
+
+@pytest.mark.parametrize("block", [1, 3, None], ids=["block-1", "block-3",
+                                                    "block-default"])
+@pytest.mark.parametrize("seed", range(8))
+def test_normalize_codes_against_mask_one(seed, block, monkeypatch):
+    import random
+
+    from logbench import masking
+    if block:  # chunks are coded a few messages at a time
+        monkeypatch.setattr(masking, "_CHUNK_BLOCK", block)
+    rng = random.Random(seed)
+    rules = default_rules()
+    for size in (1, 2, 7, 60):
+        pool = _ORACLE_FIXED + [" ".join(rng.choice(_ORACLE_WORDS)
+                                         for _ in range(rng.randint(0, 6)))
+                                for _ in range(20)]
+        # repeated rows, and a single message when size is 1
+        msgs = [rng.choice(pool) for _ in range(size)]
+        expected = [mask_one(m, rules) for m in msgs]
+        out = normalize(msgs, rules)
+        assert out.tokens is not None  # the chunk path ran
+        assert out.tolist() == expected
+        assert out.tokens.tolist() == list(map(split_tokens, expected))
+        # the codes number the distinct masked messages in first-seen order
+        assert out.dictionary == _first_seen(expected)
+        assert out.codes.tolist() == \
+            [out.dictionary.index(m) for m in expected]
+        assert [out[i] for i in range(size)] == expected
+        # a gather of a column whose text was not rendered yet
+        idx = [rng.randrange(size) for _ in range(size)][::-1]
+        gathered = normalize(msgs, rules)[idx]
+        assert gathered.tolist() == [expected[i] for i in idx]
+        assert gathered.first_seen().tolist() == [expected[i] for i in idx]
+        assert gathered.first_seen().dictionary == \
+            _first_seen(expected[i] for i in idx)
+    # a newline in any block sends the whole column down the other path
+    msgs.append("x\ny 7")
+    out = normalize(msgs, rules)
+    assert out.tokens is None
+    assert out.tolist() == [mask_one(m, rules) for m in msgs]
+
+
 _PARITY_MESSAGES = [
     "send 100 bytes", "a\tb  c", "  lead and trail  ", "", "", " ",
     "tab\t\tend\t", "x\x1cy 7", "\x1c", "no\xa0break 0xff", "\xa0",

@@ -90,6 +90,55 @@ def test_counts_against_brute_force():
             assert model.context_totals[ctx] == sum(bucket.values())
 
 
+# ids far apart: a window's packed key would overflow int64 unless the keys
+# (and, past 2**31 apart, the ids themselves) are ranked down first
+_ID_SETS = {
+    "small": list(range(5)),
+    "keys-ranked": [0, 7, 12345, 2**30 - 1, 2**30],
+    "ids-ranked": [-2**62, -5, 0, 3, 2**40, 2**62],
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("ids", sorted(_ID_SETS))
+def test_counts_match_python_windows(n, ids, monkeypatch):
+    import numpy as np
+    rng = random.Random(11)
+    seqs = [[rng.choice(_ID_SETS[ids]) for _ in range(rng.randint(0, 12))]
+            for _ in range(40)]
+    expected = {}
+    for s in seqs:
+        padded = [START_ID] * (n - 1) + s
+        for i in range(len(s)):
+            bucket = expected.setdefault(tuple(padded[i:i + n - 1]), {})
+            bucket[padded[i + n - 1]] = bucket.get(padded[i + n - 1], 0) + 1
+    ranked = []
+    unique = np.unique
+
+    def spy(values, *args, **kwargs):
+        ranked.append(kwargs.get("return_inverse", False))
+        return unique(values, *args, **kwargs)
+    monkeypatch.setattr(np, "unique", spy)
+    model = ngram_train(seqs, n=n)
+    assert model.counts == expected
+    assert model.context_totals == {c: sum(b.values())
+                                    for c, b in expected.items()}
+    # two ids 2**30 apart still pack into one key; three do not
+    assert any(ranked) == (ids == "ids-ranked"
+                           or ids == "keys-ranked" and n > 2)
+    inc = NGramModel(n)
+    for s in seqs:
+        inc.update(s)
+    assert inc.counts == expected
+    assert inc.context_totals == model.context_totals
+
+
+def test_no_windows():
+    for seqs in ([], [[]], [[], []]):
+        model = ngram_train(seqs, n=3)
+        assert model.counts == {} and model.context_totals == {}
+
+
 def test_save_load_round_trip(tmp_path):
     model = ngram_train([[1, 2, 3], [1, 2, 4]], n=3)
     p = tmp_path / "ngram.json"

@@ -450,6 +450,32 @@ def test_test_matrix_is_scored_once(tmp_path, synth_hdfs, monkeypatch,
         assert len(scored) == (2 if detector in ("kmeans", "iforest") else 1)
 
 
+@pytest.mark.parametrize("save_tables, renders", [(False, 0), (True, 1)])
+def test_masked_text_is_rendered_only_when_read(tmp_path, synth_hdfs,
+                                                monkeypatch, save_tables,
+                                                renders):
+    # hdfs-detect's chain reads the masked text's codes and tokens only;
+    # saving the tables reads the text, and renders it once for both files
+    from logbench import masking
+    passes, rendered = [], []
+    chunks = masking._normalize_chunks
+
+    def counting_chunks(msgs, rules):
+        render, entry_of, code = chunks(msgs, rules)
+        passes.append(len(msgs))
+
+        def counting_render():
+            rendered.append(len(msgs))
+            return render()
+        return counting_render, entry_of, code
+    monkeypatch.setattr(masking, "_normalize_chunks", counting_chunks)
+    run_pipeline(_hdfs_config(
+        tmp_path, synth_hdfs, feature_source="words", detector="dt",
+        chain=["normalize", "tokenize", "drain", "ngram", "aggregate"],
+        save_tables=save_tables))
+    assert len(passes) == 1 and len(rendered) == renders
+
+
 @pytest.fixture(scope="module")
 def hdfs_with_rare_terms(tmp_path_factory, synth_hdfs):
     """synth_hdfs plus 40 one-line blocks: blocks 2k and 2k + 1 share the
