@@ -481,13 +481,15 @@ def _best_split(X, y: np.ndarray):
     zero-gain split: the gain of an exclusive-or pattern is zero at the root
     and only the children can realize it.
 
-    X may be dense or sparse; the scan reads only its stored entries. A
-    column's sorted values are its stored values plus one block of
-    ``n - nnz_j`` implicit zeros, placed by value, so each distinct-value cut
-    has the same left count and left positives as a sort of the full dense
-    column. Columns with a single distinct value are skipped.
+    X may be dense or sparse; the scan reads only its stored entries, in
+    column-major order, so they come sorted by column. A column's sorted
+    values are its stored values plus one block of ``n - nnz_j`` implicit
+    zeros, placed by value, so each distinct-value cut has the same left
+    count and left positives as a sort of the full dense column. Columns
+    with a single distinct value are skipped.
     """
-    X = _as_csr(X)
+    if getattr(X, "format", None) != "csc" or not X.has_canonical_format:
+        X = _as_csr(X).tocsc()
     y = _as_labels(y)
     n = len(y)
     pos = int(y.sum())
@@ -495,9 +497,9 @@ def _best_split(X, y: np.ndarray):
     parent = 2.0 * p * (1.0 - p)
     if parent == 0.0:
         return None
-    cols = X.indices
-    y_entry = y[np.repeat(np.arange(n), np.diff(X.indptr))]
-    stored = np.bincount(cols, minlength=X.shape[1])
+    stored = np.diff(X.indptr)
+    cols = np.repeat(np.arange(X.shape[1]), stored)
+    y_entry = y[X.indices]
     stored_pos = np.bincount(cols[y_entry], minlength=X.shape[1])
     zero_cols = np.flatnonzero((stored > 0) & (stored < n))
     # one entry per stored value plus one weighted entry per zero block,
@@ -593,14 +595,15 @@ class DecisionTreeDetector(Detector):
               y: np.ndarray, rows: np.ndarray, depth: int) -> _TreeNode:
         """Grow the subtree over the ascending row indices ``rows``.
 
-        Only the node's rows are copied out of X, and the copy is dropped
-        before the children grow, so memory stays within a few times nnz.
+        The root searches Xc itself; any other node copies only its rows
+        out of X, and the copy is dropped before the children grow, so
+        memory stays within a few times nnz.
         """
         y_node = y[rows]
         node = _TreeNode(prob=float(y_node.mean()), n=len(rows))
         if depth >= self.max_depth or len(rows) < 2:
             return node
-        split = _best_split(X[rows], y_node)
+        split = _best_split(Xc if depth == 0 else X[rows], y_node)
         if split is None:
             return node
         j, threshold, _ = split

@@ -12,6 +12,9 @@ Low-cardinality string columns are coded as they are read: each becomes a
 ``CodedColumn``, its distinct values in first-seen order plus an int32 code
 per row. That keeps multi-gigabyte datasets loadable, and table files, CSV
 export and validation read the codes instead of coding the strings again.
+Nearly every value repeats one seen before, so each is coded in one
+dictionary probe: a ``defaultdict(count().__next__)`` gives a new value
+the next code on its first lookup.
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ import csv
 import logging
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date as _date
+from itertools import compress, count, islice
 from operator import itemgetter
 from pathlib import Path
 from sys import intern
@@ -166,11 +171,11 @@ class _HdfsColumns:
         self.seqs: list = []
         self.epochs = [np.zeros(0, dtype=np.int64)]
         self.pids = [np.zeros(0, dtype=np.int64)]
-        # codes over dictionaries that grow block by block
-        self.level_of: dict[str, int] = {}
-        self.comp_of: dict[str, int] = {}
-        self.levels = [np.zeros(0, dtype=np.int32)]
-        self.comps = [np.zeros(0, dtype=np.int32)]
+        # a line's (date, level, component) is one key; key_days holds
+        # each key's day, -1 for a bad date or a component without ":"
+        self.key_of = defaultdict(count().__next__)
+        self.key_days: list[int] = []
+        self.keys = [np.zeros(0, dtype=np.int32)]  # of the accepted rows
         self.lines_read = self.dropped = self.merged = 0
 
     def add_block(self, lines: list[str]) -> None:
@@ -183,16 +188,21 @@ class _HdfsColumns:
         dates, times, pids, levels, comps, msgs = \
             zip(*parts) if parts else [()] * 6
 
-        date_dict, date_codes = _first_seen_codes(dates)
-        day = np.array([_hdfs_day(d) for d in date_dict],
-                       dtype=np.int64)[date_codes]
         sec = _hdfs_seconds(times)
-        comp_dict, comp_codes = _first_seen_codes(comps)
-        ok = ((day >= 0) & (sec >= 0)
-              & np.fromiter(map(str.isdecimal, pids), bool, len(pids))
-              & np.array([c.endswith(":") for c in comp_dict],
-                         dtype=bool)[comp_codes])
-        keep = np.flatnonzero(ok)
+        ok = (sec >= 0) & np.fromiter(map(str.isdecimal, pids), bool,
+                                      len(pids))
+        # a key stays for the whole load, so only lines whose time and pid
+        # pass are keyed; the rest keep code -1, whose day is -1
+        keys = np.full(len(ok), -1, dtype=np.int32)
+        keys[ok] = np.fromiter(map(self.key_of.__getitem__, compress(
+            zip(dates, levels, comps), ok)), np.int32, int(ok.sum()))
+        # the keys this block added, newest first, not a scan of them all
+        added = islice(reversed(self.key_of),
+                       len(self.key_of) - len(self.key_days))
+        self.key_days += [_hdfs_day(date) if comp.endswith(":") else -1
+                          for date, _, comp in added][::-1]
+        day = np.array(self.key_days + [-1], np.int64)[keys]
+        keep = np.flatnonzero(day >= 0)
         if len(keep) < len(ok):
             kept = keep.tolist()
             msgs = [msgs[i] for i in kept]
@@ -203,12 +213,7 @@ class _HdfsColumns:
                       for m in map(_BLOCK_RE.search, msgs)]
         self.epochs.append(((day * 86400 + sec) * 1_000_000)[keep])
         self.pids.append(np.fromiter(map(int, pids), np.int64, len(pids)))
-        level_dict, level_codes = _first_seen_codes(levels)
-        self.levels.append(_recode(self.level_of, level_dict)
-                           [level_codes[keep]])
-        self.comps.append(_recode(self.comp_of,
-                                  [c[:-1] for c in comp_dict])
-                          [comp_codes[keep]])
+        self.keys.append(keys[keep])
 
         accepted = np.zeros(len(lines), dtype=bool)
         accepted[rows[keep]] = True
@@ -223,14 +228,6 @@ class _HdfsColumns:
             else:
                 self.messages[row] += "\n" + lines[i]
                 self.merged += 1
-
-
-def _recode(code_of: dict, values: list) -> np.ndarray:
-    """The code of each of ``values`` in ``code_of``, adding new ones. The
-    dictionary may gain values only rejected lines hold, and stand out of
-    first-seen order: ``CodedColumn.first_seen`` drops and reorders."""
-    return np.fromiter((code_of.setdefault(v, len(code_of)) for v in values),
-                       np.int32, len(values))
 
 
 def load_hdfs(log_path, label_path=None):
@@ -271,6 +268,11 @@ def load_hdfs(log_path, label_path=None):
             cols.add_block(["".join(tail)])
 
     seq_ids, seq_codes = _first_seen_codes(cols.seqs)
+    # the keys may hold values only rejected lines hold, and stand out of
+    # first-seen order: ``CodedColumn.first_seen`` drops and reorders
+    keys = np.concatenate(cols.keys)
+    levels, level_codes = _first_seen_codes([k[1] for k in cols.key_of])
+    comps, comp_codes = _first_seen_codes([k[2][:-1] for k in cols.key_of])
     no_seq = int((seq_codes < 0).sum())
     meta = {"source": str(log_path), "lines_read": cols.lines_read,
             "dropped_lines": cols.dropped,
@@ -281,10 +283,8 @@ def load_hdfs(log_path, label_path=None):
         "m_message": object_column(cols.messages),
         "m_timestamp": _to_timestamps(np.concatenate(cols.epochs)),
         "pid": np.concatenate(cols.pids),
-        "level": CodedColumn(list(cols.level_of),
-                             np.concatenate(cols.levels)).first_seen(),
-        "component": CodedColumn(list(cols.comp_of),
-                                 np.concatenate(cols.comps)).first_seen(),
+        "level": CodedColumn(levels, level_codes[keys]).first_seen(),
+        "component": CodedColumn(comps, comp_codes[keys]).first_seen(),
     }, meta=meta)
 
     labels = read_hdfs_labels(label_path) if label_path is not None else {}
@@ -377,8 +377,8 @@ def load_supercomputer(log_path, format: str) -> EventTable:
     plain = next(i for i, f in enumerate(fields) if f in _PLAIN_FIELDS)
     coded = [i for i in range(n_fields - 1) if i not in (1, plain)]
     key_of = itemgetter(*coded)
-    code_of: dict[tuple, int] = {}
-    message_of: dict[str, int] = {}
+    code_of = defaultdict(count().__next__)
+    message_of = defaultdict(count().__next__)
     combos, epochs, times, messages = [], [], [], []
     last = ""  # the message of the last event
     dropped = merged = 0
@@ -394,23 +394,15 @@ def load_supercomputer(log_path, format: str) -> EventTable:
                 except ValueError:
                     pass
                 else:
-                    key = key_of(p)
-                    try:
-                        combos.append(code_of[key])
-                    except KeyError:
-                        combos.append(code_of.setdefault(key, len(code_of)))
+                    combos.append(code_of[key_of(p)])
                     last = p[-1]
-                    try:
-                        messages.append(message_of[last])
-                    except KeyError:
-                        messages.append(message_of.setdefault(
-                            last, len(message_of)))
+                    messages.append(message_of[last])
                     epochs.append(epoch)
                     times.append(p[plain])
                     continue
             if messages:
                 last = last + "\n" + line.rstrip("\n")
-                messages[-1] = message_of.setdefault(last, len(message_of))
+                messages[-1] = message_of[last]
                 merged += 1
             else:
                 dropped += 1

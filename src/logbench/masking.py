@@ -14,15 +14,18 @@ Otherwise each distinct message is masked once. Either way the result is a
 ``CodedColumn``: the distinct masked messages and each row's code, whose
 cells are exactly ``[mask_one(m, rules) for m in messages]``.
 
-The chunk pass finds the distinct masked messages from their masked-chunk
-codes, and renders their text only when it is read. It also keeps what it
-needs to code their tokens on request (``CodedColumn.tokens``), splitting
-each distinct masked chunk once.
+The chunk pass codes each chunk in one dictionary probe, since nearly all
+repeat one seen before. It finds the distinct masked messages from their
+masked-chunk codes, and renders their text only when it is read. It also
+keeps what it needs to code their tokens on request
+(``CodedColumn.tokens``), splitting each distinct masked chunk once.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from itertools import count
 
 import numpy as np
 
@@ -198,7 +201,7 @@ def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
         return None
     # the chunks are coded a block of messages at a time, in first-seen
     # order over all blocks: their strings are most of this pass's memory
-    code_of, parts = {}, []
+    code_of, parts = defaultdict(count().__next__), []
     for a in range(0, len(msgs), _CHUNK_BLOCK):
         block = msgs[a:a + _CHUNK_BLOCK]
         # each " \n " between messages leaves a chunk of its own, which
@@ -208,18 +211,14 @@ def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
         if text.count("\n") != len(block) - (a == 0):
             return None
         chunks = text.split(" ")
-        fresh = [c for c in dict.fromkeys(chunks) if c not in code_of]
-        code_of.update(zip(fresh, range(len(code_of),
-                                        len(code_of) + len(fresh))))
         parts.append(np.fromiter(map(code_of.__getitem__, chunks),
                                  dtype=np.int32, count=len(chunks)))
+    nl = code_of["\n"]  # the chunk that ends the first message, or a new one
     vocab, ids = list(code_of), np.concatenate(parts)
     # here and below, what is no longer needed goes before the next large
     # array is built: on mostly distinct messages, this pass sets a
     # pipeline run's peak memory
     del code_of, chunks, parts
-    # the first "\n" chunk ends the first message
-    nl = vocab.index("\n") if len(msgs) > 1 else len(vocab)
     masked = _normalize_distinct(vocab[:nl] + vocab[nl + 1:], rules)
     masked.insert(nl, "\n")
     pieces, piece_of = _first_seen_codes(masked)

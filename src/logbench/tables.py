@@ -140,10 +140,11 @@ class CodedColumn:
 
     ``dictionary`` may be given as a function that renders it, which runs
     on its first read: a pass that reads only ``codes`` and ``tokens``
-    never builds the strings. ``tokens`` is the column's ``TokenColumn``,
-    whose rows are ``codes`` itself, when the code that built the column
-    kept what it takes (``code_tokens``: one compact entry per dictionary
-    entry, coded on first read), else None.
+    never builds the strings; it must be in first-seen order of the codes,
+    with no unused entry. ``tokens`` is the column's ``TokenColumn``, whose
+    rows are ``codes`` itself, when the code that built the column kept
+    what it takes (``code_tokens``: one compact entry per dictionary entry,
+    coded on first read), else None.
     """
 
     dtype = np.dtype(object)
@@ -201,7 +202,10 @@ class CodedColumn:
     def first_seen(self) -> "CodedColumn":
         """The column with its dictionary in first-seen order of the rows
         and no unused entry: itself when it already is, as a loader or
-        ``masking.normalize`` builds it, else re-coded in numpy."""
+        ``masking.normalize`` builds it, else re-coded in numpy. A
+        dictionary not yet rendered is, and stays unrendered."""
+        if "dictionary" not in self.__dict__:
+            return self
         codes, size = self.codes, len(self.dictionary)
         # in first-seen order every code is at most one above the highest
         # code before it, and the highest of all is the last entry
@@ -459,7 +463,10 @@ def _first_seen_order(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _first_seen_codes(cells: list) -> tuple[list, np.ndarray]:
     """Distinct non-None cells in first-seen order, and each cell's int32
-    index into them; -1 for None. Cells must be hashable."""
+    index into them; -1 for None. Cells must be hashable. Two passes suit
+    mostly distinct cells, and when all are the codes are a range; the
+    loaders' ``defaultdict(count().__next__)`` pays a ``__missing__`` call
+    per new cell (13.5 against 5.5 ms on 100k distinct short strings)."""
     code_of = dict.fromkeys(cells)
     code_of.pop(None, None)
     dictionary = list(code_of)

@@ -246,6 +246,24 @@ _HDFS_CASES = {
         "081109 203615 1² INFO dfs.A: superscript in pid blk_2\n"
         "081109 203615 ① INFO dfs.A: circled pid blk_2\n"
         "081109 203615 148 ÏNFO dfs.Ä: non-ascii level blk_2\n"),
+    # (date, level, component) is one key: levels, components and keys
+    # that only rejected lines hold, a component that is another's with
+    # its colon dropped, and keys that first appear late
+    "coders": (
+        "081109 246060 148 TRACE dfs.Gone: bad time, first line blk_1\n"
+        "081109 203615 148 INFO dfs.A: first row blk_1\n"
+        "081109 203615 x DEBUG dfs.A: bad pid, level seen nowhere else\n"
+        "081109 203616 149 INFO dfs.CX looks valid, no colon blk_2\n"
+        "081199 203616 149 WARN dfs.B: bad date, key seen again later\n"
+        "081109 203617 150 INFO dfs.A: first key again blk_1\n"
+        "081109 203618 151 WARN dfs.B: second key blk_2\n"
+        "081109 246060 151 INFO dfs.C: bad time, key accepted later\n"
+        "081109 203619 152 INFO dfs.A: first key once more blk_2\n"
+        "081110 000001 153 INFO dfs.C: new date and component blk_3\n"
+        "081199 000002 154 WARN dfs.B: bad date again blk_3\n"
+        "081109 246060 148 TRACE dfs.Gone: bad time again blk_1\n"
+        "081110 000003 155 ERROR dfs.A: new level last blk_3\n"
+        "081109 203620 156 INFO dfs.C: late key accepted blk_4\n"),
 }
 
 
@@ -265,6 +283,11 @@ def test_hdfs_matches_per_line_reference(tmp_path, case, block_chars,
             assert g.equals(w)
             assert g.meta == w.meta
             assert [g[c].dtype for c in g] == [w[c].dtype for c in w]
+            for name in g:
+                col = g[name]
+                if isinstance(col, CodedColumn):
+                    # first-seen, no unused entry
+                    assert col.first_seen() is col
 
 
 def test_hdfs_matches_per_line_reference_on_a_corpus(tmp_path, monkeypatch):
@@ -433,6 +456,18 @@ _SUPERCOMPUTER_CASES = {
         _BGL_LINE.format(e=56, n=1, l="INFO", m="only once"),
         _BGL_LINE.format(e=57, n=3, l="INFO", m="no trailing newline"),
     ],
+    # two rows that continuations merge into the same text share its
+    # code, and a later row holds the message they held before the merge
+    "bgl merges": [
+        _BGL_LINE.format(e=60, n=1, l="INFO", m="alpha"),
+        "\tbeta",
+        _BGL_LINE.format(e=61, n=2, l="INFO", m="alpha"),
+        "\tbeta",
+        _BGL_LINE.format(e=62, n=1, l="WARNING", m="gamma"),
+        _BGL_LINE.format(e=63, n=3, l="INFO", m="alpha"),
+        _BGL_LINE.format(e=64, n=1, l="INFO", m="alpha"),
+        "\tbeta",
+    ],
     "thunderbird": [
         "- 1131566461 2005.11.09 dn228 Nov 9 12:01:01 dn228/dn228 a: b",
         "\tcontinued",
@@ -443,9 +478,10 @@ _SUPERCOMPUTER_CASES = {
 
 
 @pytest.mark.parametrize("lines", [None, 0, 1, 5])
-@pytest.mark.parametrize("fmt", sorted(_SUPERCOMPUTER_CASES))
-def test_supercomputer_matches_per_line_reference(tmp_path, fmt, lines):
-    text = "\n".join(_SUPERCOMPUTER_CASES[fmt][:lines])
+@pytest.mark.parametrize("case", sorted(_SUPERCOMPUTER_CASES))
+def test_supercomputer_matches_per_line_reference(tmp_path, case, lines):
+    fmt = case.split()[0]
+    text = "\n".join(_SUPERCOMPUTER_CASES[case][:lines])
     log = tmp_path / "t.log"
     log.write_bytes(text.encode("utf-8"))
     got = load_supercomputer(log, fmt)

@@ -352,6 +352,32 @@ def test_normalize_codes_against_mask_one(seed, block, monkeypatch):
     assert out.tolist() == [mask_one(m, rules) for m in msgs]
 
 
+def test_first_seen_of_a_normalize_result_does_not_render(monkeypatch):
+    # the render counter of test_masked_text_is_rendered_only_when_read
+    from logbench import masking
+    rendered = []
+    chunks = masking._normalize_chunks
+
+    def counting_chunks(msgs, rules):
+        render, entry_of, code = chunks(msgs, rules)
+
+        def counting_render():
+            rendered.append(len(msgs))
+            return render()
+        return counting_render, entry_of, code
+    monkeypatch.setattr(masking, "_normalize_chunks", counting_chunks)
+    msgs = ["a 1", "b 2", "a 3", "", "b 4", "c 0x5", "a 1"]
+    out = normalize(msgs)
+    assert out.first_seen() is out
+    assert rendered == []
+    # the rendered dictionary is in first-seen order with no unused entry
+    expected = [mask_one(m, default_rules()) for m in msgs]
+    assert out.dictionary == _first_seen(expected)
+    assert rendered == [len(set(msgs))]
+    assert out.first_seen() is out
+    assert out.tolist() == expected
+
+
 _PARITY_MESSAGES = [
     "send 100 bytes", "a\tb  c", "  lead and trail  ", "", "", " ",
     "tab\t\tend\t", "x\x1cy 7", "\x1c", "no\xa0break 0xff", "\xa0",
