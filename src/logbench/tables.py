@@ -51,6 +51,7 @@ _dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 # characters that make csv's QUOTE_MINIMAL quote a cell (excel dialect)
 _CSV_QUOTE_CHARS = ',"\r\n'
 _CSV_QUOTE_RE = re.compile("[" + _CSV_QUOTE_CHARS + "]")
+_CSV_BLOCK = 2048  # rows per write of Table.write_csv; more raise its peak
 
 
 def object_column(values: Sequence) -> np.ndarray:
@@ -101,17 +102,15 @@ class TokenColumn:
     def __iter__(self):
         return iter(self.tolist())
 
-    def entries(self, cell=None) -> list:
-        """Every entry's token list, or ``cell`` of it."""
+    def entries(self) -> list:
+        """Every entry's token list."""
         words = object_column(self.tokens)[self.codes].tolist()
         bounds = self.offsets.tolist()
-        cells = [words[a:b] for a, b in zip(bounds, bounds[1:])]
-        return cells if cell is None else list(map(cell, cells))
+        return [words[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def tolist(self, cell=None) -> list:
-        """Every row's token list, or ``cell`` of it. ``cell`` runs once
-        per entry, and rows sharing an entry share its (read-only) list."""
-        return list(map(self.entries(cell).__getitem__, self.rows.tolist()))
+    def tolist(self) -> list:
+        """Every row's token list, shared (read-only) by an entry's rows."""
+        return list(map(self.entries().__getitem__, self.rows.tolist()))
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """The codes of all rows in row order, and each row's length."""
@@ -434,16 +433,26 @@ class Table:
     def write_csv(self, path) -> None:
         """Human-inspectable CSV export, byte for byte as ``csv.writer`` writes
         it: lists space separated, None and NaT empty, other values ``str``.
-        Each column is rendered once and the rows are streamed to the file.
+        Each column is rendered once; a block of rows is one join and write.
         """
-        cols = [_csv_quoted([name]) + _csv_column(arr)
-                for name, arr in self._columns.items()]
-        if len(cols) == 1:
-            # csv quotes the empty field of a one-field row
-            cols = [[c or '""' for c in cols[0]]]
+        ends = [","] * (len(self._columns) - 1) + ["\r\n"]
+        empty = '""' if len(ends) == 1 else ""  # a lone empty field is quoted
+        # a row's pieces: each column's cell, then its end unless the cell
+        # carries it; the ends are set once, the cells block by block
+        cols, flat = [], []
+        for arr, end in zip(self._columns.values(), ends):
+            cells, end = _csv_field(arr, end, empty)
+            cols.append((len(flat), cells))
+            flat += [None] if end is None else [None, end]
+        stride, n = len(flat), self._n
+        flat *= min(n, _CSV_BLOCK)
         with open(path, "w", encoding="utf-8", newline="") as f:
-            f.writelines(",".join(r) + "\r\n"
-                         for r in (zip(*cols) if cols else [()]))
+            f.write(",".join(_csv_quoted(self.column_names, empty)) + "\r\n")
+            for a in range(0, n, _CSV_BLOCK):
+                del flat[stride * (n - a):]  # the last block may be short
+                for at, cells in cols:
+                    flat[at::stride] = cells[a:a + _CSV_BLOCK]
+                f.write("".join(flat))
 
 
 def _first_seen_order(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -548,20 +557,25 @@ def _decode_v2_column(col: dict, rows: int, path) -> np.ndarray:
     return object_column(dictionary + [None])[values]
 
 
-def _csv_column(arr: np.ndarray) -> list[str]:
-    """Quoted CSV text of every cell of one column. The entries of a coded
-    column, and the two values of a bool one, are rendered and quoted once
-    and gathered by codes."""
+def _csv_field(arr: np.ndarray, end: str, empty: str):
+    """Quoted CSV text of each cell of one column (empty ones as ``empty``)
+    and the piece written after it: ``end``, or None where the cell ends with
+    it. Entries of a coded or token column, a bool column's two values and an
+    int column's distinct values are rendered once, then gathered by codes."""
     if isinstance(arr, CodedColumn):
         entries, codes = list(map(str, arr.dictionary)), arr.codes
     elif isinstance(arr, TokenColumn):
-        entries, codes = arr.entries(" ".join), arr.rows
+        entries, codes = _csv_cells(object_column(arr.entries())), arr.rows
     elif arr.dtype.kind == "b":
         entries, codes = ["False", "True"], arr.view(np.int8)
+    elif arr.dtype.kind == "i":
+        values, codes = np.unique(arr, return_inverse=True)
+        entries = list(map(str, values.tolist()))
     else:
-        return _csv_quoted(_csv_cells(arr))
+        return _csv_quoted(_csv_cells(arr), empty), end
     # code -1, a None cell, picks the empty field
-    return object_column(_csv_quoted(entries) + [""])[codes].tolist()
+    entries = [c + end for c in _csv_quoted(entries + [""], empty)]
+    return object_column(entries)[codes].tolist(), None
 
 
 def _csv_cells(arr: np.ndarray) -> list[str]:
@@ -587,13 +601,14 @@ def _csv_cells(arr: np.ndarray) -> list[str]:
             if isinstance(v, list) else str(v) for v in vals]
 
 
-def _csv_quoted(cells: list[str]) -> list[str]:
-    """csv QUOTE_MINIMAL: quote, doubling ``"``, cells with , " \\r or \\n."""
+def _csv_quoted(cells: list[str], empty: str = "") -> list[str]:
+    """csv QUOTE_MINIMAL: quote, doubling ``"``, cells with , " \\r or \\n;
+    an empty cell becomes ``empty``."""
     text = "".join(cells)
-    if not any(c in text for c in _CSV_QUOTE_CHARS):
+    if not empty and not any(c in text for c in _CSV_QUOTE_CHARS):
         return cells
-    return ['"' + c.replace('"', '""') + '"' if _CSV_QUOTE_RE.search(c) else c
-            for c in cells]
+    return ['"' + c.replace('"', '""') + '"' if _CSV_QUOTE_RE.search(c)
+            else c or empty for c in cells]
 
 
 class EventTable(Table):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from logbench import tables
 from logbench.cli import main
 from logbench.tables import (CodedColumn, EventTable, SequenceTable, Table,
                              TokenColumn, _first_seen_order, _null_mask,
@@ -335,6 +336,7 @@ def every_tag_columns():
                              dtype="timedelta64[us]"),
         "score": [1.5, float("nan"), 1e-05, float("inf"), -0.0, 1e16],
         "count": [1, -2, 3, 2**62, 0, 7],
+        "repeats": [5, -2**63, 5, 2**62, -1, 5],
         "flag": [True, False, True, True, False, False],
         "level": object_column(["INFO", None, "", "x\ny", "a,\"b\"", "W"]),
         "e_words": object_column([["a", "b,c"], [], None, ['"q"'],
@@ -347,13 +349,31 @@ def every_tag_columns():
     }
 
 
+def _block_sizes(monkeypatch):
+    """``write_csv``'s rows per block, set in turn to 1, 2, 3 and the
+    default: each one the test runs at."""
+    for block in (1, 2, 3, tables._CSV_BLOCK):
+        monkeypatch.setattr(tables, "_CSV_BLOCK", block)
+        yield block
+
+
+def _every_tag_rows(n):
+    """``n`` rows cycling through the every-tag rows."""
+    t = Table(every_tag_columns()).take(np.arange(n) % 6)
+    return {name: t[name] for name in t}
+
+
 @pytest.mark.parametrize("columns", [
     every_tag_columns(),
     {"only": ["", "a", None, "b,c"]},
     {k: v[:0] for k, v in every_tag_columns().items()},
     {},
-], ids=["every-tag", "one-column-empty-cell", "zero-rows", "no-columns"])
-def test_table_files_match_reference_serializers(tmp_path, columns):
+    # two full default blocks and a short one, and short at sizes 2 and 3
+    _every_tag_rows(2 * tables._CSV_BLOCK + 7),
+], ids=["every-tag", "one-column-empty-cell", "zero-rows", "no-columns",
+        "uneven-rows"])
+def test_table_files_match_reference_serializers(tmp_path, monkeypatch,
+                                                 columns):
     t = EventTable(columns)
     t.save(tmp_path / "t.table.json")
     _reference_save(t, tmp_path / "ref.table.json")
@@ -362,10 +382,11 @@ def test_table_files_match_reference_serializers(tmp_path, columns):
     back.save(tmp_path / "resaved.table.json")
     assert (tmp_path / "t.table.json").read_bytes() == \
         (tmp_path / "resaved.table.json").read_bytes()
-    t.write_csv(tmp_path / "t.csv")
     _reference_write_csv(t, tmp_path / "ref.csv")
-    assert (tmp_path / "t.csv").read_bytes() == \
-        (tmp_path / "ref.csv").read_bytes()
+    for _ in _block_sizes(monkeypatch):
+        t.write_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
 
 
 def _as_saved(table):
@@ -721,7 +742,9 @@ _ENTRIES = [["a", "b,c"], ['"q"', "\u00fc"], [], ["a", "b,c"], ["x"],
     # only empty lists: tagged as an int list column, as lists would be
     ([[], ["z"]], [0, 0]),
     ([["z"]], []),
-], ids=["shared", "reordered", "all-empty", "zero-rows"])
+    # int tokens, as an int list column holds them
+    ([[1, 2], [3], []], [0, 1, 2, 1]),
+], ids=["shared", "reordered", "all-empty", "zero-rows", "int-tokens"])
 def test_token_column_io_matches_list_column(tmp_path, entries, rows):
     coded = TokenColumn.of(entries)[np.asarray(rows, dtype=np.int64)]
     listed = object_column([list(entries[r]) for r in rows])
@@ -771,7 +794,8 @@ def _csv_reference(rows) -> bytes:
     np.array([True, False, False, True] * 2 + [False, True, True]),
     np.zeros(0, dtype=np.int64),
 ], ids=["repeated", "reordered", "boolean", "empty"])
-def test_coded_column_gathers_like_an_object_column(tmp_path, idx):
+def test_coded_column_gathers_like_an_object_column(tmp_path, monkeypatch,
+                                                    idx):
     coded = CodedColumn.of(_CODED_CELLS)
     plain = object_column(_CODED_CELLS)
     assert coded.dictionary == ["a,b", 'say "hi"', "cr\rlf", "line\nbreak",
@@ -790,16 +814,18 @@ def test_coded_column_gathers_like_an_object_column(tmp_path, idx):
     assert seen.dictionary == list(dict.fromkeys(v for v in want
                                                  if v is not None))
     assert seen.tolist() == want and seen.first_seen() is seen
-    # a table holding either saves, exports and compares alike
-    for name, col in (("coded", part), ("plain", plain[idx])):
-        t = Table({"s": col, "n": np.arange(len(want))})
-        t.save(tmp_path / f"{name}.table.json")
-        t.write_csv(tmp_path / f"{name}.csv")
-    for ext in (".table.json", ".csv"):
-        assert (tmp_path / f"coded{ext}").read_bytes() == \
-            (tmp_path / f"plain{ext}").read_bytes()
-    assert (tmp_path / "coded.csv").read_bytes() == _csv_reference(
-        [["s", "n"]] + [[v, str(i)] for i, v in enumerate(want)])
+    # a table holding either saves, exports and compares alike; the export
+    # at every block size
+    for _ in _block_sizes(monkeypatch):
+        for name, col in (("coded", part), ("plain", plain[idx])):
+            t = Table({"s": col, "n": np.arange(len(want))})
+            t.save(tmp_path / f"{name}.table.json")
+            t.write_csv(tmp_path / f"{name}.csv")
+        for ext in (".table.json", ".csv"):
+            assert (tmp_path / f"coded{ext}").read_bytes() == \
+                (tmp_path / f"plain{ext}").read_bytes()
+        assert (tmp_path / "coded.csv").read_bytes() == _csv_reference(
+            [["s", "n"]] + [[v, str(i)] for i, v in enumerate(want)])
     a, b = Table({"s": part}), Table({"s": plain[idx]})
     assert a.equals(b) and b.equals(a)
     back = Table.load(tmp_path / "coded.table.json")
@@ -819,11 +845,13 @@ def test_coded_column_equals_compares_cells():
 
 @pytest.mark.parametrize("cells", [["", None, "x", ""], [None], [""], []],
                          ids=["mixed", "none", "empty-string", "no-rows"])
-def test_one_coded_column_csv_quotes_empty_fields(tmp_path, cells):
+def test_one_coded_column_csv_quotes_empty_fields(tmp_path, monkeypatch,
+                                                  cells):
     # csv quotes the lone empty field of a one-field row
-    Table({"s": CodedColumn.of(cells)}).write_csv(tmp_path / "t.csv")
-    assert (tmp_path / "t.csv").read_bytes() == \
-        _csv_reference([["s"]] + [[v] for v in cells])
+    for _ in _block_sizes(monkeypatch):
+        Table({"s": CodedColumn.of(cells)}).write_csv(tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == \
+            _csv_reference([["s"]] + [[v] for v in cells])
 
 
 def test_v1_str_column_loads_and_saves_as_v2(tmp_path):
