@@ -15,6 +15,12 @@ export and validation read the codes instead of coding the strings again.
 Nearly every value repeats one seen before, so each is coded in one
 dictionary probe: a ``defaultdict(count().__next__)`` gives a new value
 the next code on its first lookup.
+
+HDFS messages all but never repeat, since each carries its block id, but
+with that id's chunk cut out most do. ``load_hdfs`` keeps its message
+column as those parts, coded (``CodedColumn.cut``): the key-free messages,
+the key chunks and where each was cut. ``masking.normalize`` masks the
+parts, and the text itself is rendered only when something reads it.
 """
 
 from __future__ import annotations
@@ -44,7 +50,9 @@ SUPERCOMPUTER_FORMATS = ("bgl", "thunderbird", "spirit", "liberty")
 SEQUENCE_LABEL_FORMATS = ("hdfs", "hadoop")
 
 _EPOCH_ORDINAL = _date(1970, 1, 1).toordinal()
-_BLOCK_RE = re.compile(r"blk_-?\d+")
+# a message's first block id, and the rest of the space-delimited chunk
+# that holds it
+_BLOCK_RE = re.compile(r"(blk_-?\d+)[^ ]*")
 
 
 @dataclass
@@ -164,11 +172,23 @@ def _hdfs_seconds(times) -> np.ndarray:
 
 class _HdfsColumns:
     """The accepted rows of an HDFS log, filled one block of lines at a
-    time, and the dropped and merged line counts."""
+    time, and the dropped and merged line counts.
+
+    A row's message is kept as the chunk that holds its first block id (its
+    key), coded, and the rest of the message with that chunk cut out, coded
+    too, plus where it was cut. A message without a block id, or one that
+    continuation lines were merged into, is kept whole, cut -1; the key of
+    its first line still gives its sequence.
+    """
 
     def __init__(self):
-        self.messages: list[str] = []
-        self.seqs: list = []
+        self.free_of = defaultdict(count().__next__)
+        self.chunk_of = defaultdict(count().__next__)
+        # of the accepted rows: key-free message, key chunk and cut codes
+        self.free: list[int] = []
+        self.chunks: list[int] = []
+        self.cuts: list[int] = []
+        self.last = ""  # the full message of the last row
         self.epochs = [np.zeros(0, dtype=np.int64)]
         self.pids = [np.zeros(0, dtype=np.int64)]
         # a line's (date, level, component) is one key; key_days holds
@@ -207,10 +227,8 @@ class _HdfsColumns:
             kept = keep.tolist()
             msgs = [msgs[i] for i in kept]
             pids = [pids[i] for i in kept]
-        first_row = len(self.messages)
-        self.messages += msgs
-        self.seqs += [m[0] if m else None
-                      for m in map(_BLOCK_RE.search, msgs)]
+        first_row = len(self.free)
+        self._cut(msgs)
         self.epochs.append(((day * 86400 + sec) * 1_000_000)[keep])
         self.pids.append(np.fromiter(map(int, pids), np.int64, len(pids)))
         self.keys.append(keys[keep])
@@ -218,16 +236,42 @@ class _HdfsColumns:
         accepted = np.zeros(len(lines), dtype=bool)
         accepted[rows[keep]] = True
         rejected = np.flatnonzero(~accepted)
-        if len(rejected) == 0:
-            return
-        # each rejected line continues the last row accepted before it
+        # each rejected line continues the last row accepted before it,
+        # which may be the last row of an earlier block
         targets = first_row - 1 + np.cumsum(accepted)[rejected]
+        merged: dict[int, str] = {}
         for i, row in zip(rejected.tolist(), targets.tolist()):
             if row < 0:
                 self.dropped += 1
-            else:
-                self.messages[row] += "\n" + lines[i]
-                self.merged += 1
+                continue
+            text = merged.get(row)
+            if text is None:
+                text = self.last if row < first_row \
+                    else msgs[row - first_row]
+            merged[row] = text + "\n" + lines[i]
+            self.merged += 1
+        for row, text in merged.items():
+            self.free[row], self.cuts[row] = self.free_of[text], -1
+        if msgs:
+            self.last = msgs[-1]
+        self.last = merged.get(len(self.free) - 1, self.last)
+
+    def _cut(self, msgs) -> None:
+        """Add the rows of these messages, each cut at its key chunk."""
+        free_of, chunk_of = self.free_of, self.chunk_of
+        free, chunks, cuts = self.free.append, self.chunks.append, \
+            self.cuts.append
+        for m, hit in zip(msgs, map(_BLOCK_RE.search, msgs)):
+            if hit is None:
+                free(free_of[m])
+                chunks(-1)
+                cuts(-1)
+                continue
+            start, end = hit.span()
+            at = m.rfind(" ", 0, start) + 1
+            free(free_of[m[:at] + m[end:]])
+            chunks(chunk_of[m[at:end]])
+            cuts(at)
 
 
 def load_hdfs(log_path, label_path=None):
@@ -250,6 +294,11 @@ def load_hdfs(log_path, label_path=None):
     (events, sequences) where the sequence table carries one row per distinct
     block in first-seen order with its label from the label file (blocks
     missing from the label file count as normal, with a warning).
+
+    The block id's chunk is cut out of each message as it is read, so
+    ``m_message`` is a ``CodedColumn.cut`` of far fewer distinct key-free
+    messages: ``masking.normalize`` masks those, and the text renders only
+    when it is read.
     """
     cols = _HdfsColumns()
     with open(log_path, "r", encoding="utf-8", errors="replace",
@@ -267,7 +316,15 @@ def load_hdfs(log_path, label_path=None):
         if "".join(tail):
             cols.add_block(["".join(tail)])
 
-    seq_ids, seq_codes = _first_seen_codes(cols.seqs)
+    # a key chunk's first block id is its row's: none comes before it
+    chunk_texts, chunks = list(cols.chunk_of), np.array(cols.chunks, np.int32)
+    seq_ids, seq_of = _first_seen_codes(
+        [_BLOCK_RE.search(c)[1] for c in chunk_texts])
+    seq_codes = np.append(seq_of, -1)[chunks]
+    cuts = np.array(cols.cuts, np.int32)
+    message = CodedColumn.cut(
+        CodedColumn(list(cols.free_of), cols.free),
+        CodedColumn(chunk_texts, np.where(cuts < 0, -1, chunks)), cuts)
     # the keys may hold values only rejected lines hold, and stand out of
     # first-seen order: ``CodedColumn.first_seen`` drops and reorders
     keys = np.concatenate(cols.keys)
@@ -280,7 +337,7 @@ def load_hdfs(log_path, label_path=None):
             "rows_without_seq_id": no_seq}
     events = EventTable({
         "seq_id": CodedColumn(seq_ids, seq_codes),
-        "m_message": object_column(cols.messages),
+        "m_message": message,
         "m_timestamp": _to_timestamps(np.concatenate(cols.epochs)),
         "pid": np.concatenate(cols.pids),
         "level": CodedColumn(levels, level_codes[keys]).first_seen(),

@@ -19,6 +19,12 @@ repeat one seen before. It finds the distinct masked messages from their
 masked-chunk codes, and renders their text only when it is read. It also
 keeps what it needs to code their tokens on request
 (``CodedColumn.tokens``), splitting each distinct masked chunk once.
+
+A column cut at its keys (``CodedColumn.cut``: HDFS messages without the
+chunk of their block id, plus those chunks) is masked by its parts: the
+chunk pass runs over the distinct key-free messages and the distinct
+keys, and each row's masked-chunk codes are its key-free message's with
+its key's put back. Its raw text is never built on that path.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from itertools import count
 import numpy as np
 
 from .tables import (CodedColumn, TokenColumn, _first_seen_codes,
-                     _first_seen_order, object_column)
+                     _first_seen_inverse, _first_seen_order, object_column)
 
 # messages whose chunks are split and coded at a time
 _CHUNK_BLOCK = 4096
@@ -166,14 +172,27 @@ def normalize(messages, rules: list[MaskingRule] | None = None
       The distinct masked messages are found from their chunks' codes; the
       result renders them on first read, and its ``tokens`` codes them
       without splitting them again.
+    - A column cut at its keys (``CodedColumn.cut``, as ``load_hdfs`` builds
+      its messages) takes that path over its parts: the distinct key-free
+      messages and the distinct key chunks are split and masked, and each
+      row's masked chunks are its key-free message's with its key's put
+      back in place. Where that could make two codes of one masked message
+      (a key's masked chunk also stands elsewhere in a message), the column
+      takes the path of any other.
     - Otherwise each distinct message is masked once. When every rule is
       blob-safe and no message contains a newline, the rules run once over a
       newline-joined blob of the distinct messages; else a per-message loop.
     """
     if rules is None:
         rules = default_rules()
+    token_local = rules and all(r.token_local for r in rules)
+    if token_local and isinstance(messages, CodedColumn) \
+            and messages.parts is not None:
+        chunked = _normalize_chunks(messages, rules)
+        if chunked is not None:
+            return CodedColumn(*chunked)
     text = _coded(messages).first_seen()
-    if rules and all(r.token_local for r in rules):
+    if token_local:
         chunked = _normalize_chunks(text.dictionary, rules)
         if chunked is not None:
             render, entry_of, code = chunked
@@ -183,20 +202,46 @@ def normalize(messages, rules: list[MaskingRule] | None = None
     return CodedColumn(dictionary, entry_of[text.codes])
 
 
-def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
+def _normalize_chunks(msgs, rules: list[MaskingRule]):
     """Mask each distinct space-delimited chunk of ``msgs`` once.
 
-    Every rule must be token-local. Returns, for the distinct masked
-    messages, a function rendering them in first-seen order, each message's
-    code among them (``entry_of``) and a function coding their tokens, one
-    compact entry per distinct masked message; or None when a message
-    contains a newline.
+    Every rule must be token-local. ``msgs`` is a list of messages, or a
+    column cut at its keys, whose rows its result then indexes. Returns, for
+    the distinct masked messages, a function rendering them in first-seen
+    order, each message's code among them (``entry_of``) and a function
+    coding their tokens, one compact entry per distinct masked message; or
+    None when a message contains a newline (for a cut column, see
+    ``_normalize_cut``).
 
     A masked chunk holds no space, so a masked message is equal to another
     exactly when their sequences of masked-chunk codes are: the distinct
     masked messages are found from those codes, and only one message of
     each is rendered or split into tokens.
     """
+    if isinstance(msgs, CodedColumn):
+        return _normalize_cut(*msgs.parts, rules)
+    chunked = _chunk_runs(msgs, rules)
+    if chunked is None:
+        return None
+    pieces, run, bounds = chunked
+    # a message's key is its run as bytes
+    keys, at = run.tobytes(), (bounds * run.itemsize).tolist()
+    keys = list(map(keys.__getitem__, map(slice, at[:-1], at[1:])))
+    entry_of = _first_seen_codes(keys)[1]
+    del keys
+    # the first message of each distinct masked one stands for it
+    kept, lengths = TokenColumn(pieces, run, bounds,
+                                _first_seen_order(entry_of)[1]).flat()
+    render, code = _masked(pieces, kept, lengths)
+    return render, entry_of, code
+
+
+def _chunk_runs(msgs: list[str], rules: list[MaskingRule]):
+    """The distinct masked chunks of ``msgs`` (``pieces``, the "\\n" that
+    ends a message among them), every message's masked-chunk codes in one
+    array (``run``), each message's ended by the "\\n" code, and where each
+    message's codes start, plus the end (``bounds``); or None when ``msgs``
+    is empty or a message contains a newline."""
     if not msgs:
         return None
     # the chunks are coded a block of messages at a time, in first-seen
@@ -226,16 +271,63 @@ def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
     # (the last run by one appended)
     run = np.append(piece_of[ids], piece_of[nl])
     bounds = np.concatenate(([0], np.flatnonzero(ids == nl) + 1, [len(run)]))
-    # a message's key is its run as bytes
-    keys, at = run.tobytes(), (bounds * run.itemsize).tolist()
-    del ids
-    keys = list(map(keys.__getitem__, map(slice, at[:-1], at[1:])))
-    entry_of = _first_seen_codes(keys)[1]
-    del keys
-    # the first message of each distinct masked one stands for it
-    kept, lengths = TokenColumn(pieces, run, bounds,
-                                _first_seen_order(entry_of)[1]).flat()
+    return pieces, run, bounds
 
+
+def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
+                   rules: list[MaskingRule]):
+    """``_normalize_chunks`` of the column ``CodedColumn.cut(free, keys,
+    at)``. Its chunks are those of the distinct key-free messages and of
+    the distinct keys, and a row's masked-chunk codes are its key-free
+    message's with its key's in the chunk it was cut from. None when a
+    message contains a newline, or when a key's masked chunk stands in a
+    key-free message outside that chunk: rows holding one masked message
+    with the key in different chunks would then get different codes.
+    """
+    cells = free.dictionary
+    chunked = _chunk_runs(cells + keys.dictionary, rules)
+    if chunked is None:
+        return None
+    pieces, run, bounds = chunked
+    # a key is a message of one chunk; a row without one picks the -1
+    key_piece = np.append(run[bounds[len(cells):-1]], -1)[keys.codes]
+    # each distinct (key-free message, cut): its run, with -1 in the chunk
+    # the key was cut from
+    pair_of, first = _first_seen_inverse(
+        free.codes.astype(np.int64) * (int(at.max(initial=-1)) + 2) + at + 1)
+    slot = np.array([cells[f].count(" ", 0, a) if a >= 0 else -1
+                     for f, a in zip(free.codes[first].tolist(),
+                                     at[first].tolist())], dtype=np.int64)
+    flat, lengths = TokenColumn(pieces, run, bounds, free.codes[first]).flat()
+    ends = np.cumsum(lengths)
+    flat[(ends - lengths + slot)[slot >= 0]] = -1
+    is_key = np.zeros(len(pieces) + 1, dtype=bool)  # [-1] is the cut chunk
+    is_key[key_piece[key_piece >= 0]] = True
+    if is_key[flat].any():
+        return None
+    # a row's masked message is its pair's run, keyed by its bytes, and its
+    # key's code
+    blob, edges = flat.tobytes(), (np.append(0, ends) * flat.itemsize).tolist()
+    shape_of = _first_seen_codes(
+        list(map(blob.__getitem__, map(slice, edges[:-1], edges[1:]))))[1]
+    del blob
+    entry_of, rows = _first_seen_inverse(
+        shape_of[pair_of].astype(np.int64) * (len(pieces) + 1) + key_piece + 1)
+    # the first row of each distinct masked message stands for it
+    pairs = pair_of[rows]
+    kept, lengths = TokenColumn(pieces, flat, np.append(0, ends),
+                                pairs).flat()
+    cut = slot[pairs] >= 0
+    kept[(np.cumsum(lengths) - lengths + slot[pairs])[cut]] = \
+        key_piece[rows][cut]
+    render, code = _masked(pieces, kept, lengths)
+    return render, entry_of, code
+
+
+def _masked(pieces: list[str], kept: np.ndarray, lengths: np.ndarray):
+    """The functions rendering and token-coding the masked messages whose
+    masked-chunk codes ``kept`` holds, ``lengths[e]`` of them for message
+    ``e``, each message's ended by the "\\n" code."""
     def render() -> list[str]:
         # the last run's "\n" is dropped; every other one splits two runs
         return " ".join(object_column(pieces)[kept[:-1]].tolist()) \
@@ -245,7 +337,7 @@ def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
         # a message's tokens are its chunks' in order; "\n" has none
         return TokenColumn.of(map(split_tokens, pieces))[kept] \
             .concat(lengths)
-    return render, entry_of, code
+    return render, code
 
 
 def _normalize_distinct(msgs: list[str], rules: list[MaskingRule]) -> list[str]:

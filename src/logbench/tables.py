@@ -52,6 +52,7 @@ _dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _CSV_QUOTE_CHARS = ',"\r\n'
 _CSV_QUOTE_RE = re.compile("[" + _CSV_QUOTE_CHARS + "]")
 _CSV_BLOCK = 2048  # rows per write of Table.write_csv; more raise its peak
+_RAMP = 1 << 16  # places TokenColumn.flat adds at a time
 
 
 def object_column(values: Sequence) -> np.ndarray:
@@ -81,7 +82,12 @@ class TokenColumn:
         if isinstance(lists, TokenColumn):
             return lists
         lists = list(lists)
-        tokens, codes = _first_seen_codes(list(chain.from_iterable(lists)))
+        flat = list(chain.from_iterable(lists))
+        tokens, codes = _first_seen_codes(flat)
+        if not set(map(type, tokens)) <= {str}:
+            # 1, True and 1.0 are equal keys: code by type and value
+            keys, codes = _first_seen_codes(list(zip(map(type, flat), flat)))
+            tokens = [token for _, token in keys]
         offsets = np.cumsum([0, *map(len, lists)])
         return cls(tokens, codes, offsets, np.arange(len(lists)))
 
@@ -116,14 +122,29 @@ class TokenColumn:
         """The codes of all rows in row order, and each row's length."""
         starts = self.offsets[self.rows]
         lengths = np.diff(self.offsets)[self.rows]
-        # position k of row j's run reads codes[starts[j] + k]
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return self.codes[np.arange(len(shift)) + shift], lengths
+        # place k of row j's run reads codes[starts[j] + k]: its place i
+        # among all rows' codes plus the run's shift, starts[j] minus the
+        # place the run opens at; the places are added a block at a time,
+        # so the index a gather needs is the one array of all places
+        ends = np.cumsum(lengths)
+        starts -= ends
+        starts += lengths
+        del ends
+        index = np.repeat(starts, lengths)
+        del starts
+        ramp = np.arange(min(len(index), _RAMP))
+        for a in range(0, len(index), _RAMP):
+            block = index[a:a + _RAMP]
+            block += ramp[:len(block)]
+            block += a
+        return self.codes[index], lengths
 
     def concat(self, counts) -> "TokenColumn":
         """One row per run of ``counts[g]`` rows, joining their tokens."""
         codes, lengths = self.flat()
-        ends = np.concatenate(([0], np.cumsum(lengths)))
+        ends = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ends[1:])
+        del lengths
         return TokenColumn(self.tokens, codes,
                            ends[np.concatenate(([0], np.cumsum(counts)))],
                            np.arange(len(counts), dtype=np.int32))
@@ -144,9 +165,13 @@ class CodedColumn:
     rows are ``codes`` itself, when the code that built the column kept
     what it takes (``code_tokens``: one compact entry per dictionary entry,
     coded on first read), else None.
+
+    ``parts`` is None, or, for a column that ``cut`` built, the three parts
+    its cells were cut into; a gather drops them.
     """
 
     dtype = np.dtype(object)
+    parts = None
 
     def __init__(self, dictionary, codes, code_tokens=None):
         if callable(dictionary):
@@ -164,6 +189,36 @@ class CodedColumn:
             return cells
         return cls(*_first_seen_codes(
             cells.tolist() if isinstance(cells, np.ndarray) else list(cells)))
+
+    @classmethod
+    def cut(cls, free: "CodedColumn", keys: "CodedColumn", at
+            ) -> "CodedColumn":
+        """The column whose row ``i`` is ``free[i]`` with ``keys[i]`` put
+        back at offset ``at[i]``, or ``free[i]`` alone where ``at[i]`` and
+        the key's code are -1: a text column kept as the key chunks cut out
+        of its cells and what is left of them. Equal cells must have equal
+        parts, as when each cell is cut where its own text says. The codes
+        come from those of the parts, and the dictionary renders on first
+        read; ``parts`` is ``(free, keys, at)``."""
+        at = np.asarray(at, dtype=np.int32)
+        # a row's parts as one int64: its (free, at) pair, then its key;
+        # where that could overflow, the pair's first-seen code instead
+        width, n_keys = int(at.max(initial=-1)) + 2, len(keys.dictionary)
+        pair = free.codes.astype(np.int64) * width + at + 1
+        if len(free.dictionary) * width * (n_keys + 1) >= 2**63:
+            pair = _first_seen_inverse(pair)[0].astype(np.int64)
+        codes, first = _first_seen_inverse(pair * (n_keys + 1)
+                                           + keys.codes + 1)
+
+        def render() -> list[str]:
+            cells, chunks = free.dictionary, keys.dictionary
+            return [cells[f] if a < 0 else cells[f][:a] + chunks[k]
+                    + cells[f][a:] for f, k, a in zip(
+                        free.codes[first].tolist(),
+                        keys.codes[first].tolist(), at[first].tolist())]
+        column = cls(render, codes)
+        column.parts = (free, keys, _freeze(at))
+        return column
 
     @cached_property
     def dictionary(self) -> list:
@@ -468,6 +523,16 @@ def _first_seen_order(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     head[1:] = value[1:] != value[:-1]
     first = np.sort((key - value * n)[head & (value >= 0)])
     return codes[first], first
+
+
+def _first_seen_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's int32 index among the distinct values of an int array
+    in first-seen order, and the index where each first appears."""
+    inverse = np.unique(values, return_inverse=True)[1].astype(np.int32)
+    seen, first = _first_seen_order(inverse)
+    recode = np.empty(len(seen), dtype=np.int32)
+    recode[seen] = np.arange(len(seen), dtype=np.int32)
+    return recode[inverse], first
 
 
 def _first_seen_codes(cells: list) -> tuple[list, np.ndarray]:

@@ -208,6 +208,15 @@ _HDFS_CASES = {
         "081109 203615 148 INFO dfs.A: one blk_1\n"
         "\tat java.lang.Thread.run\n"
         "081109 203616 149 WARN dfs.B: two blk_-2\n"),
+    # a row's sequence is its first line's block id, not a continuation's
+    "continuations with block ids": (
+        "081109 203615 148 INFO dfs.A: no id on the first line\n"
+        "continued blk_5 here\n"
+        "081109 203616 149 INFO dfs.A: first blk_6 here\n"
+        "more blk_7 after\n"
+        "\n"
+        "081109 203617 150 INFO dfs.B: last blk_6\n"
+        "tail blk_8"),
     "times": (
         "081109 246060 1 INFO dfs.A: hour 24 blk_1\n"
         "081109 235960 1 INFO dfs.A: second 60 blk_1\n"
@@ -279,6 +288,11 @@ def test_hdfs_matches_per_line_reference(tmp_path, case, block_chars,
     for label_path in (None, labels):
         got = load_hdfs(log, label_path)
         want = _load_hdfs_per_line(log, label_path)
+        # the message column, cut at its block ids, renders the text
+        message, text = got[0]["m_message"], want[0]["m_message"].tolist()
+        assert message.parts is not None
+        assert message.tolist() == text
+        assert message.dictionary == list(dict.fromkeys(text))
         for g, w in zip(got, want):
             assert g.equals(w)
             assert g.meta == w.meta

@@ -455,3 +455,110 @@ def test_tokenize_after_normalize_takes_its_codes(monkeypatch):
                                       list(normalized["m_message"]))
     with pytest.raises(AssertionError, match="split again"):
         add_tokens(replaced)
+
+
+# messages as an HDFS log holds them, the block id chunk cut out at load
+_CUT_SETS = {
+    "one id each": [
+        "blk_1 at the start", "in the blk_2 middle", "at the end blk_3",
+        "negative blk_-123 id", "punctuation blk_12, in the chunk",
+        "(blk_-4) wrapped", "no block id 7", "blk_1 at the start",
+        "in  the blk_8 middle", " lead blk_9", "trail blk_10 ", "blk_13",
+        "ids:blk_14,blk_15 0x1f", "in the blk_16 middle",
+        # one key-free message, cut in different chunks
+        "dbl blk_31  space", "dbl  blk_31 space"],
+    # the second id masks to no row's key: the cut path stays exact
+    "two ids": [
+        "two ids blk_5 and blk_6", "x blk_11 blk_-12", "blk_1 at the start",
+        "at the end blk_3"],
+    # a key's masked chunk outside its own chunk: rows could hold one
+    # masked message with the key in different chunks
+    "a key elsewhere": [
+        "blk_6 keyed", "two ids blk_5 and blk_6", "blk_21 <BLK>",
+        "<BLK> blk_22", "at the end blk_3"],
+}
+_CUT_RULES = {
+    "defaults": default_rules(),
+    "blk-rule": [MaskingRule(r"blk_-?\d+", "<BLK>"), *default_rules()],
+    "non-token-local": [MaskingRule(r"\s\d+", "<SN>")],
+}
+# whether the cut path ran and gave a result, by set and rules
+_CUT_TAKEN = {
+    ("one id each", "defaults"): [True], ("one id each", "blk-rule"): [True],
+    ("two ids", "defaults"): [True], ("two ids", "blk-rule"): [False],
+    ("a key elsewhere", "defaults"): [False],
+    ("a key elsewhere", "blk-rule"): [False],
+}
+
+
+@pytest.mark.parametrize("block_chars", [1, 7, 64, 1 << 20])
+@pytest.mark.parametrize("merged", [False, True], ids=["whole", "merged"])
+@pytest.mark.parametrize("rules_name", sorted(_CUT_RULES))
+@pytest.mark.parametrize("set_name", sorted(_CUT_SETS))
+def test_normalize_of_cut_hdfs_messages_matches_mask_one(
+        tmp_path, monkeypatch, set_name, rules_name, merged, block_chars):
+    from logbench import loaders, masking
+    from logbench.loaders import load_hdfs
+    monkeypatch.setattr(loaders, "_HDFS_BLOCK_CHARS", block_chars)
+    taken = []
+    cut = masking._normalize_cut
+
+    def recording_cut(*args):
+        out = cut(*args)
+        taken.append(out is not None)
+        return out
+    monkeypatch.setattr(masking, "_normalize_cut", recording_cut)
+
+    lines, raw = ["dropped: no event before it"], []
+    for i, msg in enumerate(_CUT_SETS[set_name]):
+        lines.append(f"081109 2036{i % 60:02d} 148 INFO dfs.A: {msg}")
+        raw.append(msg)
+        if merged and i % 2 == 0:
+            # continuations, one with a block id of its own
+            more = ["\tat java.lang.Thread.run", f"continued blk_9{i} x"]
+            lines += more[:1 + i % 4 // 2]
+            raw[-1] = "\n".join([msg, *more[:1 + i % 4 // 2]])
+    log = tmp_path / "t.log"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    events, _ = load_hdfs(log)
+    message = events["m_message"]
+    assert message.parts is not None
+    rules = _CUT_RULES[rules_name]
+    out = normalize(message, rules)
+    want = [mask_one(m, rules) for m in raw]
+    assert out.tolist() == want
+    assert out.dictionary == list(dict.fromkeys(want))
+    assert (out.tokens is not None) == (rules_name != "non-token-local"
+                                        and not merged)
+    if out.tokens is not None:
+        assert out.tokens.tolist() == [split_tokens(m) for m in want]
+    assert taken == ([] if rules_name == "non-token-local" else [False]
+                     if merged else _CUT_TAKEN[set_name, rules_name])
+    assert message.tolist() == raw
+    assert message.dictionary == list(dict.fromkeys(raw))
+
+
+def test_only_a_cut_column_takes_the_cut_path(tmp_path, monkeypatch):
+    import numpy as np
+
+    from logbench import masking
+    from logbench.loaders import load_hdfs, load_supercomputer
+    from logbench.synth import generate_synthetic
+
+    def no_cut(*args):
+        raise AssertionError("took the cut path")
+    monkeypatch.setattr(masking, "_normalize_cut", no_cut)
+    bgl = generate_synthetic(tmp_path / "bgl", "bgl", n_templates=3,
+                             n_lines=300, seed=2)
+    hdfs = generate_synthetic(tmp_path / "hdfs", "hdfs", n_templates=3,
+                              n_lines=300, seed=2)
+    column = load_supercomputer(bgl["log"], "bgl")["m_message"]
+    assert column.parts is None
+    # a gather of a cut column drops its parts
+    gathered = load_hdfs(hdfs["log"])[0]["m_message"][np.arange(300)]
+    assert gathered.parts is None
+    for col in (column, gathered):
+        text = col.tolist()
+        want = [mask_one(m, default_rules()) for m in text]
+        for messages in (col, text, np.asarray(text, dtype=object)):
+            assert normalize(messages).tolist() == want

@@ -8,8 +8,9 @@ import pytest
 from logbench import tables
 from logbench.cli import main
 from logbench.tables import (CodedColumn, EventTable, SequenceTable, Table,
-                             TokenColumn, _first_seen_order, _null_mask,
-                             object_column, split_train_test,
+                             TokenColumn, _first_seen_codes,
+                             _first_seen_inverse, _first_seen_order,
+                             _null_mask, object_column, split_train_test,
                              validate_event_table)
 
 
@@ -744,7 +745,10 @@ _ENTRIES = [["a", "b,c"], ['"q"', "\u00fc"], [], ["a", "b,c"], ["x"],
     ([["z"]], []),
     # int tokens, as an int list column holds them
     ([[1, 2], [3], []], [0, 1, 2, 1]),
-], ids=["shared", "reordered", "all-empty", "zero-rows", "int-tokens"])
+    # tokens that are equal but of different types
+    ([[1, True], [1.0], [True, 1]], [0, 1, 2, 1]),
+], ids=["shared", "reordered", "all-empty", "zero-rows", "int-tokens",
+        "equal-tokens-of-other-types"])
 def test_token_column_io_matches_list_column(tmp_path, entries, rows):
     coded = TokenColumn.of(entries)[np.asarray(rows, dtype=np.int64)]
     listed = object_column([list(entries[r]) for r in rows])
@@ -875,3 +879,101 @@ def test_first_seen_order_matches_unique():
         order = np.argsort(at)
         assert values.tolist() == kept[0][order].tolist()
         assert first.tolist() == at[order].tolist()
+
+
+def test_first_seen_inverse_matches_a_dict():
+    rng = np.random.default_rng(6)
+    for n, k in ((0, 1), (1, 1), (50, 3), (1000, 40), (1000, 5000)):
+        values = rng.integers(0, k, size=n).astype(np.int64) * 10**12 - 7
+        codes, first = _first_seen_inverse(values)
+        seen = {}
+        for i, v in enumerate(values.tolist()):
+            seen.setdefault(v, (len(seen), i))
+        assert codes.dtype == np.int32
+        assert codes.tolist() == [seen[v][0] for v in values.tolist()]
+        assert first.tolist() == [i for _, i in seen.values()]
+
+
+def test_token_column_keeps_equal_tokens_of_other_types_apart():
+    col = TokenColumn.of([[1, True], [1.0], ["1", 1, True]])
+    assert [col[i] for i in range(3)] == [[1, True], [1.0], ["1", 1, True]]
+    assert [list(map(type, col[i])) for i in range(3)] == \
+        [[int, bool], [float], [str, int, bool]]
+    assert col.tolist() == [[1, True], [1.0], ["1", 1, True]]
+    # str tokens, as every loader makes them, are coded by value alone
+    strs = TokenColumn.of([["a", "b"], [], ["b", "c", "a"]])
+    assert strs.tokens == ["a", "b", "c"]
+    assert strs.codes.tolist() == [0, 1, 1, 2, 0]
+
+
+def _flat_reference(col):
+    """``TokenColumn.flat`` by its earlier formula: each row's run shift
+    repeated over the run, plus an arange of all places."""
+    starts = col.offsets[col.rows]
+    lengths = np.diff(col.offsets)[col.rows]
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return col.codes[np.arange(len(shift)) + shift], lengths
+
+
+@pytest.mark.parametrize("ramp", [1, 2, 3, 1 << 16])
+def test_flat_and_concat_match_the_reference(monkeypatch, ramp):
+    monkeypatch.setattr(tables, "_RAMP", ramp)
+    rng = np.random.default_rng(8)
+    cases = [
+        ([], []),
+        ([[]], [0, 0, 0]),
+        # empty entries, repeated rows and rows out of entry order
+        ([["a"], [], ["b", "c"], [], ["d", "e", "f"]],
+         [2, 1, 0, 4, 2, 3, 3, 1, 4, 0, 0]),
+        ([["a", "b"], ["c"]], [1, 1, 0]),
+    ]
+    for _ in range(200):
+        entries = [["t%d" % rng.integers(9) for _ in range(rng.integers(4))]
+                   for _ in range(rng.integers(1, 6))]
+        cases.append((entries, rng.integers(len(entries),
+                                            size=rng.integers(12)).tolist()))
+    for entries, rows in cases:
+        col = TokenColumn.of(entries)[np.asarray(rows, dtype=np.int64)]
+        codes, lengths = col.flat()
+        want_codes, want_lengths = _flat_reference(col)
+        assert codes.dtype == want_codes.dtype
+        assert codes.tolist() == want_codes.tolist()
+        assert lengths.dtype == want_lengths.dtype
+        assert lengths.tolist() == want_lengths.tolist()
+        counts = [len(rows) // 2, len(rows) - len(rows) // 2]
+        joined = col.concat(counts)
+        assert joined.tolist() == [
+            sum((entries[r] for r in rows[:counts[0]]), []),
+            sum((entries[r] for r in rows[counts[0]:]), [])]
+
+
+def test_cut_column_renders_its_parts():
+    # an unused key-free entry, rows kept whole, one key-free message cut
+    # at different offsets, and a key cut from inside its chunk
+    free = CodedColumn(["a  c", "x", "a  c ", "unused"], [0, 1, 0, 2, 1, 0])
+    keys = CodedColumn(["k1", "k2"], [0, -1, 1, 0, -1, 0])
+    column = CodedColumn.cut(free, keys, [2, -1, 2, 4, -1, 3])
+    want = ["a k1 c", "x", "a k2 c", "a  ck1 ", "x", "a  k1c"]
+    assert column.parts[:2] == (free, keys)
+    assert column.parts[2].tolist() == [2, -1, 2, 4, -1, 3]
+    assert column.codes.tolist() == [0, 1, 2, 3, 1, 4]
+    assert column.first_seen() is column
+    assert column.tolist() == want
+    assert column.dictionary == list(dict.fromkeys(want))
+    assert column[[1, 0]].parts is None
+
+
+def test_cut_column_codes_where_packed_parts_would_overflow():
+    # packed into one int64 as (free code * width + at + 1) * (keys + 1)
+    # + key code + 1, with width 2**30 and 2**16 key codes, free codes 0
+    # and 2**18 fall 2**64 apart: the same int64
+    n_free, n_keys, top = (1 << 18) + 1, (1 << 16) - 1, (1 << 30) - 2
+    free_codes = np.array([0, 1 << 18, 0, 5, 1 << 18, 7])
+    at = np.array([3, 3, top, -1, 3, 3])
+    key_codes = np.array([9, 9, 9, -1, 9, n_keys - 1])
+    free = CodedColumn([str(i) for i in range(n_free)], free_codes)
+    keys = CodedColumn([f"k{i}" for i in range(n_keys)], key_codes)
+    column = CodedColumn.cut(free, keys, at)
+    want = _first_seen_codes(list(zip(free_codes.tolist(), at.tolist(),
+                                      key_codes.tolist())))[1]
+    assert column.codes.tolist() == want.tolist() == [0, 1, 2, 3, 1, 4]
