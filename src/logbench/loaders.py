@@ -244,17 +244,14 @@ class _HdfsColumns:
             if row < 0:
                 self.dropped += 1
                 continue
-            text = merged.get(row)
-            if text is None:
-                text = self.last if row < first_row \
-                    else msgs[row - first_row]
+            text = merged.get(row) or (
+                self.last if row < first_row else msgs[row - first_row])
             merged[row] = text + "\n" + lines[i]
             self.merged += 1
         for row, text in merged.items():
             self.free[row], self.cuts[row] = self.free_of[text], -1
-        if msgs:
-            self.last = msgs[-1]
-        self.last = merged.get(len(self.free) - 1, self.last)
+        self.last = merged.get(len(self.free) - 1,
+                               msgs[-1] if msgs else self.last)
 
     def _cut(self, msgs) -> None:
         """Add the rows of these messages, each cut at its key chunk."""
