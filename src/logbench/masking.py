@@ -24,19 +24,21 @@ A column cut at its keys (``CodedColumn.cut``: HDFS messages without the
 chunk of their block id, plus those chunks) is masked by its parts: the
 chunk pass runs over the distinct key-free messages and the distinct
 keys, and each row's masked-chunk codes are its key-free message's with
-its key's put back. Its raw text is never built on that path.
+its key's put back. Only rows holding a newline are rendered, one at a
+time, and masked whole; the column's raw text is never built.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import count
+from itertools import chain, count
 
 import numpy as np
 
 from .tables import (CodedColumn, TokenColumn, _first_seen_codes,
-                     _first_seen_inverse, _first_seen_order, object_column)
+                     _first_seen_inverse, _first_seen_order, _uncut,
+                     object_column)
 
 # messages whose chunks are split and coded at a time
 _CHUNK_BLOCK = 4096
@@ -176,9 +178,7 @@ def normalize(messages, rules: list[MaskingRule] | None = None
       its messages) takes that path over its parts: the distinct key-free
       messages and the distinct key chunks are split and masked, and each
       row's masked chunks are its key-free message's with its key's put
-      back in place. Where that could make two codes of one masked message
-      (a key's masked chunk also stands elsewhere in a message), the column
-      takes the path of any other.
+      back in place; a row holding a newline is masked whole.
     - Otherwise each distinct message is masked once. When every rule is
       blob-safe and no message contains a newline, the rules run once over a
       newline-joined blob of the distinct messages; else a per-message loop.
@@ -206,12 +206,13 @@ def _normalize_chunks(msgs, rules: list[MaskingRule]):
     """Mask each distinct space-delimited chunk of ``msgs`` once.
 
     Every rule must be token-local. ``msgs`` is a list of messages, or a
-    column cut at its keys, whose rows its result then indexes. Returns, for
-    the distinct masked messages, a function rendering them in first-seen
-    order, each message's code among them (``entry_of``) and a function
-    coding their tokens, one compact entry per distinct masked message; or
-    None when a message contains a newline (for a cut column, see
-    ``_normalize_cut``).
+    column cut at its keys (see ``_normalize_cut``), whose rows its result
+    then indexes: ``normalize`` has one chunk pass per column, whichever
+    it takes. Returns, for the distinct masked messages, a function
+    rendering them in first-seen order, each message's code among them
+    (``entry_of``) and a function coding their tokens, one compact entry
+    per distinct masked message; or None when a message of a list
+    contains a newline.
 
     A masked chunk holds no space, so a masked message is equal to another
     exactly when their sequences of masked-chunk codes are: the distinct
@@ -225,15 +226,18 @@ def _normalize_chunks(msgs, rules: list[MaskingRule]):
         return None
     pieces, run, bounds = chunked
     # a message's key is its run as bytes
-    keys, at = run.tobytes(), (bounds * run.itemsize).tolist()
-    keys = list(map(keys.__getitem__, map(slice, at[:-1], at[1:])))
-    entry_of = _first_seen_codes(keys)[1]
-    del keys
+    entry_of = _first_seen_codes(_run_bytes(run, bounds))[1]
     # the first message of each distinct masked one stands for it
     kept, lengths = TokenColumn(pieces, run, bounds,
                                 _first_seen_order(entry_of)[1]).flat()
     render, code = _masked(pieces, kept, lengths)
     return render, entry_of, code
+
+
+def _run_bytes(run: np.ndarray, bounds: np.ndarray) -> list[bytes]:
+    """Each run of codes, ``run[bounds[i]:bounds[i + 1]]``, as bytes."""
+    blob, at = run.tobytes(), (bounds * run.itemsize).tolist()
+    return list(map(blob.__getitem__, map(slice, at[:-1], at[1:])))
 
 
 def _chunk_runs(msgs: list[str], rules: list[MaskingRule]):
@@ -275,67 +279,114 @@ def _chunk_runs(msgs: list[str], rules: list[MaskingRule]):
 
 
 def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
-                   rules: list[MaskingRule]):
+                   pairs: np.ndarray, rules: list[MaskingRule]):
     """``_normalize_chunks`` of the column ``CodedColumn.cut(free, keys,
-    at)``. Its chunks are those of the distinct key-free messages and of
-    the distinct keys, and a row's masked-chunk codes are its key-free
-    message's with its key's in the chunk it was cut from. None when a
-    message contains a newline, or when a key's masked chunk stands in a
-    key-free message outside that chunk: rows holding one masked message
-    with the key in different chunks would then get different codes.
+    at)``, whose rows' (free, at) pair codes are ``pairs``.
+
+    The chunk pass runs over the distinct key-free messages and the
+    distinct keys. A row's masked-chunk codes are its pair's run, the
+    key-free message's codes with a hole (-1) in the chunk its key was cut
+    from, and its key's code put in the hole. A row is coded by its shape,
+    a run with at most one hole, and the code in the hole: its pair's run
+    and its key's code, unless the run holds the masked chunk of some row's
+    key. Then, so that rows holding one masked message share one shape,
+    its own run has the hole at its first such chunk.
+
+    Each key must be a whole chunk of its row: it holds no space and is
+    cut at a chunk's edges, as ``load_hdfs`` cuts it. A row whose key-free
+    message holds a newline (continuation lines merged into it) is rendered
+    and masked whole, and its run is one piece of its own, its masked text.
+    None when such a text holds no newline, and so could equal a run's
+    text, or when a key holds one.
     """
-    cells = free.dictionary
-    chunked = _chunk_runs(cells + keys.dictionary, rules)
+    cells, chunks = free.dictionary, keys.dictionary
+    # the chunk pass sees a cell holding a newline as empty
+    has_nl = np.array(["\n" in m for m in cells], dtype=bool)
+    cells = ["" if nl else m for m, nl in zip(cells, has_nl.tolist())]
+    chunked = _chunk_runs(cells + chunks, rules)
     if chunked is None:
         return None
     pieces, run, bounds = chunked
-    # a key is a message of one chunk; a row without one picks the -1
-    key_piece = np.append(run[bounds[len(cells):-1]], -1)[keys.codes]
-    # each distinct (key-free message, cut): its run, with -1 in the chunk
-    # the key was cut from
-    pair_of, first = _first_seen_inverse(
-        free.codes.astype(np.int64) * (int(at.max(initial=-1)) + 2) + at + 1)
-    slot = np.array([cells[f].count(" ", 0, a) if a >= 0 else -1
-                     for f, a in zip(free.codes[first].tolist(),
-                                     at[first].tolist())], dtype=np.int64)
-    flat, lengths = TokenColumn(pieces, run, bounds, free.codes[first]).flat()
+    n = len(pieces)
+    whole = has_nl[free.codes]
+    # each pair's run, with a hole in the chunk its key was cut from
+    first = _first_seen_order(pairs)[1]
+    free_of = free.codes[first]
+    slot = np.array([-1 if a < 0 else cells[f].count(" ", 0, a) for f, a in
+                     zip(free_of.tolist(), at[first].tolist())],
+                    dtype=np.int64)
+    flat, lengths = TokenColumn(pieces, run, bounds, free_of).flat()
     ends = np.cumsum(lengths)
-    flat[(ends - lengths + slot)[slot >= 0]] = -1
-    is_key = np.zeros(len(pieces) + 1, dtype=bool)  # [-1] is the cut chunk
-    is_key[key_piece[key_piece >= 0]] = True
-    if is_key[flat].any():
+    starts = ends - lengths
+    flat[(starts + slot)[slot >= 0]] = -1
+    # each row's code in its hole, its key's: a key is a message of one
+    # chunk; a row without one, or masked whole, holds -1
+    key_piece = np.append(run[bounds[len(cells):-1]], -1)[keys.codes]
+    key_piece[whole] = -1
+    is_key = np.zeros(n + 1, dtype=bool)
+    is_key[key_piece] = True
+    is_key[-1] = False  # the hole
+    moved = np.flatnonzero(
+        np.logical_or.reduceat(is_key[flat], starts)[pairs] & ~whole)
+    runs, run_lengths = TokenColumn(pieces, flat, np.append(0, ends),
+                                    pairs[moved]).flat()
+    opens = np.cumsum(run_lengths) - run_lengths
+    cut = slot[pairs[moved]]
+    runs[(opens + cut)[cut >= 0]] = key_piece[moved][cut >= 0]
+    hits = np.flatnonzero(is_key[runs])
+    hole = hits[np.searchsorted(hits, opens)]
+    key_piece[moved] = runs[hole]
+    runs[hole] = -1
+    # the rows masked whole, each one piece of its own and the "\n"
+    whole = np.flatnonzero(whole)
+    raw, raw_of = _first_seen_codes(_uncut(free, keys, at, whole))
+    texts, text_of = _first_seen_codes(_normalize_distinct(raw, rules))
+    if not all("\n" in t for t in texts):
         return None
-    # a row's masked message is its pair's run, keyed by its bytes, and its
-    # key's code
-    blob, edges = flat.tobytes(), (np.append(0, ends) * flat.itemsize).tolist()
-    shape_of = _first_seen_codes(
-        list(map(blob.__getitem__, map(slice, edges[:-1], edges[1:]))))[1]
-    del blob
+    texts_run = np.full(2 * len(texts), run[-1], dtype=run.dtype)
+    texts_run[::2] = np.arange(n, n + len(texts))
+    # a row's shape: its pair's run, its own, or its text's
+    shapes = np.concatenate((flat, runs, texts_run))
+    shape_bounds = np.concatenate((
+        [0], ends, len(flat) + np.cumsum(run_lengths),
+        len(flat) + len(runs) + 2 * np.arange(1, len(texts) + 1)))
+    holes = np.concatenate((slot, hole - opens, np.full(len(texts), -1)))
+    shape = pairs.astype(np.int64)
+    shape[moved] = len(first) + np.arange(len(moved))
+    shape[whole] = len(first) + len(moved) + text_of[raw_of]
     entry_of, rows = _first_seen_inverse(
-        shape_of[pair_of].astype(np.int64) * (len(pieces) + 1) + key_piece + 1)
+        _first_seen_codes(_run_bytes(shapes, shape_bounds))[1][shape]
+        .astype(np.int64) * (n + 1) + key_piece + 1)
     # the first row of each distinct masked message stands for it
-    pairs = pair_of[rows]
-    kept, lengths = TokenColumn(pieces, flat, np.append(0, ends),
-                                pairs).flat()
-    cut = slot[pairs] >= 0
-    kept[(np.cumsum(lengths) - lengths + slot[pairs])[cut]] = \
-        key_piece[rows][cut]
-    render, code = _masked(pieces, kept, lengths)
+    shape, key_piece = shape[rows], key_piece[rows]
+    kept, lengths = TokenColumn(pieces, shapes, shape_bounds, shape).flat()
+    fill = holes[shape] >= 0
+    kept[(np.cumsum(lengths) - lengths + holes[shape])[fill]] = \
+        key_piece[fill]
+    render, code = _masked(pieces, kept, lengths, texts)
     return render, entry_of, code
 
 
-def _masked(pieces: list[str], kept: np.ndarray, lengths: np.ndarray):
+def _masked(pieces: list[str], kept: np.ndarray, lengths: np.ndarray,
+            texts: list[str] = ()):
     """The functions rendering and token-coding the masked messages whose
     masked-chunk codes ``kept`` holds, ``lengths[e]`` of them for message
-    ``e``, each message's ended by the "\\n" code."""
+    ``e``, each message's ended by the "\\n" code. A code ``len(pieces) +
+    t`` is a message's one piece, ``texts[t]``, which may hold spaces and
+    newlines."""
     def render() -> list[str]:
-        # the last run's "\n" is dropped; every other one splits two runs
-        return " ".join(object_column(pieces)[kept[:-1]].tolist()) \
-            .split(" \n ")
+        # the last run's "\n" is dropped; every other one splits two runs;
+        # a text renders empty there and is put in after
+        out = " ".join(object_column(pieces + [""] * len(texts))[
+            kept[:-1]].tolist()).split(" \n ")
+        heads = kept[np.cumsum(lengths) - lengths] - len(pieces)
+        for e in np.flatnonzero(heads >= 0).tolist():
+            out[e] = texts[heads[e]]
+        return out
 
     def code() -> TokenColumn:
         # a message's tokens are its chunks' in order; "\n" has none
-        return TokenColumn.of(map(split_tokens, pieces))[kept] \
+        return TokenColumn.of(map(split_tokens, chain(pieces, texts)))[kept] \
             .concat(lengths)
     return render, code
 

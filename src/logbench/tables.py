@@ -52,7 +52,6 @@ _dumps = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 _CSV_QUOTE_CHARS = ',"\r\n'
 _CSV_QUOTE_RE = re.compile("[" + _CSV_QUOTE_CHARS + "]")
 _CSV_BLOCK = 2048  # rows per write of Table.write_csv; more raise its peak
-_RAMP = 1 << 16  # places TokenColumn.flat adds at a time
 
 
 def object_column(values: Sequence) -> np.ndarray:
@@ -124,19 +123,14 @@ class TokenColumn:
         lengths = np.diff(self.offsets)[self.rows]
         # place k of row j's run reads codes[starts[j] + k]: its place i
         # among all rows' codes plus the run's shift, starts[j] minus the
-        # place the run opens at; the places are added a block at a time,
-        # so the index a gather needs is the one array of all places
+        # place the run opens at
         ends = np.cumsum(lengths)
         starts -= ends
         starts += lengths
         del ends
         index = np.repeat(starts, lengths)
         del starts
-        ramp = np.arange(min(len(index), _RAMP))
-        for a in range(0, len(index), _RAMP):
-            block = index[a:a + _RAMP]
-            block += ramp[:len(block)]
-            block += a
+        index += np.arange(len(index))
         return self.codes[index], lengths
 
     def concat(self, counts) -> "TokenColumn":
@@ -166,8 +160,8 @@ class CodedColumn:
     what it takes (``code_tokens``: one compact entry per dictionary entry,
     coded on first read), else None.
 
-    ``parts`` is None, or, for a column that ``cut`` built, the three parts
-    its cells were cut into; a gather drops them.
+    ``parts`` is None, or, for a column that ``cut`` built, the parts its
+    cells were cut into; a gather drops them.
     """
 
     dtype = np.dtype(object)
@@ -199,25 +193,18 @@ class CodedColumn:
         of its cells and what is left of them. Equal cells must have equal
         parts, as when each cell is cut where its own text says. The codes
         come from those of the parts, and the dictionary renders on first
-        read; ``parts`` is ``(free, keys, at)``."""
+        read. ``parts`` is ``(free, keys, at, pairs)``, ``pairs`` the
+        first-seen code of each row's (free code, at) pair."""
         at = np.asarray(at, dtype=np.int32)
-        # a row's parts as one int64: its (free, at) pair, then its key;
-        # where that could overflow, the pair's first-seen code instead
-        width, n_keys = int(at.max(initial=-1)) + 2, len(keys.dictionary)
-        pair = free.codes.astype(np.int64) * width + at + 1
-        if len(free.dictionary) * width * (n_keys + 1) >= 2**63:
-            pair = _first_seen_inverse(pair)[0].astype(np.int64)
-        codes, first = _first_seen_inverse(pair * (n_keys + 1)
-                                           + keys.codes + 1)
-
-        def render() -> list[str]:
-            cells, chunks = free.dictionary, keys.dictionary
-            return [cells[f] if a < 0 else cells[f][:a] + chunks[k]
-                    + cells[f][a:] for f, k, a in zip(
-                        free.codes[first].tolist(),
-                        keys.codes[first].tolist(), at[first].tolist())]
-        column = cls(render, codes)
-        column.parts = (free, keys, _freeze(at))
+        # neither packing can overflow an int64: no factor exceeds 2**31 + 1
+        pairs = _first_seen_inverse(free.codes.astype(np.int64)
+                                    * (int(at.max(initial=-1)) + 2)
+                                    + at + 1)[0]
+        codes, first = _first_seen_inverse(
+            pairs.astype(np.int64) * (len(keys.dictionary) + 1)
+            + keys.codes + 1)
+        column = cls(lambda: _uncut(free, keys, at, first), codes)
+        column.parts = (free, keys, _freeze(at), _freeze(pairs))
         return column
 
     @cached_property
@@ -271,6 +258,15 @@ class CodedColumn:
         recode[used] = np.arange(len(used), dtype=np.int32)
         return CodedColumn(list(map(self.dictionary.__getitem__,
                                     used.tolist())), recode[codes])
+
+
+def _uncut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
+           rows: np.ndarray) -> list[str]:
+    """The cells at ``rows`` of ``CodedColumn.cut(free, keys, at)``."""
+    cells, chunks = free.dictionary, keys.dictionary
+    return [cells[f] if a < 0 else cells[f][:a] + chunks[k] + cells[f][a:]
+            for f, k, a in zip(free.codes[rows].tolist(),
+                               keys.codes[rows].tolist(), at[rows].tolist())]
 
 
 def _coerce_column(values) -> np.ndarray:

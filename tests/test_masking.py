@@ -471,23 +471,18 @@ _CUT_SETS = {
     "two ids": [
         "two ids blk_5 and blk_6", "x blk_11 blk_-12", "blk_1 at the start",
         "at the end blk_3"],
-    # a key's masked chunk outside its own chunk: rows could hold one
-    # masked message with the key in different chunks
+    # a key's masked chunk outside its own chunk, and rows without a key
+    # that mask to a keyed row's message: rows holding one masked message
+    # may hold their keys in different chunks, or none
     "a key elsewhere": [
         "blk_6 keyed", "two ids blk_5 and blk_6", "blk_21 <BLK>",
-        "<BLK> blk_22", "at the end blk_3"],
+        "<BLK> blk_22", "at the end blk_3", "<BLK> <BLK>", "<BLK> keyed",
+        "blk_6 blk_6", "blk_3 blk_6 blk_-7"],
 }
 _CUT_RULES = {
     "defaults": default_rules(),
     "blk-rule": [MaskingRule(r"blk_-?\d+", "<BLK>"), *default_rules()],
     "non-token-local": [MaskingRule(r"\s\d+", "<SN>")],
-}
-# whether the cut path ran and gave a result, by set and rules
-_CUT_TAKEN = {
-    ("one id each", "defaults"): [True], ("one id each", "blk-rule"): [True],
-    ("two ids", "defaults"): [True], ("two ids", "blk-rule"): [False],
-    ("a key elsewhere", "defaults"): [False],
-    ("a key elsewhere", "blk-rule"): [False],
 }
 
 
@@ -514,10 +509,12 @@ def test_normalize_of_cut_hdfs_messages_matches_mask_one(
         lines.append(f"081109 2036{i % 60:02d} 148 INFO dfs.A: {msg}")
         raw.append(msg)
         if merged and i % 2 == 0:
-            # continuations, one with a block id of its own
-            more = ["\tat java.lang.Thread.run", f"continued blk_9{i} x"]
-            lines += more[:1 + i % 4 // 2]
-            raw[-1] = "\n".join([msg, *more[:1 + i % 4 // 2]])
+            # continuations, one with a block id of its own and one that
+            # opens with a space
+            more = ["\tat java.lang.Thread.run", f"continued blk_9{i} x",
+                    " 12 spaced"][:1 + i % 6 // 2]
+            lines += more
+            raw[-1] = "\n".join([msg, *more])
     log = tmp_path / "t.log"
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")
     events, _ = load_hdfs(log)
@@ -525,15 +522,17 @@ def test_normalize_of_cut_hdfs_messages_matches_mask_one(
     assert message.parts is not None
     rules = _CUT_RULES[rules_name]
     out = normalize(message, rules)
+    token_local = rules_name != "non-token-local"
+    # the cut path masks the parts, merged rows too, and never renders
+    # the whole column
+    assert taken == ([True] if token_local else [])
+    assert ("dictionary" in message.__dict__) == (not token_local)
     want = [mask_one(m, rules) for m in raw]
     assert out.tolist() == want
     assert out.dictionary == list(dict.fromkeys(want))
-    assert (out.tokens is not None) == (rules_name != "non-token-local"
-                                        and not merged)
-    if out.tokens is not None:
+    assert (out.tokens is not None) == token_local
+    if token_local:
         assert out.tokens.tolist() == [split_tokens(m) for m in want]
-    assert taken == ([] if rules_name == "non-token-local" else [False]
-                     if merged else _CUT_TAKEN[set_name, rules_name])
     assert message.tolist() == raw
     assert message.dictionary == list(dict.fromkeys(raw))
 
