@@ -295,9 +295,9 @@ def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
     Each key must be a whole chunk of its row: it holds no space and is
     cut at a chunk's edges, as ``load_hdfs`` cuts it. A row whose key-free
     message holds a newline (continuation lines merged into it) is rendered
-    and masked whole, and its run is one piece of its own, its masked text.
-    None when such a text holds no newline, and so could equal a run's
-    text, or when a key holds one.
+    and masked whole, and its run is one piece of its own, its masked text:
+    no token-local rule can match a newline, so that text equals no run's.
+    None when a key holds a newline.
     """
     cells, chunks = free.dictionary, keys.dictionary
     # the chunk pass sees a cell holding a newline as empty
@@ -341,8 +341,6 @@ def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
     whole = np.flatnonzero(whole)
     raw, raw_of = _first_seen_codes(_uncut(free, keys, at, whole))
     texts, text_of = _first_seen_codes(_normalize_distinct(raw, rules))
-    if not all("\n" in t for t in texts):
-        return None
     texts_run = np.full(2 * len(texts), run[-1], dtype=run.dtype)
     texts_run[::2] = np.arange(n, n + len(texts))
     # a row's shape: its pair's run, its own, or its text's
