@@ -15,30 +15,33 @@ Otherwise each distinct message is masked once. Either way the result is a
 cells are exactly ``[mask_one(m, rules) for m in messages]``.
 
 The chunk pass codes each chunk in one dictionary probe, since nearly all
-repeat one seen before. It finds the distinct masked messages from their
-masked-chunk codes, and renders their text only when it is read. It also
-keeps what it needs to code their tokens on request
+repeat one seen before; a message owns one chunk more than it has spaces,
+and a chunk may hold newlines. It finds the distinct masked messages from
+their masked-chunk codes, and renders their text only when it is read. It
+also keeps what it needs to code their tokens on request
 (``CodedColumn.tokens``), splitting each distinct masked chunk once.
+
+Blob-safe rules run once over the distinct texts joined by newlines, and
+each text takes its own lines back; only a rule that changes the blob's
+line count sends the texts through ``mask_one`` one at a time.
 
 A column cut at its keys (``CodedColumn.cut``: HDFS messages without the
 chunk of their block id, plus those chunks) is masked by its parts: the
 chunk pass runs over the distinct key-free messages and the distinct
 keys, and each row's masked-chunk codes are its key-free message's with
-its key's put back. Only rows holding a newline are rendered, one at a
-time, and masked whole; the column's raw text is never built.
+its key's put back. The column's raw text is never built.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import chain, count
+from itertools import accumulate, count, repeat
 
 import numpy as np
 
 from .tables import (CodedColumn, TokenColumn, _first_seen_codes,
-                     _first_seen_inverse, _first_seen_order, _uncut,
-                     object_column)
+                     _first_seen_inverse, _first_seen_order, object_column)
 
 # messages whose chunks are split and coded at a time
 _CHUNK_BLOCK = 4096
@@ -164,67 +167,52 @@ def normalize(messages, rules: list[MaskingRule] | None = None
     messages in first-seen order and each row's code. Its cells are exactly
     ``[mask_one(m, rules) for m in messages]``, and the operation is
     idempotent for the built-in rules (placeholders do not match any rule).
-    How it is computed depends on the rules and the messages:
+    How it is computed depends on the rules:
 
-    - When every rule is token-local and no message contains a newline, the
-      distinct messages are split on single spaces, a block of them at a
-      time, and each distinct chunk is masked once. Logs whose messages are
-      nearly all distinct still share few chunks, so this is the fast path
-      for the built-in rules.
+    - When every rule is token-local, the distinct messages are split on
+      single spaces, a block of them at a time, and each distinct chunk is
+      masked once. Logs whose messages are nearly all distinct still share
+      few chunks, so this is the fast path for the built-in rules.
       The distinct masked messages are found from their chunks' codes; the
       result renders them on first read, and its ``tokens`` codes them
-      without splitting them again.
-    - A column cut at its keys (``CodedColumn.cut``, as ``load_hdfs`` builds
-      its messages) takes that path over its parts: the distinct key-free
-      messages and the distinct key chunks are split and masked, and each
-      row's masked chunks are its key-free message's with its key's put
-      back in place; a row holding a newline is masked whole.
+      without splitting them again. A column cut at its keys
+      (``CodedColumn.cut``, as ``load_hdfs`` builds its messages) takes
+      this path over its parts: the distinct key-free messages and the
+      distinct key chunks are split and masked, and each row's masked
+      chunks are its key-free message's with its key's put back in place.
     - Otherwise each distinct message is masked once. When every rule is
-      blob-safe and no message contains a newline, the rules run once over a
-      newline-joined blob of the distinct messages; else a per-message loop.
+      blob-safe, the rules run once over a newline-joined blob of the
+      distinct messages; else a per-message loop.
     """
     if rules is None:
         rules = default_rules()
     token_local = rules and all(r.token_local for r in rules)
     if token_local and isinstance(messages, CodedColumn) \
             and messages.parts is not None:
-        chunked = _normalize_chunks(messages, rules)
-        if chunked is not None:
-            return CodedColumn(*chunked)
+        return CodedColumn(*_normalize_cut(*messages.parts, rules))
     text = _coded(messages).first_seen()
     if token_local:
-        chunked = _normalize_chunks(text.dictionary, rules)
-        if chunked is not None:
-            render, entry_of, code = chunked
-            return CodedColumn(render, entry_of[text.codes], code)
+        render, entry_of, code = _normalize_chunks(text.dictionary, rules)
+        return CodedColumn(render, entry_of[text.codes], code)
     dictionary, entry_of = _first_seen_codes(
         _normalize_distinct(text.dictionary, rules))
     return CodedColumn(dictionary, entry_of[text.codes])
 
 
-def _normalize_chunks(msgs, rules: list[MaskingRule]):
+def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
     """Mask each distinct space-delimited chunk of ``msgs`` once.
 
-    Every rule must be token-local. ``msgs`` is a list of messages, or a
-    column cut at its keys (see ``_normalize_cut``), whose rows its result
-    then indexes: ``normalize`` has one chunk pass per column, whichever
-    it takes. Returns, for the distinct masked messages, a function
-    rendering them in first-seen order, each message's code among them
-    (``entry_of``) and a function coding their tokens, one compact entry
-    per distinct masked message; or None when a message of a list
-    contains a newline.
+    Every rule must be token-local. Returns, for the distinct masked
+    messages, a function rendering them in first-seen order, each message's
+    code among them (``entry_of``) and a function coding their tokens, one
+    compact entry per distinct masked message.
 
     A masked chunk holds no space, so a masked message is equal to another
     exactly when their sequences of masked-chunk codes are: the distinct
     masked messages are found from those codes, and only one message of
     each is rendered or split into tokens.
     """
-    if isinstance(msgs, CodedColumn):
-        return _normalize_cut(*msgs.parts, rules)
-    chunked = _chunk_runs(msgs, rules)
-    if chunked is None:
-        return None
-    pieces, run, bounds = chunked
+    pieces, run, bounds = _chunk_runs(msgs, rules)
     # a message's key is its run as bytes
     entry_of = _first_seen_codes(_run_bytes(run, bounds))[1]
     # the first message of each distinct masked one stands for it
@@ -241,41 +229,27 @@ def _run_bytes(run: np.ndarray, bounds: np.ndarray) -> list[bytes]:
 
 
 def _chunk_runs(msgs: list[str], rules: list[MaskingRule]):
-    """The distinct masked chunks of ``msgs`` (``pieces``, the "\\n" that
-    ends a message among them), every message's masked-chunk codes in one
-    array (``run``), each message's ended by the "\\n" code, and where each
-    message's codes start, plus the end (``bounds``); or None when ``msgs``
-    is empty or a message contains a newline."""
-    if not msgs:
-        return None
+    """The distinct masked chunks of ``msgs`` (``pieces``), every message's
+    masked-chunk codes in one array (``run``), and where each message's
+    codes start, plus the end (``bounds``). Message ``i`` owns
+    ``msgs[i].count(" ") + 1`` chunks, which may hold newlines."""
     # the chunks are coded a block of messages at a time, in first-seen
     # order over all blocks: their strings are most of this pass's memory
-    code_of, parts = defaultdict(count().__next__), []
+    code_of, parts = defaultdict(count().__next__), [np.zeros(0, np.int32)]
     for a in range(0, len(msgs), _CHUNK_BLOCK):
-        block = msgs[a:a + _CHUNK_BLOCK]
-        # each " \n " between messages leaves a chunk of its own, which
-        # maps to itself: a rule that matches the empty string must not
-        # rewrite it; a block after the first opens with the one before it
-        text = ("\n " if a else "") + " \n ".join(block)
-        if text.count("\n") != len(block) - (a == 0):
-            return None
-        chunks = text.split(" ")
-        parts.append(np.fromiter(map(code_of.__getitem__, chunks),
-                                 dtype=np.int32, count=len(chunks)))
-    nl = code_of["\n"]  # the chunk that ends the first message, or a new one
+        text = " ".join(msgs[a:a + _CHUNK_BLOCK])
+        parts.append(np.fromiter(map(code_of.__getitem__, text.split(" ")),
+                                 dtype=np.int32, count=text.count(" ") + 1))
     vocab, ids = list(code_of), np.concatenate(parts)
     # here and below, what is no longer needed goes before the next large
     # array is built: on mostly distinct messages, this pass sets a
     # pipeline run's peak memory
-    del code_of, chunks, parts
-    masked = _normalize_distinct(vocab[:nl] + vocab[nl + 1:], rules)
-    masked.insert(nl, "\n")
-    pieces, piece_of = _first_seen_codes(masked)
-    # every message's masked-chunk codes, each run ended by the "\n" code
-    # (the last run by one appended)
-    run = np.append(piece_of[ids], piece_of[nl])
-    bounds = np.concatenate(([0], np.flatnonzero(ids == nl) + 1, [len(run)]))
-    return pieces, run, bounds
+    del code_of, parts
+    pieces, piece_of = _first_seen_codes(_normalize_distinct(vocab, rules))
+    bounds = np.zeros(len(msgs) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(str.count, msgs, repeat(" ")), dtype=np.int64,
+                          count=len(msgs)) + 1, out=bounds[1:])
+    return pieces, piece_of[ids], bounds
 
 
 def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
@@ -293,22 +267,13 @@ def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
     its own run has the hole at its first such chunk.
 
     Each key must be a whole chunk of its row: it holds no space and is
-    cut at a chunk's edges, as ``load_hdfs`` cuts it. A row whose key-free
-    message holds a newline (continuation lines merged into it) is rendered
-    and masked whole, and its run is one piece of its own, its masked text:
-    no token-local rule can match a newline, so that text equals no run's.
-    None when a key holds a newline.
+    cut at a chunk's edges, as ``load_hdfs`` cuts it. A row without a key,
+    as ``load_hdfs`` keeps one that continuation lines were merged into,
+    has no hole.
     """
-    cells, chunks = free.dictionary, keys.dictionary
-    # the chunk pass sees a cell holding a newline as empty
-    has_nl = np.array(["\n" in m for m in cells], dtype=bool)
-    cells = ["" if nl else m for m, nl in zip(cells, has_nl.tolist())]
-    chunked = _chunk_runs(cells + chunks, rules)
-    if chunked is None:
-        return None
-    pieces, run, bounds = chunked
+    cells = free.dictionary
+    pieces, run, bounds = _chunk_runs(cells + keys.dictionary, rules)
     n = len(pieces)
-    whole = has_nl[free.codes]
     # each pair's run, with a hole in the chunk its key was cut from
     first = _first_seen_order(pairs)[1]
     free_of = free.codes[first]
@@ -320,14 +285,13 @@ def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
     starts = ends - lengths
     flat[(starts + slot)[slot >= 0]] = -1
     # each row's code in its hole, its key's: a key is a message of one
-    # chunk; a row without one, or masked whole, holds -1
+    # chunk; a row without one holds -1
     key_piece = np.append(run[bounds[len(cells):-1]], -1)[keys.codes]
-    key_piece[whole] = -1
     is_key = np.zeros(n + 1, dtype=bool)
     is_key[key_piece] = True
     is_key[-1] = False  # the hole
     moved = np.flatnonzero(
-        np.logical_or.reduceat(is_key[flat], starts)[pairs] & ~whole)
+        np.logical_or.reduceat(is_key[flat], starts)[pairs])
     runs, run_lengths = TokenColumn(pieces, flat, np.append(0, ends),
                                     pairs[moved]).flat()
     opens = np.cumsum(run_lengths) - run_lengths
@@ -337,21 +301,13 @@ def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
     hole = hits[np.searchsorted(hits, opens)]
     key_piece[moved] = runs[hole]
     runs[hole] = -1
-    # the rows masked whole, each one piece of its own and the "\n"
-    whole = np.flatnonzero(whole)
-    raw, raw_of = _first_seen_codes(_uncut(free, keys, at, whole))
-    texts, text_of = _first_seen_codes(_normalize_distinct(raw, rules))
-    texts_run = np.full(2 * len(texts), run[-1], dtype=run.dtype)
-    texts_run[::2] = np.arange(n, n + len(texts))
-    # a row's shape: its pair's run, its own, or its text's
-    shapes = np.concatenate((flat, runs, texts_run))
-    shape_bounds = np.concatenate((
-        [0], ends, len(flat) + np.cumsum(run_lengths),
-        len(flat) + len(runs) + 2 * np.arange(1, len(texts) + 1)))
-    holes = np.concatenate((slot, hole - opens, np.full(len(texts), -1)))
+    # a row's shape: its pair's run, or its own
+    shapes = np.concatenate((flat, runs))
+    shape_bounds = np.concatenate(([0], ends,
+                                   len(flat) + np.cumsum(run_lengths)))
+    holes = np.concatenate((slot, hole - opens))
     shape = pairs.astype(np.int64)
     shape[moved] = len(first) + np.arange(len(moved))
-    shape[whole] = len(first) + len(moved) + text_of[raw_of]
     entry_of, rows = _first_seen_inverse(
         _first_seen_codes(_run_bytes(shapes, shape_bounds))[1][shape]
         .astype(np.int64) * (n + 1) + key_piece + 1)
@@ -361,46 +317,51 @@ def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
     fill = holes[shape] >= 0
     kept[(np.cumsum(lengths) - lengths + holes[shape])[fill]] = \
         key_piece[fill]
-    render, code = _masked(pieces, kept, lengths, texts)
+    render, code = _masked(pieces, kept, lengths)
     return render, entry_of, code
 
 
-def _masked(pieces: list[str], kept: np.ndarray, lengths: np.ndarray,
-            texts: list[str] = ()):
+def _masked(pieces: list[str], kept: np.ndarray, lengths: np.ndarray):
     """The functions rendering and token-coding the masked messages whose
     masked-chunk codes ``kept`` holds, ``lengths[e]`` of them for message
-    ``e``, each message's ended by the "\\n" code. A code ``len(pieces) +
-    t`` is a message's one piece, ``texts[t]``, which may hold spaces and
-    newlines."""
+    ``e``."""
     def render() -> list[str]:
-        # the last run's "\n" is dropped; every other one splits two runs;
-        # a text renders empty there and is put in after
-        out = " ".join(object_column(pieces + [""] * len(texts))[
-            kept[:-1]].tolist()).split(" \n ")
-        heads = kept[np.cumsum(lengths) - lengths] - len(pieces)
-        for e in np.flatnonzero(heads >= 0).tolist():
-            out[e] = texts[heads[e]]
-        return out
+        # a masked chunk may hold a newline: each message joins its own
+        return _joined(" ", object_column(pieces)[kept].tolist(),
+                       np.cumsum(lengths).tolist())
 
     def code() -> TokenColumn:
-        # a message's tokens are its chunks' in order; "\n" has none
-        return TokenColumn.of(map(split_tokens, chain(pieces, texts)))[kept] \
+        # a message's tokens are its chunks' in order
+        return TokenColumn.of(map(split_tokens, pieces))[kept] \
             .concat(lengths)
     return render, code
 
 
 def _normalize_distinct(msgs: list[str], rules: list[MaskingRule]) -> list[str]:
-    if msgs and rules and all(r.blob_safe for r in rules) \
-            and not any("\n" in m for m in msgs):
+    """``mask_one`` of each message. When every rule is blob-safe, the rules
+    run once over the messages joined by newlines, and each message takes
+    its own lines back: a blob-safe rule acts on a line as on a message.
+    A rule that changed the blob's line count consumed a newline; then the
+    messages are masked one at a time."""
+    if msgs and rules and all(r.blob_safe for r in rules):
         blob = "\n".join(msgs)
+        lines = blob.count("\n") + 1
         for rule in rules:
             blob = rule.regex.sub(rule.token, blob)
         out = blob.split("\n")
-        if len(out) == len(msgs):
-            return out
-        # a rule rewrote across what we thought were safe boundaries;
-        # fall back to the exact path
+        if len(out) == lines:
+            if lines == len(msgs):
+                return out
+            return _joined("\n", out, list(accumulate(
+                m.count("\n") + 1 for m in msgs)))
     return [mask_one(m, rules) for m in msgs]
+
+
+def _joined(sep: str, items: list, ends: list[int]) -> list[str]:
+    """``sep.join`` of each run of ``items``: run ``i`` ends before
+    ``ends[i]`` and starts where run ``i - 1`` ends, the first at 0."""
+    return list(map(sep.join, map(items.__getitem__,
+                                  map(slice, [0] + ends[:-1], ends))))
 
 
 _WS_RE = re.compile(r"[ \t\r\n\f\v]+")

@@ -98,7 +98,8 @@ _CHUNKY = [
     "\u00fcber\u00a0 7", "user 42 x", "a.b a b axb", "<NUM> already",
     "xx x", "x", "deadbeef 10.0.0.1", "took 35 ms block 0xF3A2", "",
 ]
-_NEWLINE_ROWS = ["two\nparts 0xff", "x\n", "\n", "end 3"]
+_NEWLINE_ROWS = ["two\nparts 0xff", "x\n", "\n", "end 3", "a \n b", "x \n",
+                 " \n", "\n\n7", "a\r\nb 0x1f"]
 
 _RULE_SETS = {
     "defaults": default_rules,
@@ -120,8 +121,11 @@ _RULE_SETS = {
 ], ids=["chunks", "newline-rows", "one-empty", "one-double-space"])
 def test_normalize_rule_sets_match_mask_one(rule_set, msgs):
     rules = _RULE_SETS[rule_set]()
-    assert normalize(msgs, rules).tolist() == \
+    out = normalize(msgs, rules)
+    assert out.tolist() == \
         [mask_one(m, rules) for m in msgs]
+    if all(r.token_local for r in rules):
+        assert out.tokens.tolist() == [split_tokens(m) for m in out]
 
 
 def test_chunk_path_never_masks_the_row_separator():
@@ -190,13 +194,22 @@ _REPEATED = ["took 35 ms block 0xF3A2", "from 10.0.0.1 port 88",
 
 @pytest.mark.parametrize("msgs", [
     _REPEATED * 50,                                  # heavy repeats
-    _REPEATED * 3 + ["two\nparts 0xff", "end 3"] * 3,  # loop fallback
+    _REPEATED * 3 + ["two\nparts 0xff", "end 3"] * 3,  # newline rows
     [],
 ], ids=["repeats", "newline", "empty"])
 def test_normalize_dedup_matches_mask_one(msgs):
     rules = default_rules()
     assert normalize(msgs, rules).tolist() == \
         [mask_one(m, rules) for m in msgs]
+
+
+def test_a_rule_that_consumes_a_newline_masks_one_message_at_a_time():
+    # blob-safe by its text, yet it matches the newlines that join the blob
+    rules = [MaskingRule(r"[\t-\r]", "<CTL>")]
+    assert rules[0].blob_safe and not rules[0].token_local
+    msgs = ["a", "b\nc", "d\te", "", "f 1"]
+    assert normalize(msgs, rules).tolist() == \
+        ["a", "b<CTL>c", "d<CTL>e", "", "f 1"]
 
 
 def test_normalize_fallback_unsafe_rule():
@@ -345,10 +358,11 @@ def test_normalize_codes_against_mask_one(seed, block, monkeypatch):
         assert gathered.first_seen().tolist() == [expected[i] for i in idx]
         assert gathered.first_seen().dictionary == \
             _first_seen(expected[i] for i in idx)
-    # a newline in any block sends the whole column down the other path
+    # a newline stays inside its chunk: the column keeps the chunk path
     msgs.append("x\ny 7")
     out = normalize(msgs, rules)
-    assert out.tokens is None
+    assert out.tokens.tolist() == \
+        [split_tokens(mask_one(m, rules)) for m in msgs]
     assert out.tolist() == [mask_one(m, rules) for m in msgs]
 
 
@@ -356,16 +370,16 @@ def test_first_seen_of_a_normalize_result_does_not_render(monkeypatch):
     # the render counter of test_masked_text_is_rendered_only_when_read
     from logbench import masking
     rendered = []
-    chunks = masking._normalize_chunks
+    masked = masking._masked
 
-    def counting_chunks(msgs, rules):
-        render, entry_of, code = chunks(msgs, rules)
+    def counting_masked(pieces, kept, lengths):
+        render, code = masked(pieces, kept, lengths)
 
         def counting_render():
-            rendered.append(len(msgs))
+            rendered.append(len(lengths))
             return render()
-        return counting_render, entry_of, code
-    monkeypatch.setattr(masking, "_normalize_chunks", counting_chunks)
+        return counting_render, code
+    monkeypatch.setattr(masking, "_masked", counting_masked)
     msgs = ["a 1", "b 2", "a 3", "", "b 4", "c 0x5", "a 1"]
     out = normalize(msgs)
     assert out.first_seen() is out
@@ -373,7 +387,7 @@ def test_first_seen_of_a_normalize_result_does_not_render(monkeypatch):
     # the rendered dictionary is in first-seen order with no unused entry
     expected = [mask_one(m, default_rules()) for m in msgs]
     assert out.dictionary == _first_seen(expected)
-    assert rendered == [len(set(msgs))]
+    assert rendered == [len(set(expected))]
     assert out.first_seen() is out
     assert out.tolist() == expected
 
@@ -561,3 +575,72 @@ def test_only_a_cut_column_takes_the_cut_path(tmp_path, monkeypatch):
         want = [mask_one(m, default_rules()) for m in text]
         for messages in (col, text, np.asarray(text, dtype=object)):
             assert normalize(messages).tolist() == want
+
+
+def test_normalize_of_an_empty_column_is_empty(tmp_path):
+    import numpy as np
+
+    from logbench.enhancers import add_normalized, add_tokens
+    from logbench.loaders import load_hdfs
+    empty, rejected = tmp_path / "empty.log", tmp_path / "rejected.log"
+    empty.write_text("")
+    rejected.write_text("not an event\nnor this blk_1 7\n")
+    tables = [load_hdfs(path)[0] for path in (empty, rejected)]
+    assert all(t["m_message"].parts is not None for t in tables)
+    for messages in ([], np.array([], dtype=object),
+                     *(t["m_message"] for t in tables)):
+        out = normalize(messages)
+        assert len(out) == 0
+        assert out.tolist() == [] and out.dictionary == []
+    for table in tables:
+        words = add_tokens(add_normalized(table))["e_words"]
+        assert len(words) == 0 and words.tolist() == []
+        assert add_tokens(table)["e_words"].tolist() == []
+
+
+def _with_continuations(path, every, line):
+    """Rewrite a log with ``line`` after every ``every``-th line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i in range(len(lines) - len(lines) % every, 0, -every):
+        lines.insert(i, line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_messages_holding_newlines_are_masked_in_one_blob(tmp_path,
+                                                         data_dir,
+                                                         monkeypatch):
+    # a newline stays inside its chunk and the blob is masked line by
+    # line, so the default rules never mask a message on its own
+    from logbench import masking
+    from logbench.loaders import load_hadoop, load_hdfs, load_supercomputer
+    from logbench.synth import generate_synthetic
+
+    trace = "\tat org.apache.hadoop.Foo.bar(Foo.java:12) 0x1f"
+    bgl = generate_synthetic(tmp_path / "bgl", "bgl", n_templates=3,
+                             n_lines=300, seed=2)
+    hdfs = generate_synthetic(tmp_path / "hdfs", "hdfs", n_templates=3,
+                              n_lines=300, seed=2)
+    for paths in (bgl, hdfs):
+        _with_continuations(paths["log"], 7, trace)
+    hdfs_message = load_hdfs(hdfs["log"])[0]["m_message"]
+    assert hdfs_message.parts is not None
+    columns = {
+        "list": _CHUNKY + _NEWLINE_ROWS,
+        "bgl": load_supercomputer(bgl["log"], "bgl")["m_message"],
+        "hadoop": load_hadoop(data_dir / "hadoop_tree",
+                              data_dir / "hadoop_labels.csv")[0]["m_message"],
+        "hdfs": hdfs_message,
+    }
+    rules = default_rules()
+    want = {name: [mask_one(m, rules) for m in col]
+            for name, col in columns.items()}
+    for name, col in columns.items():
+        assert any("\n" in m for m in col), name
+
+    def no_mask_one(text, rules):
+        raise AssertionError("a message was masked on its own")
+    monkeypatch.setattr(masking, "mask_one", no_mask_one)
+    for name, col in columns.items():
+        out = normalize(col, rules)
+        assert out.tolist() == want[name], name
+        assert out.tokens is not None, name

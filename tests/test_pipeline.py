@@ -458,17 +458,17 @@ def test_masked_text_is_rendered_only_when_read(tmp_path, synth_hdfs,
     # saving the tables reads the text, and renders it once for both files
     from logbench import masking
     passes, rendered = [], []
-    chunks = masking._normalize_chunks
+    masked = masking._masked
 
-    def counting_chunks(msgs, rules):
-        render, entry_of, code = chunks(msgs, rules)
-        passes.append(len(msgs))
+    def counting_masked(pieces, kept, lengths):
+        render, code = masked(pieces, kept, lengths)
+        passes.append(len(lengths))
 
         def counting_render():
-            rendered.append(len(msgs))
+            rendered.append(len(lengths))
             return render()
-        return counting_render, entry_of, code
-    monkeypatch.setattr(masking, "_normalize_chunks", counting_chunks)
+        return counting_render, code
+    monkeypatch.setattr(masking, "_masked", counting_masked)
     run_pipeline(_hdfs_config(
         tmp_path, synth_hdfs, feature_source="words", detector="dt",
         chain=["normalize", "tokenize", "drain", "ngram", "aggregate"],
