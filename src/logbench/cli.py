@@ -19,7 +19,8 @@ from pathlib import Path
 from . import bench, loaders, synth
 from .parsers import PARSERS
 from .pipeline import (ConfigError, PipelineConfig, StageError, load_rules,
-                       run_chain, run_pipeline, validate_chain, write_tables)
+                       parse_chain, run_chain, run_pipeline, validate_chain,
+                       write_tables)
 from .tables import Table, validate_event_table
 
 
@@ -49,7 +50,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enhance", help="derive columns on a saved table")
     p.add_argument("--table", required=True, help="events table file")
     p.add_argument("--chain", required=True,
-                   help="comma separated: normalize,tokenize,"
+                   help="comma or space separated: normalize,tokenize,"
                         "drain|spell|lenma,aggregate (aggregate runs last; "
                         "ngram is detect-only)")
     p.add_argument("--rules", help="masking rules file (PATTERN<TAB><TOKEN>)")
@@ -99,7 +100,7 @@ def _cmd_load(args) -> int:
 
 
 def _cmd_enhance(args) -> int:
-    steps = [s.strip() for s in args.chain.split(",") if s.strip()]
+    steps = parse_chain(args.chain)
     validate_chain(steps, allow_ngram=False)
     rules = load_rules(args.rules)
     events = Table.load(args.table)

@@ -75,6 +75,26 @@ def _column_at(Xc: sparse.csc_array, j: int, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _leaves(tree: dict, Xc: sparse.csc_array, goes_left):
+    """Yield ``(leaf, rows, depth)`` for each leaf of ``tree`` that rows of
+    Xc reach, with those rows in ascending order.
+
+    A node holding ``"feature"`` is a split. ``goes_left(node, x)`` gets the
+    column's values ``x`` at the node's rows and returns the left mask.
+    """
+    stack = [(tree, np.arange(Xc.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if len(rows) == 0:
+            continue
+        if "feature" not in node:
+            yield node, rows, depth
+            continue
+        left = goes_left(node, _column_at(Xc, node["feature"], rows))
+        stack.append((node["left"], rows[left], depth + 1))
+        stack.append((node["right"], rows[~left], depth + 1))
+
+
 def _as_labels(y) -> np.ndarray:
     return np.asarray(y, dtype=bool)
 
@@ -456,22 +476,6 @@ class LogisticRegressionDetector(Detector):
 # decision tree (CART with Gini impurity)
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "prob", "n")
-
-    def __init__(self, prob: float, n: int):
-        self.feature = -1
-        self.threshold = 0.0
-        self.left = None
-        self.right = None
-        self.prob = prob
-        self.n = n
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 def _best_split(X, y: np.ndarray):
     """Best (feature, threshold, gain) under Gini, or None.
 
@@ -566,7 +570,11 @@ def _best_split(X, y: np.ndarray):
 
 
 class DecisionTreeDetector(Detector):
-    """Binary CART: Gini impurity, midpoint thresholds, depth cap 20."""
+    """Binary CART: Gini impurity, midpoint thresholds, depth cap 20.
+
+    ``tree`` is the nested dict ``to_dict`` saves: a leaf ``{"prob", "n"}``
+    or a split ``{"feature", "threshold", "n", "prob", "left", "right"}``.
+    """
 
     kind = "dt"
     supervised = True
@@ -575,7 +583,7 @@ class DecisionTreeDetector(Detector):
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")
         self.max_depth = max_depth
-        self.root: _TreeNode | None = None
+        self.tree: dict | None = None
 
     def fit(self, X, y, seed: int = 0):
         M = _as_csr(X)
@@ -588,11 +596,11 @@ class DecisionTreeDetector(Detector):
             warnings.warn("decision tree trained on a single class; "
                           "it will predict a constant", RuntimeWarning,
                           stacklevel=2)
-        self.root = self._grow(M, M.tocsc(), y, np.arange(len(y)), 0)
+        self.tree = self._grow(M, M.tocsc(), y, np.arange(len(y)), 0)
         return self
 
     def _grow(self, X: sparse.csr_array, Xc: sparse.csc_array,
-              y: np.ndarray, rows: np.ndarray, depth: int) -> _TreeNode:
+              y: np.ndarray, rows: np.ndarray, depth: int) -> dict:
         """Grow the subtree over the ascending row indices ``rows``.
 
         The root searches Xc itself; any other node copies only its rows
@@ -600,70 +608,43 @@ class DecisionTreeDetector(Detector):
         memory stays within a few times nnz.
         """
         y_node = y[rows]
-        node = _TreeNode(prob=float(y_node.mean()), n=len(rows))
-        if depth >= self.max_depth or len(rows) < 2:
-            return node
+        prob, n = float(y_node.mean()), len(rows)
+        if depth >= self.max_depth or n < 2:
+            return {"prob": prob, "n": n}
         split = _best_split(Xc if depth == 0 else X[rows], y_node)
         if split is None:
-            return node
+            return {"prob": prob, "n": n}
         j, threshold, _ = split
         mask = _column_at(Xc, j, rows) <= threshold
-        node.feature = j
-        node.threshold = threshold
-        node.left = self._grow(X, Xc, y, rows[mask], depth + 1)
-        node.right = self._grow(X, Xc, y, rows[~mask], depth + 1)
-        return node
+        return {"feature": j, "threshold": threshold, "n": n, "prob": prob,
+                "left": self._grow(X, Xc, y, rows[mask], depth + 1),
+                "right": self._grow(X, Xc, y, rows[~mask], depth + 1)}
 
     @property
     def depth(self) -> int:
         def walk(node):
-            if node is None or node.is_leaf:
+            if node is None or "feature" not in node:
                 return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(self.root)
+            return 1 + max(walk(node["left"]), walk(node["right"]))
+        return walk(self.tree)
 
     def score(self, X) -> np.ndarray:
-        """Leaf probability per row; each internal node reads one column
-        for all the rows that reach it."""
+        """Leaf probability per row."""
         Xc = _as_csr(X).tocsc()
         out = np.empty(Xc.shape[0], dtype=np.float64)
-        stack = [(self.root, np.arange(Xc.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if node.is_leaf:
-                out[rows] = node.prob
-                continue
-            left = _column_at(Xc, node.feature, rows) <= node.threshold
-            stack.append((node.left, rows[left]))
-            stack.append((node.right, rows[~left]))
+        for leaf, rows, _ in _leaves(self.tree, Xc,
+                                     lambda node, x: x <= node["threshold"]):
+            out[rows] = leaf["prob"]
         return out
-
-    def _node_dict(self, node: _TreeNode) -> dict:
-        if node.is_leaf:
-            return {"prob": node.prob, "n": node.n}
-        return {"feature": node.feature, "threshold": node.threshold,
-                "n": node.n, "prob": node.prob,
-                "left": self._node_dict(node.left),
-                "right": self._node_dict(node.right)}
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "max_depth": self.max_depth,
-                "tree": self._node_dict(self.root)}
-
-    @classmethod
-    def _node_from(cls, obj) -> _TreeNode:
-        node = _TreeNode(prob=float(obj["prob"]), n=int(obj["n"]))
-        if "feature" in obj:
-            node.feature = int(obj["feature"])
-            node.threshold = float(obj["threshold"])
-            node.left = cls._node_from(obj["left"])
-            node.right = cls._node_from(obj["right"])
-        return node
+                "tree": self.tree}
 
     @classmethod
     def from_dict(cls, obj) -> "DecisionTreeDetector":
         model = cls(int(obj["max_depth"]))
-        model.root = cls._node_from(obj["tree"])
+        model.tree = obj["tree"]
         return model
 
 
@@ -850,32 +831,18 @@ class IsolationForestDetector(Detector):
         self.threshold = _quantile_threshold(self.score(M), self.contamination)
         return self
 
-    @staticmethod
-    def _path_lengths(tree: dict, Xc: sparse.csc_array) -> np.ndarray:
-        """Path length of every row through one tree."""
-        out = np.empty(Xc.shape[0], dtype=np.float64)
-        stack = [(tree, np.arange(Xc.shape[0]), 0)]
-        while stack:
-            node, rows, depth = stack.pop()
-            if len(rows) == 0:
-                continue
-            if "feature" not in node:
-                out[rows] = depth + _avg_path_length(node["size"])
-                continue
-            left = _column_at(Xc, node["feature"], rows) < node["split"]
-            stack.append((node["left"], rows[left], depth + 1))
-            stack.append((node["right"], rows[~left], depth + 1))
-        return out
-
     def score(self, X) -> np.ndarray:
         Xc = _as_csr(X).tocsc()
         c = _avg_path_length(self.psi)
         if c <= 0.0:
             c = 1.0
-        # summed tree by tree from zero: the order of Python's sum per row
+        # summed tree by tree from zero: the order of Python's sum per row;
+        # a row's path through a tree ends at the leaf's depth plus c(size)
         total = np.zeros(Xc.shape[0], dtype=np.float64)
+        goes_left = lambda node, x: x < node["split"]
         for tree in self.trees:
-            total += self._path_lengths(tree, Xc)
+            for leaf, rows, depth in _leaves(tree, Xc, goes_left):
+                total[rows] += depth + _avg_path_length(leaf["size"])
         exponents = -(total / len(self.trees)) / c
         # Python's float pow, not np.exp2/np.power, which can differ from it
         # in the last bit and would move the saved threshold

@@ -418,7 +418,6 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     for x in a:
         cur = [0]
         append = cur.append
-        best = 0
         for j, y in enumerate(b):
             if x == y:
                 v = prev[j] + 1

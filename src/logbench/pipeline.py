@@ -154,9 +154,7 @@ class PipelineConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-        chain_text = cp.get("enhance", "chain", fallback="")
-        chain = [s.strip() for s in chain_text.replace(",", " ").split()
-                 if s.strip()]
+        chain = parse_chain(cp.get("enhance", "chain", fallback=""))
         parser_params: dict = {}
         for kind, keys in _PARSER_KEYS.items():
             params = {}
@@ -255,6 +253,11 @@ def stage(name: str, timings: dict | None = None):
                 return False
             raise StageError(name, exc) from exc
     return _Stage()
+
+
+def parse_chain(text: str) -> list[str]:
+    """The steps of a chain's text, separated by commas, spaces or both."""
+    return text.replace(",", " ").split()
 
 
 def validate_chain(chain, allow_ngram: bool = True) -> None:

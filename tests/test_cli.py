@@ -99,6 +99,22 @@ def test_enhance_aggregates_after_event_steps(tmp_path, synth_dirs):
     assert all(len(w) > 0 for w in seqs["words"])
 
 
+def test_enhance_chain_splits_like_the_config_file(tmp_path, synth_dirs):
+    # an INI [enhance] chain takes commas, spaces or both; so does --chain
+    loaded = tmp_path / "loaded"
+    assert main(["load", "--format", "hdfs", "--log", str(synth_dirs["log"]),
+                 "--out", str(loaded)]) == 0
+    tables = []
+    for i, chain in enumerate(("normalize,tokenize", "normalize tokenize",
+                               " normalize, tokenize ")):
+        out = tmp_path / f"o{i}"
+        assert main(["enhance", "--table",
+                     str(loaded / "events.table.json"), "--chain", chain,
+                     "--out", str(out)]) == 0, chain
+        tables.append((out / "events.table.json").read_bytes())
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+
+
 def test_verbose_enhance_logs_each_step(tmp_path, caplog, synth_dirs):
     loaded = tmp_path / "loaded"
     assert main(["load", "--format", "hdfs", "--log", str(synth_dirs["log"]),

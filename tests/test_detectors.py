@@ -16,8 +16,8 @@ from logbench import detectors
 from logbench.detectors import (DETECTORS, DecisionTreeDetector, EvalReport,
                                 IsolationForestDetector, KMeansDetector,
                                 LogisticRegressionDetector, OOVDetector,
-                                RarityDetector, _avg_path_length, _TreeNode,
-                                _best_split, _distinct_rows, _harmonic, _lbfgs,
+                                RarityDetector, _avg_path_length, _best_split,
+                                _distinct_rows, _harmonic, _lbfgs,
                                 _quantile_threshold, _tie_average_ranks,
                                 auc_roc, evaluate,
                                 load_model, logistic_gradient, logistic_loss,
@@ -307,8 +307,8 @@ def test_dt_tie_prefers_lowest_feature():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     y = np.array([False, True])
     model = DecisionTreeDetector().fit(X, y)
-    assert model.root.feature == 0
-    assert model.root.threshold == pytest.approx(0.5)
+    assert model.tree["feature"] == 0
+    assert model.tree["threshold"] == pytest.approx(0.5)
 
 
 def test_dt_single_class_warns_and_is_constant():
@@ -379,12 +379,17 @@ def test_dt_root_split_matches_brute_force():
 
 
 def test_dt_round_trip(tmp_path):
+    assert DecisionTreeDetector().depth == 0
     X, y = _blobs(seed=2, n=30)
     model = DecisionTreeDetector().fit(X, y)
     p = tmp_path / "dt.json"
     save_model(model, p)
     back = load_model(p)
-    assert np.allclose(back.score(X), model.score(X))
+    assert np.array_equal(back.score(X), model.score(X))
+    assert back.depth == model.depth
+    again = tmp_path / "dt2.json"
+    save_model(back, again)
+    assert again.read_bytes() == p.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +482,10 @@ def test_iforest_round_trip(tmp_path):
     p = tmp_path / "if.json"
     save_model(model, p)
     back = load_model(p)
-    assert np.allclose(back.score(X), model.score(X))
+    assert np.array_equal(back.score(X), model.score(X))
+    again = tmp_path / "if2.json"
+    save_model(back, again)
+    assert again.read_bytes() == p.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -743,30 +751,31 @@ class _DenseTree(DecisionTreeDetector):
     """Reference: CART on the densified matrix, one Python walk per row."""
 
     def fit(self, X, y, seed=0):
-        self.root = self._grow_dense(_dense(X), np.asarray(y, bool), 0)
+        self.tree = self._grow_dense(_dense(X), np.asarray(y, bool), 0)
         return self
 
     def _grow_dense(self, X, y, depth):
-        node = _TreeNode(prob=float(y.mean()), n=len(y))
-        if depth >= self.max_depth or len(y) < 2:
-            return node
+        prob, n = float(y.mean()), len(y)
+        if depth >= self.max_depth or n < 2:
+            return {"prob": prob, "n": n}
         split = _dense_best_split(X, y)
         if split is None:
-            return node
-        node.feature, node.threshold, _ = split
-        mask = X[:, node.feature] <= node.threshold
-        node.left = self._grow_dense(X[mask], y[mask], depth + 1)
-        node.right = self._grow_dense(X[~mask], y[~mask], depth + 1)
-        return node
+            return {"prob": prob, "n": n}
+        feature, threshold, _ = split
+        mask = X[:, feature] <= threshold
+        return {"feature": feature, "threshold": threshold, "n": n,
+                "prob": prob,
+                "left": self._grow_dense(X[mask], y[mask], depth + 1),
+                "right": self._grow_dense(X[~mask], y[~mask], depth + 1)}
 
     def score(self, X):
         out = []
         for row in _dense(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold \
-                    else node.right
-            out.append(node.prob)
+            node = self.tree
+            while "feature" in node:
+                node = node["left"] if row[node["feature"]] <= \
+                    node["threshold"] else node["right"]
+            out.append(node["prob"])
         return np.asarray(out)
 
 
