@@ -502,28 +502,33 @@ def _best_split(X, y: np.ndarray):
     if parent == 0.0:
         return None
     stored = np.diff(X.indptr)
-    cols = np.repeat(np.arange(X.shape[1]), stored)
+    cols = np.repeat(np.arange(X.shape[1], dtype=X.indices.dtype), stored)
     y_entry = y[X.indices]
     stored_pos = np.bincount(cols[y_entry], minlength=X.shape[1])
     zero_cols = np.flatnonzero((stored > 0) & (stored < n))
     # one entry per stored value plus one weighted entry per zero block,
-    # sorted by (column, value) and merged into distinct-value groups
-    col = np.concatenate((cols, zero_cols))
+    # sorted by (column, value) and merged into distinct-value groups; each
+    # array goes through the sort order once and is dropped once grouped
+    col = np.concatenate((cols, zero_cols.astype(cols.dtype)))
+    del cols
     if len(col) == 0:
         return None
     val = np.concatenate((X.data, np.zeros(len(zero_cols))))
-    cnt = np.concatenate((np.ones(len(cols), dtype=np.int64),
-                          n - stored[zero_cols]))
-    npos = np.concatenate((y_entry.astype(np.int64),
-                           pos - stored_pos[zero_cols]))
     order = np.lexsort((val, col))
-    col, val, cnt, npos = col[order], val[order], cnt[order], npos[order]
+    col, val = col[order], val[order]
     new_group = np.ones(len(col), dtype=bool)
     new_group[1:] = (col[1:] != col[:-1]) | (val[1:] != val[:-1])
     starts = np.flatnonzero(new_group)
+    del new_group
     g_col, g_val = col[starts], val[starts]
-    g_cnt = np.add.reduceat(cnt, starts)
-    g_pos = np.add.reduceat(npos, starts)
+    del col, val
+    g_cnt = np.add.reduceat(np.concatenate(
+        (np.ones(len(y_entry), dtype=np.int64), n - stored[zero_cols]))[order],
+        starts)
+    g_pos = np.add.reduceat(np.concatenate(
+        (y_entry.astype(np.int64), pos - stored_pos[zero_cols]))[order],
+        starts)
+    del order, y_entry
     # running totals restart at each column's first group
     first = np.ones(len(g_col), dtype=bool)
     first[1:] = g_col[1:] != g_col[:-1]

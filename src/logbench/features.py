@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 from scipy import sparse
 
-from .tables import TokenColumn
+from .tables import TokenColumn, _first_seen_order
 
 
 class Vocabulary:
@@ -58,12 +58,10 @@ def fit_vocabulary(documents, min_count: int = 1) -> Vocabulary:
         raise ValueError("min_count must be at least 1")
     docs = TokenColumn.of(documents)
     codes, _ = docs.flat()
-    first = np.full(len(docs.tokens), len(codes))
-    np.minimum.at(first, codes, np.arange(len(codes)))
-    kept = np.flatnonzero(np.bincount(codes, minlength=len(docs.tokens))
-                          >= min_count)
-    terms = map(docs.tokens.__getitem__,
-                kept[np.argsort(first[kept], kind="stable")].tolist())
+    seen = _first_seen_order(codes)[0]
+    kept = seen[np.bincount(codes, minlength=len(docs.tokens))[seen]
+                >= min_count]
+    terms = map(docs.tokens.__getitem__, kept.tolist())
     return Vocabulary(dict(zip(terms, range(len(kept)))),
                       min_count=min_count, fitted_on=len(docs))
 
@@ -96,21 +94,31 @@ def vectorize(documents, vocabulary: Vocabulary,
     (the oov counter stays a real count).
 
     Each dictionary term maps to its column once (-1 for an oov term); the
-    cell counts come from the sorted ``row * V + column`` keys, so the
-    matrix is built in canonical form: sorted indices, no duplicates.
+    cell counts are the runs of the sorted ``row * V + column`` keys, so
+    the matrix is built in canonical form: sorted indices, no duplicates.
+    The keys are int32 while there are fewer than 2**31 cells.
     """
     docs = TokenColumn.of(documents)
     n_docs, n_terms = len(docs), len(vocabulary)
+    kind = np.int32 if n_docs * n_terms < 2**31 else np.int64
     flat, lengths = docs.flat()
     codes = np.fromiter(map(vocabulary.index.get, docs.tokens, repeat(-1)),
-                        dtype=np.int64, count=len(docs.tokens))[flat]
-    rows = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+                        dtype=kind, count=len(docs.tokens))[flat]
+    del flat
+    rows = np.repeat(np.arange(n_docs, dtype=kind), lengths)
     hit = codes >= 0
     oov = np.bincount(rows[~hit], minlength=n_docs)
-    keys, counts = np.unique(rows[hit] * n_terms + codes[hit],
-                             return_counts=True)
+    rows *= n_terms
+    rows += codes
+    del codes
+    keys = rows[hit]
+    del rows, hit
+    keys.sort()
+    opens = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(opens, append=len(keys))
     # no keys when the vocabulary is empty, so dividing by 0 divides nothing
-    key_rows, cols = np.divmod(keys, n_terms)
+    key_rows, cols = np.divmod(keys[opens], n_terms)
+    del keys, opens
     indptr = np.zeros(n_docs + 1, dtype=np.int64)
     np.cumsum(np.bincount(key_rows, minlength=n_docs), out=indptr[1:])
     matrix = sparse.csr_matrix(

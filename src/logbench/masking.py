@@ -332,8 +332,9 @@ def _masked(pieces: list[str], kept: np.ndarray, lengths: np.ndarray):
 
     def code() -> TokenColumn:
         # a message's tokens are its chunks' in order
-        return TokenColumn.of(map(split_tokens, pieces))[kept] \
-            .concat(lengths)
+        chunks = TokenColumn.of(map(split_tokens, pieces))
+        return TokenColumn(chunks.tokens, chunks.codes, chunks.offsets,
+                           kept).concat(lengths)
     return render, code
 
 

@@ -337,6 +337,8 @@ def run_pipeline(config: PipelineConfig) -> detectors.EvalReport:
         config.parser_params, labels=sequences, timings=timings)
     if store is not None:
         store.save(out / "templates.json")
+    if seq_table is not None and not config.save_tables:
+        events = None  # no later stage reads the event table
 
     with stage("split", timings):
         working = seq_table if seq_table is not None else events

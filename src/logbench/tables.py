@@ -118,29 +118,35 @@ class TokenColumn:
         return list(map(self.entries().__getitem__, self.rows.tolist()))
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """The codes of all rows in row order, and each row's length."""
-        starts = self.offsets[self.rows]
-        lengths = np.diff(self.offsets)[self.rows]
+        """The codes of all rows in row order, and each row's length. What
+        it builds on the way, one item per row or per code, is int32 while
+        the entries' codes and all rows' codes are fewer than 2**31."""
+        kind = np.int32 if len(self.codes) < 2**31 else np.int64
+        lengths = np.diff(self.offsets).astype(kind)[self.rows]
+        total = int(lengths.sum(dtype=np.int64))
+        if total >= 2**31:
+            kind = np.int64
         # place k of row j's run reads codes[starts[j] + k]: its place i
         # among all rows' codes plus the run's shift, starts[j] minus the
         # place the run opens at
-        ends = np.cumsum(lengths)
-        starts -= ends
-        starts += lengths
-        del ends
-        index = np.repeat(starts, lengths)
-        del starts
-        index += np.arange(len(index))
-        return self.codes[index], lengths
+        shift = self.offsets.astype(kind)[self.rows]
+        shift += lengths
+        shift -= np.cumsum(lengths, dtype=kind)
+        index = np.repeat(shift, lengths)
+        del shift
+        index += np.arange(total, dtype=kind)
+        codes = self.codes[index]
+        del index
+        return codes, lengths.astype(np.int64)
 
     def concat(self, counts) -> "TokenColumn":
         """One row per run of ``counts[g]`` rows, joining their tokens."""
         codes, lengths = self.flat()
-        ends = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=ends[1:])
-        del lengths
-        return TokenColumn(self.tokens, codes,
-                           ends[np.concatenate(([0], np.cumsum(counts)))],
+        ends = np.cumsum(lengths, out=lengths)  # where each row's run ends
+        last = np.cumsum(counts) - 1  # each joined row's last row, or -1
+        offsets = np.zeros(len(last) + 1, dtype=np.int64)
+        offsets[1:][last >= 0] = ends[last[last >= 0]]
+        return TokenColumn(self.tokens, codes, offsets,
                            np.arange(len(counts), dtype=np.int32))
 
 
@@ -513,11 +519,17 @@ def _first_seen_order(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hashes int arrays and a stable argsort merges, each several times
     slower."""
     n = len(codes)
-    key = np.sort(codes.astype(np.int64) * n + np.arange(n))
-    value = key // n  # -1 stays -1: key // n floors
+    key = codes.astype(np.int64)
+    key *= n
+    key += np.arange(n, dtype=np.int32 if n < 2**31 else np.int64)
+    key.sort()
+    value = np.empty(n, dtype=codes.dtype)
+    np.floor_divide(key, n, out=value, casting="unsafe")  # -1 stays -1
     head = np.ones(n, dtype=bool)
-    head[1:] = value[1:] != value[:-1]
-    first = np.sort((key - value * n)[head & (value >= 0)])
+    np.not_equal(value[1:], value[:-1], out=head[1:])
+    head &= value >= 0
+    del value
+    first = np.sort(key[head] % n)
     return codes[first], first
 
 

@@ -175,3 +175,28 @@ def test_coded_documents_featurize_like_lists():
                 _assert_same_features(
                     vectorize(coded, want_vocab, binary=binary), want)
 
+
+
+def test_keys_past_int32_give_the_matrix_of_their_halves():
+    # 65,536 documents against 40,000 terms make more than 2**31 cells, so
+    # the row x column keys are int64; each half's keys fit an int32
+    rng = np.random.default_rng(5)
+    n_docs, n_terms = 2 ** 16, 40_000
+    tokens = [f"t{i}" for i in range(n_terms + 100)]  # 100 oov terms
+    offsets = np.concatenate(([0], np.cumsum(rng.integers(0, 5, n_docs))))
+    codes = rng.integers(0, len(tokens), offsets[-1]).astype(np.int32)
+    docs = TokenColumn(tokens, codes, offsets, np.arange(n_docs))
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens[:n_terms])})
+    whole = vectorize(docs, vocab)
+    halves = [vectorize(docs[rows], vocab) for rows in
+              np.split(np.arange(n_docs), 2)]
+    want = sparse.vstack([h.matrix for h in halves], format="csr")
+    assert whole.matrix.has_canonical_format
+    assert whole.matrix.shape == want.shape
+    assert whole.matrix.data.dtype == halves[0].matrix.data.dtype
+    assert (whole.matrix != want).nnz == 0
+    assert whole.matrix.nnz == want.nnz
+    # cells of rows from 53,688 on have keys past 2**31
+    assert whole.matrix[2 ** 31 // n_terms + 1:].nnz > 0
+    assert whole.oov_counts.tolist() == np.concatenate(
+        [h.oov_counts for h in halves]).tolist()

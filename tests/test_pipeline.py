@@ -2,6 +2,7 @@ import gc
 import json
 import logging
 import re
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -474,6 +475,32 @@ def test_masked_text_is_rendered_only_when_read(tmp_path, synth_hdfs,
         chain=["normalize", "tokenize", "drain", "ngram", "aggregate"],
         save_tables=save_tables))
     assert len(passes) == 1 and len(rendered) == renders
+
+
+@pytest.mark.parametrize("save_tables", [False, True])
+def test_event_table_is_freed_after_aggregation(tmp_path, synth_hdfs,
+                                                monkeypatch, save_tables):
+    # past aggregate only saving the tables reads the event table; without
+    # that it must be gone, freed by reference counting alone, before the
+    # features stage builds its matrices
+    tables, alive = [], []
+    aggregate = enhancers.aggregate_sequences
+
+    def recording_aggregate(events, labels=None):
+        tables.append(weakref.ref(events))
+        return aggregate(events, labels)
+    vectorize = pipeline.features.vectorize
+
+    def checking_vectorize(*args, **kwargs):
+        alive.append(tables[0]() is not None)
+        return vectorize(*args, **kwargs)
+    monkeypatch.setattr(enhancers, "aggregate_sequences", recording_aggregate)
+    monkeypatch.setattr(pipeline.features, "vectorize", checking_vectorize)
+    run_pipeline(_hdfs_config(
+        tmp_path, synth_hdfs, feature_source="words", detector="dt",
+        chain=["normalize", "tokenize", "drain", "ngram", "aggregate"],
+        save_tables=save_tables))
+    assert alive == [save_tables, save_tables]
 
 
 @pytest.fixture(scope="module")
