@@ -1,7 +1,6 @@
 """Seeded synthetic log generation.
 
-Three layers, all driven by stdlib ``random.Random`` so output is stable
-across platforms and library versions:
+Three layers, each driven by one seeded stdlib ``random.Random``:
 
 * :func:`make_template_corpus` builds an in-memory corpus of messages with
   known template structure, for exercising and validating template miners.
@@ -19,6 +18,17 @@ counts, the first two tokens of a template are constants unique to it, and
 parameter slots sit at positions two onward, always fewer than half of the
 positions, with fixed-width value pools. That keeps the templates cleanly
 recoverable by count-, prefix- and subsequence-based miners alike.
+
+What the bytes depend on: the seed's Mersenne Twister output
+(``getrandbits``, and ``random()``, whose floats Python keeps stable for a
+seed) and :func:`_below`, the one rule by which every ``choice``,
+``randrange`` and ``randint`` here draws from it. Two stdlib algorithms
+remain, ``Random.sample`` (the templates' token counts, parameter positions
+and value pools, and which sequences :func:`make_sequence_dataset` makes
+anomalous) and ``Random.shuffle`` (the line order of
+:func:`make_template_corpus` and each sequence's template order). Python
+does not promise that those two draw alike across releases; the sha256 pins
+in ``tests/test_synth.py`` would show it if they ever did not.
 """
 
 from __future__ import annotations
@@ -63,14 +73,14 @@ def _build_templates(rng: random.Random, n_templates: int):
         # shares fewer tokens with any other template (even counting masked
         # placeholders) than a half-length subsequence, so no miner that
         # requires half-overlap can merge across templates
-        n_params = rng.randint(1, max(1, (length - 1) // 2))
+        n_params = 1 + _below(max(1, (length - 1) // 2), rng.getrandbits)
         param_positions = set(rng.sample(range(2, length), n_params))
         tokens: list = []
         slot_pools: dict[int, list[str]] = {}
         for i in range(length):
             if i in param_positions:
                 tokens.append(None)
-                kind = rng.choice(("num", "hex", "ip", "tok"))
+                kind = ("num", "hex", "ip", "tok")[_below(4, rng.getrandbits)]
                 pool = []
                 for v in rng.sample(range(100), 6):
                     if kind == "num":
@@ -83,20 +93,41 @@ def _build_templates(rng: random.Random, n_templates: int):
                         pool.append(f"u{t}s{i}v{v:02d}")
                 slot_pools[i] = pool
             else:
-                tokens.append(f"{rng.choice(_WORDS)}_{t}")
+                word = _WORDS[_below(len(_WORDS), rng.getrandbits)]
+                tokens.append(f"{word}_{t}")
         templates.append(tokens)
         pools.append(slot_pools)
     return templates, pools
 
 
-def _instantiate(template, slot_pools, rng: random.Random) -> str:
-    parts = []
-    for i, tok in enumerate(template):
-        if tok is None:
-            parts.append(rng.choice(slot_pools[i]))
-        else:
-            parts.append(tok)
-    return " ".join(parts)
+def _below(n: int, getrandbits) -> int:
+    """A uniform draw from ``range(n)``, ``n > 0``:
+    ``getrandbits(n.bit_length())``, drawn again while it reaches ``n``, as
+    CPython 3.11's ``Random._randbelow_with_getrandbits`` draws. Every
+    ``choice``, ``randrange`` and ``randint`` here is this draw."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _compile(template, slot_pools):
+    """A template as a ``%`` format string with a ``%s`` per parameter slot
+    (a literal ``%`` escaped), and the slots' value pools in order."""
+    fmt = " ".join("%s" if tok is None else tok.replace("%", "%%")
+                   for tok in template)
+    return fmt, [slot_pools[i] for i, tok in enumerate(template)
+                 if tok is None]
+
+
+def _message(compiled, getrandbits) -> str:
+    """One message: a value drawn from each slot's pool, left to right."""
+    fmt, slots = compiled
+    values = []
+    for pool in slots:
+        values.append(pool[_below(len(pool), getrandbits)])
+    return fmt % tuple(values)
 
 
 def make_template_corpus(n_templates: int, n_lines: int, seed: int) -> dict:
@@ -109,11 +140,13 @@ def make_template_corpus(n_templates: int, n_lines: int, seed: int) -> dict:
     if n_lines < 1:
         raise ValueError("n_lines must be positive")
     rng = random.Random(seed)
+    bits = rng.getrandbits
     templates, pools = _build_templates(rng, n_templates)
+    compiled = list(map(_compile, templates, pools))
     ids = list(range(min(n_templates, n_lines)))
-    ids += [rng.randrange(n_templates) for _ in range(n_lines - len(ids))]
+    ids += [_below(n_templates, bits) for _ in range(n_lines - len(ids))]
     rng.shuffle(ids)
-    messages = [_instantiate(templates[t], pools[t], rng) for t in ids]
+    messages = [_message(compiled[t], bits) for t in ids]
     return {"messages": messages, "template_ids": ids,
             "templates": templates}
 
@@ -132,7 +165,8 @@ def make_sequence_dataset(n_sequences: int = 300, n_templates: int = 6,
     if not 0.0 <= anomaly_rate <= 1.0:
         raise ValueError("anomaly_rate must be in [0, 1]")
     rng = random.Random(seed)
-    templates, pools = _build_templates(rng, n_templates)
+    bits = rng.getrandbits
+    compiled = list(map(_compile, *_build_templates(rng, n_templates)))
     n_anomalous = round(anomaly_rate * n_sequences)
     anomalous = set(rng.sample(range(n_sequences), n_anomalous))
 
@@ -143,12 +177,13 @@ def make_sequence_dataset(n_sequences: int = 300, n_templates: int = 6,
         sid = f"seq_{s:05d}"
         order = list(range(n_templates))
         rng.shuffle(order)
-        order += [rng.randrange(n_templates) for _ in range(rng.randint(0, 4))]
-        events = [_instantiate(templates[t], pools[t], rng) for t in order]
+        order += [_below(n_templates, bits)
+                  for _ in range(_below(5, bits))]
+        events = [_message(compiled[t], bits) for t in order]
         if s in anomalous:
-            for j in range(rng.randint(1, 2)):
+            for j in range(1 + _below(2, bits)):
                 unique = f"q{s}z{j}q"
-                events.insert(rng.randrange(len(events) + 1),
+                events.insert(_below(len(events) + 1, bits),
                               f"fault_marker burst_marker {unique}")
         for msg in events:
             ev_seq.append(sid)
@@ -173,18 +208,18 @@ def make_sequence_dataset(n_sequences: int = 300, n_templates: int = 6,
     return events, sequences
 
 
-_FAULT_TEMPLATE = ["fault_marker", "machine", "check", "interrupt", None]
-_FAULT_POOL = {4: [f"0x{v:06x}" for v in range(16, 22)]}
+_FAULT = _compile(["fault_marker", "machine", "check", "interrupt", None],
+                  {4: [f"0x{v:06x}" for v in range(16, 22)]})
 
 
-def _bgl_day_strings(day: int, cache: dict):
-    strings = cache.get(day)
-    if strings is None:
-        d = _date.fromordinal(day + _date(1970, 1, 1).toordinal())
-        strings = (f"{d.year}.{d.month:02d}.{d.day:02d}",
-                   f"{d.year}-{d.month:02d}-{d.day:02d}")
-        cache[day] = strings
-    return strings
+# two-digit hours, minutes and seconds
+_TWO = tuple(f"{v:02d}" for v in range(60))
+
+
+def _bgl_day_strings(day: int):
+    d = _date.fromordinal(day + _date(1970, 1, 1).toordinal())
+    return (f"{d.year}.{d.month:02d}.{d.day:02d}",
+            f"{d.year}-{d.month:02d}-{d.day:02d}")
 
 
 def generate_synthetic(out_dir, format: str = "bgl", n_templates: int = 8,
@@ -202,34 +237,38 @@ def generate_synthetic(out_dir, format: str = "bgl", n_templates: int = 8,
         raise ValueError(f"format must be one of {FORMATS}")
     if not 0.0 <= anomaly_rate <= 1.0:
         raise ValueError("anomaly_rate must be in [0, 1]")
+    if n_lines < 1:
+        raise ValueError("n_lines must be positive")
+    rng = random.Random(seed)
+    compiled = list(map(_compile, *_build_templates(rng, n_templates)))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = name or f"synthetic_{format}_{n_lines}"
     log_path = out_dir / f"{stem}.log"
     truth_path = out_dir / f"{stem}_truth.csv"
-    rng = random.Random(seed)
-    templates, pools = _build_templates(rng, n_templates)
 
     if format == "bgl":
-        _write_bgl(log_path, truth_path, templates, pools, rng,
-                   n_lines, anomaly_rate)
+        _write_bgl(log_path, truth_path, compiled, rng, n_lines,
+                   anomaly_rate)
         return {"log": log_path, "truth": truth_path, "labels": None}
     labels_path = out_dir / f"{stem}_labels.csv"
-    _write_hdfs(log_path, truth_path, labels_path, templates, pools, rng,
-                n_lines, anomaly_rate)
+    _write_hdfs(log_path, truth_path, labels_path, compiled, rng, n_lines,
+                anomaly_rate)
     return {"log": log_path, "truth": truth_path, "labels": labels_path}
 
 
 _CHUNK = 100_000
 
 
-def _write_bgl(log_path, truth_path, templates, pools, rng,
-               n_lines, anomaly_rate) -> None:
-    n_templates = len(templates)
-    nodes = [f"R{rng.randrange(64):02d}-M{rng.randrange(4)}-N{rng.randrange(8)}"
+def _write_bgl(log_path, truth_path, compiled, rng, n_lines,
+               anomaly_rate) -> None:
+    bits = rng.getrandbits
+    n_templates = len(compiled)
+    nodes = [f"R{_below(64, bits):02d}-M{_below(4, bits)}-N{_below(8, bits)}"
              for _ in range(12)]
+    micros = [f"{v:06d}" for v in range(min(n_lines, 997))]
     base_epoch = 1117838570
-    day_cache: dict = {}
+    datestr, datedash = _bgl_day_strings(base_epoch // 86400)
     lines: list[str] = []
     truth: list[str] = ["line,template_id,label"]
     with open(log_path, "w", encoding="utf-8", newline="\n") as logf, \
@@ -237,23 +276,25 @@ def _write_bgl(log_path, truth_path, templates, pools, rng,
         for i in range(n_lines):
             epoch = base_epoch + i
             sec = epoch % 86400
-            datestr, datedash = _bgl_day_strings(epoch // 86400, day_cache)
-            fulltime = (f"{datedash}-{sec // 3600:02d}."
-                        f"{(sec % 3600) // 60:02d}.{sec % 60:02d}.{i % 997:06d}")
+            if not sec:
+                datestr, datedash = _bgl_day_strings(epoch // 86400)
             if anomaly_rate and rng.random() < anomaly_rate:
                 tid = n_templates
                 alert = "FAULT"
                 level = "FATAL"
-                msg = _instantiate(_FAULT_TEMPLATE, _FAULT_POOL, rng)
+                msg = _message(_FAULT, bits)
+                truth.append(f"{i},{tid},1")
             else:
-                tid = rng.randrange(n_templates)
+                tid = _below(n_templates, bits)
                 alert = "-"
                 level = "INFO"
-                msg = _instantiate(templates[tid], pools[tid], rng)
+                msg = _message(compiled[tid], bits)
+                truth.append(f"{i},{tid},0")
             node = nodes[i % len(nodes)]
-            lines.append(f"{alert} {epoch} {datestr} {node} {fulltime} "
-                         f"{node} RAS KERNEL {level} {msg}")
-            truth.append(f"{i},{tid},{int(alert != '-')}")
+            lines.append(f"{alert} {epoch} {datestr} {node} {datedash}-"
+                         f"{_TWO[sec // 3600]}.{_TWO[sec // 60 % 60]}."
+                         f"{_TWO[sec % 60]}.{micros[i % 997]} {node} "
+                         f"RAS KERNEL {level} {msg}")
             if len(lines) >= _CHUNK:
                 logf.write("\n".join(lines))
                 logf.write("\n")
@@ -268,9 +309,10 @@ def _write_bgl(log_path, truth_path, templates, pools, rng,
             truthf.write("\n")
 
 
-def _write_hdfs(log_path, truth_path, labels_path, templates, pools, rng,
-                n_lines, anomaly_rate) -> None:
-    n_templates = len(templates)
+def _write_hdfs(log_path, truth_path, labels_path, compiled, rng, n_lines,
+                anomaly_rate) -> None:
+    bits = rng.getrandbits
+    n_templates = len(compiled)
     components = ["dfs.DataNode$PacketResponder", "dfs.FSNamesystem",
                   "dfs.DataNode$DataXceiver", "dfs.DataBlockScanner"]
     lines: list[str] = []
@@ -278,36 +320,30 @@ def _write_hdfs(log_path, truth_path, labels_path, templates, pools, rng,
     label_rows: list[str] = ["BlockId,Label"]
     written = 0
     seq_index = 0
-    base_sec = 0
     with open(log_path, "w", encoding="utf-8", newline="\n") as logf, \
             open(truth_path, "w", encoding="utf-8", newline="\n") as truthf:
         while written < n_lines:
-            block = f"blk_{rng.randrange(10**9, 10**10)}"
+            block = f"blk_{10**9 + _below(9 * 10**9, bits)}"
             anomalous = bool(anomaly_rate) and rng.random() < anomaly_rate
-            length = rng.randint(4, 12)
             events = []
-            for _ in range(length):
-                tid = rng.randrange(n_templates)
-                events.append((tid, _instantiate(templates[tid], pools[tid],
-                                                 rng)))
+            for _ in range(4 + _below(9, bits)):
+                tid = _below(n_templates, bits)
+                events.append((tid, _message(compiled[tid], bits)))
             if anomalous:
-                for j in range(rng.randint(1, 2)):
-                    unique = f"q{seq_index}z{j}q"
-                    events.insert(
-                        rng.randrange(len(events) + 1),
-                        (n_templates,
-                         f"fault_marker burst_marker {unique}"))
+                for j in range(1 + _below(2, bits)):
+                    events.insert(_below(len(events) + 1, bits),
+                                  (n_templates, "fault_marker burst_marker "
+                                   f"q{seq_index}z{j}q"))
             label_rows.append(f"{block},{'Anomaly' if anomalous else 'Normal'}")
-            for tid, msg in events:
-                if written >= n_lines:
-                    break
-                sec = (base_sec + written) % 86400
-                timestr = (f"{sec // 3600:02d}{(sec % 3600) // 60:02d}"
-                           f"{sec % 60:02d}")
-                comp = components[written % len(components)]
-                lines.append(f"081109 {timestr} {written % 9000 + 100} INFO "
-                             f"{comp}: {msg} {block}")
-                truth.append(f"{written},{tid},{int(anomalous)}")
+            label = int(anomalous)
+            for tid, msg in events[:n_lines - written]:
+                sec = written % 86400
+                lines.append(f"081109 {_TWO[sec // 3600]}"
+                             f"{_TWO[sec // 60 % 60]}{_TWO[sec % 60]} "
+                             f"{written % 9000 + 100} INFO "
+                             f"{components[written % len(components)]}: "
+                             f"{msg} {block}")
+                truth.append(f"{written},{tid},{label}")
                 written += 1
             seq_index += 1
             if len(lines) >= _CHUNK:

@@ -121,8 +121,13 @@ class TokenColumn:
         """The codes of all rows in row order, and each row's length. What
         it builds on the way, one item per row or per code, is int32 while
         the entries' codes and all rows' codes are fewer than 2**31."""
+        entry_lengths = np.diff(self.offsets)
+        if (entry_lengths == 1)[self.rows].all():
+            # one code per row: it is the code its entry opens with
+            return (self.codes[self.offsets[self.rows]],
+                    np.ones(len(self.rows), dtype=np.int64))
         kind = np.int32 if len(self.codes) < 2**31 else np.int64
-        lengths = np.diff(self.offsets).astype(kind)[self.rows]
+        lengths = entry_lengths.astype(kind)[self.rows]
         total = int(lengths.sum(dtype=np.int64))
         if total >= 2**31:
             kind = np.int64

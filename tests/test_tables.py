@@ -945,6 +945,29 @@ def test_flat_and_concat_match_the_reference():
             sum((entries[r] for r in rows[counts[0]:]), [])]
 
 
+def test_flat_of_one_code_rows_matches_the_general_path():
+    # every row one code, rows repeated and out of entry order; entries no
+    # row reads may hold any number of codes, and shift the others' codes
+    rng = np.random.default_rng(25)
+    for _ in range(100):
+        entries = [["u", "v", "w"], []] + [
+            ["t%d" % rng.integers(6)] for _ in range(rng.integers(1, 8))]
+        rows = rng.integers(2, len(entries), size=rng.integers(20))
+        col = TokenColumn.of(entries)[rows]
+        codes, lengths = col.flat()
+        want_codes, want_lengths = _flat_reference(col)
+        assert codes.dtype == want_codes.dtype
+        assert codes.tolist() == want_codes.tolist()
+        assert lengths.dtype == want_lengths.dtype
+        assert lengths.tolist() == want_lengths.tolist() == [1] * len(rows)
+        # one more row of three codes takes the general path, which must
+        # give the same codes for the rows before it
+        general = TokenColumn.of(entries)[np.append(rows, 0)]
+        more_codes, more_lengths = general.flat()
+        assert more_codes[:len(rows)].tolist() == codes.tolist()
+        assert more_lengths.tolist() == [1] * len(rows) + [3]
+
+
 def test_cut_column_renders_its_parts():
     # an unused key-free entry, rows kept whole, one key-free message cut
     # at different offsets, and a key cut from inside its chunk
