@@ -10,7 +10,8 @@ from logbench.loaders import load_hdfs, load_supercomputer, read_hdfs_labels
 from logbench.masking import default_rules, normalize
 from logbench.parsers import DrainParser
 from logbench.synth import (generate_synthetic, make_sequence_dataset,
-                            make_template_corpus, _build_templates)
+                            make_template_corpus, _build_templates, _compile,
+                            _message)
 
 
 def test_corpus_shape_and_determinism():
@@ -63,6 +64,13 @@ def test_messages_match_their_template():
         for tok, expected in zip(tokens, template):
             if expected is not None:
                 assert tok == expected
+
+
+def test_compiled_template_keeps_a_literal_percent():
+    compiled = _compile(["50%", "done", None, "%s"], {2: ["x%d", "y"]})
+    rng = random.Random(0)
+    got = {_message(compiled, rng.getrandbits) for _ in range(50)}
+    assert got == {"50% done x%d %s", "50% done y %s"}
 
 
 def test_drain_recovers_templates_exactly():
