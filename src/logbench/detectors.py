@@ -555,9 +555,8 @@ def _best_split(X, y: np.ndarray):
     col_max = np.maximum.reduceat(gains, col_start)
     col_len = np.diff(np.r_[col_start, len(cut)])
     at_max = np.flatnonzero(gains == np.repeat(col_max, col_len))
-    _, first_at = np.unique(np.repeat(np.arange(len(col_start)), col_len)
-                            [at_max], return_index=True)
-    col_arg = at_max[first_at]
+    at_col = np.repeat(np.arange(len(col_start)), col_len)[at_max]
+    col_arg = at_max[np.r_[True, at_col[1:] != at_col[:-1]]]
     # the scan in index order: every gain seen so far stays at most
     # best_gain + 1e-12, so only a column beating all columns before it
     # can replace the incumbent, and the scan visits only those

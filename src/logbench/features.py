@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 from scipy import sparse
 
-from .tables import TokenColumn, _first_seen_order
+from .tables import TokenColumn, _first_seen
 
 
 class Vocabulary:
@@ -57,8 +57,10 @@ def fit_vocabulary(documents, min_count: int = 1) -> Vocabulary:
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
     docs = TokenColumn.of(documents)
-    codes, _ = docs.flat()
-    seen = _first_seen_order(codes)[0]
+    # at intp once: minimum.at, the gathers and bincount would each cast
+    # narrower codes
+    codes = docs.flat()[0].astype(np.intp)
+    seen = codes[_first_seen(codes)[1]]
     kept = seen[np.bincount(codes, minlength=len(docs.tokens))[seen]
                 >= min_count]
     terms = map(docs.tokens.__getitem__, kept.tolist())

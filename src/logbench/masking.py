@@ -40,8 +40,8 @@ from itertools import accumulate, count, repeat
 
 import numpy as np
 
-from .tables import (CodedColumn, TokenColumn, _first_seen_codes,
-                     _first_seen_inverse, _first_seen_order, object_column)
+from .tables import (CodedColumn, TokenColumn, _first_seen,
+                     _first_seen_codes, object_column)
 
 # messages whose chunks are split and coded at a time
 _CHUNK_BLOCK = 4096
@@ -217,7 +217,7 @@ def _normalize_chunks(msgs: list[str], rules: list[MaskingRule]):
     entry_of = _first_seen_codes(_run_bytes(run, bounds))[1]
     # the first message of each distinct masked one stands for it
     kept, lengths = TokenColumn(pieces, run, bounds,
-                                _first_seen_order(entry_of)[1]).flat()
+                                _first_seen(entry_of)[1]).flat()
     render, code = _masked(pieces, kept, lengths)
     return render, entry_of, code
 
@@ -253,9 +253,11 @@ def _chunk_runs(msgs: list[str], rules: list[MaskingRule]):
 
 
 def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
-                   pairs: np.ndarray, rules: list[MaskingRule]):
+                   pairs: np.ndarray, first: np.ndarray,
+                   rules: list[MaskingRule]):
     """``_normalize_chunks`` of the column ``CodedColumn.cut(free, keys,
-    at)``, whose rows' (free, at) pair codes are ``pairs``.
+    at)``, whose rows' (free, at) pair codes are ``pairs``, pair ``p``
+    first appearing at row ``first[p]``.
 
     The chunk pass runs over the distinct key-free messages and the
     distinct keys. A row's masked-chunk codes are its pair's run, the
@@ -275,7 +277,6 @@ def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
     pieces, run, bounds = _chunk_runs(cells + keys.dictionary, rules)
     n = len(pieces)
     # each pair's run, with a hole in the chunk its key was cut from
-    first = _first_seen_order(pairs)[1]
     free_of = free.codes[first]
     slot = np.array([-1 if a < 0 else cells[f].count(" ", 0, a) for f, a in
                      zip(free_of.tolist(), at[first].tolist())],
@@ -308,7 +309,7 @@ def _normalize_cut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
     holes = np.concatenate((slot, hole - opens))
     shape = pairs.astype(np.int64)
     shape[moved] = len(first) + np.arange(len(moved))
-    entry_of, rows = _first_seen_inverse(
+    entry_of, rows = _first_seen(
         _first_seen_codes(_run_bytes(shapes, shape_bounds))[1][shape]
         .astype(np.int64) * (n + 1) + key_piece + 1)
     # the first row of each distinct masked message stands for it

@@ -429,10 +429,10 @@ def _documents(table, config: PipelineConfig) -> TokenColumn:
         seqs = table["event_ids"].tolist()
         flat = np.fromiter(itertools.chain.from_iterable(seqs), np.int64)
         offsets, rows = np.cumsum([0, *map(len, seqs)]), np.arange(len(seqs))
+        ids, codes = np.unique(flat, return_inverse=True)
     else:  # one entry per distinct id, shared by the rows that hold it
-        flat, rows = np.unique(table["e_event_id"], return_inverse=True)
-        offsets = np.arange(len(flat) + 1)
-    ids, codes = np.unique(flat, return_inverse=True)
+        ids, rows = np.unique(table["e_event_id"], return_inverse=True)
+        codes, offsets = np.arange(len(ids)), np.arange(len(ids) + 1)
     return TokenColumn([f"e{e}" for e in ids.tolist()], codes, offsets, rows)
 
 

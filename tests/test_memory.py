@@ -5,7 +5,10 @@ matrix entry) above the inputs, traced by tracemalloc on a seeded corpus
 of about 1M tokens. The bounds sit between these kernels' peaks (about
 8.5, 18 and 34 bytes) and those of the same algorithms holding int64
 indices and keeping their temporaries to the end (about 17, 43 and 83
-bytes), so a kernel that does both fails.
+bytes), so a kernel that does both fails. ``fit_vocabulary``'s bound
+sits between its peak with one dense first-place table (about 12 bytes)
+and with a sort of every token's value and place packed into an int64
+(about 19 bytes).
 """
 
 import tracemalloc
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 from logbench.detectors import _best_split
-from logbench.features import Vocabulary, vectorize
+from logbench.features import Vocabulary, fit_vocabulary, vectorize
 from logbench.tables import TokenColumn
 
 
@@ -46,12 +49,14 @@ def _peak(run) -> int:
 
 
 @pytest.mark.parametrize("kernel, bound", [("flat", 12), ("vectorize", 28),
-                                           ("best_split", 56)])
+                                           ("best_split", 56),
+                                           ("fit_vocabulary", 16)])
 def test_kernel_peak_per_stored_token(corpus, kernel, bound):
     docs, vocab, X, y = corpus
     run, stored = {
         "flat": (docs.flat, len(docs.codes)),
         "vectorize": (lambda: vectorize(docs, vocab), len(docs.codes)),
         "best_split": (lambda: _best_split(X, y), X.nnz),
+        "fit_vocabulary": (lambda: fit_vocabulary(docs), len(docs.codes)),
     }[kernel]
     assert _peak(run) < bound * stored

@@ -8,8 +8,7 @@ import pytest
 from logbench import tables
 from logbench.cli import main
 from logbench.tables import (CodedColumn, EventTable, SequenceTable, Table,
-                             TokenColumn, _first_seen_codes,
-                             _first_seen_inverse, _first_seen_order,
+                             TokenColumn, _first_seen, _first_seen_codes,
                              _null_mask, object_column, split_train_test,
                              validate_event_table)
 
@@ -869,29 +868,48 @@ def test_v1_str_column_loads_and_saves_as_v2(tmp_path):
         (tmp_path / "b.table.json").read_bytes()
 
 
-def test_first_seen_order_matches_unique():
-    rng = np.random.default_rng(5)
-    for n, k in ((0, 1), (1, 1), (50, 3), (1000, 40), (1000, 5000)):
-        codes = rng.integers(-1, k, size=n).astype(np.int32)
-        values, first = _first_seen_order(codes)
-        kept = np.unique(codes[codes >= 0], return_index=True)
-        at = np.flatnonzero(codes >= 0)[kept[1]]
-        order = np.argsort(at)
-        assert values.tolist() == kept[0][order].tolist()
-        assert first.tolist() == at[order].tolist()
-
-
-def test_first_seen_inverse_matches_a_dict():
-    rng = np.random.default_rng(6)
-    for n, k in ((0, 1), (1, 1), (50, 3), (1000, 40), (1000, 5000)):
-        values = rng.integers(0, k, size=n).astype(np.int64) * 10**12 - 7
-        codes, first = _first_seen_inverse(values)
-        seen = {}
-        for i, v in enumerate(values.tolist()):
+def _first_seen_reference(values):
+    """``_first_seen`` by a dict: codes in first-seen order, -1 for a
+    negative value, and each distinct value's first index."""
+    seen = {}
+    for i, v in enumerate(values.tolist()):
+        if v >= 0:
             seen.setdefault(v, (len(seen), i))
+    return ([seen[v][0] if v >= 0 else -1 for v in values.tolist()],
+            [i for _, i in seen.values()])
+
+
+@pytest.mark.parametrize("case", ["empty", "one", "bounded", "distinct",
+                                  "sparse"])
+def test_first_seen_matches_a_dict(case):
+    rng = np.random.default_rng(6)
+    inputs = {
+        "empty": [np.zeros(0, dtype=np.int32)],
+        "one": [np.array([v], dtype=dt) for v in (-1, 0, 7, 2**40)
+                for dt in (np.int32, np.int64) if v < 2**31],
+        # codes over a dictionary, -1 for None: dense and sparse in it;
+        # values below -1 are absent too
+        "bounded": [rng.integers(lo, k, size=n).astype(np.int32)
+                    for n, k, lo in ((50, 3, -1), (1000, 40, -1),
+                                     (1000, 5000, -1), (10, 10**6, -1),
+                                     (100, 40, -3))],
+        "distinct": [rng.permutation(n).astype(np.int64)
+                     for n in (1, 2, 1000)] + [np.arange(-1, 500)],
+        # packed keys: wide values, and negatives below -1
+        "sparse": [rng.integers(lo, 2**62, size=n, dtype=np.int64)
+                   // k * k for n, k, lo in ((1000, 2**58, 0),
+                                             (1000, 1, 0),
+                                             (1000, 2**59, -2**62),
+                                             (7, 1, -2**62))],
+    }[case]
+    for values in inputs:
+        before = values.copy()
+        codes, first = _first_seen(values)
+        want_codes, want_first = _first_seen_reference(values)
         assert codes.dtype == np.int32
-        assert codes.tolist() == [seen[v][0] for v in values.tolist()]
-        assert first.tolist() == [i for _, i in seen.values()]
+        assert codes.tolist() == want_codes
+        assert first.tolist() == want_first
+        assert values.tolist() == before.tolist()  # the input is kept
 
 
 def test_token_column_keeps_equal_tokens_of_other_types_apart():
@@ -979,6 +997,7 @@ def test_cut_column_renders_its_parts():
     assert column.parts[2].tolist() == [2, -1, 2, 4, -1, 3]
     # the (free code, at) pairs in first-seen order
     assert column.parts[3].tolist() == [0, 1, 0, 2, 1, 3]
+    assert column.parts[4].tolist() == [0, 1, 3, 5]  # where each first is
     assert column.codes.tolist() == [0, 1, 2, 3, 1, 4]
     assert column.first_seen() is column
     assert column.tolist() == want
