@@ -14,7 +14,7 @@ import numpy as np
 from . import masking
 from .ngram import NGramModel, ngram_score
 from .tables import (CodedColumn, EventTable, SequenceTable, Table,
-                     TokenColumn, object_column)
+                     TokenColumn)
 
 
 def add_normalized(events: Table, rules=None,
@@ -69,8 +69,9 @@ def aggregate_sequences(events: Table, labels=None) -> SequenceTable:
 
     Always emits seq_id, seq_len and duration (latest minus earliest
     timestamp within the sequence, NaT when one of them is NaT). When the
-    event table carries ``e_event_id`` or ``e_words``, the per-sequence id
-    trace and flattened token list come along. ``labels`` may be a
+    event table carries ``e_event_id`` or ``e_words``, each sequence's ids
+    (``event_ids``) or tokens (``words``) in row order come along, both as
+    a ``TokenColumn`` with one entry per sequence. ``labels`` may be a
     SequenceTable (its seq_id/label columns are joined) or a dict of seq_id
     to bool; sequences without a label entry are labeled normal and counted
     in meta. Events with a null seq_id are skipped, also counted.
@@ -85,8 +86,7 @@ def aggregate_sequences(events: Table, labels=None) -> SequenceTable:
     # rows grouped by sequence, each group in row order
     perm = kept[np.argsort(codes[kept], kind="stable")]
     seq_lens = np.bincount(codes[kept], minlength=len(order))
-    ends = np.cumsum(seq_lens)
-    starts = ends - seq_lens
+    starts = np.cumsum(seq_lens) - seq_lens
     columns: dict = {
         "seq_id": CodedColumn(order, np.arange(len(order))),
         "seq_len": seq_lens,
@@ -99,13 +99,10 @@ def aggregate_sequences(events: Table, labels=None) -> SequenceTable:
             np.maximum.reduceat(ts, starts) - np.minimum.reduceat(ts, starts)
             if len(order) else np.zeros(0, dtype="timedelta64[us]"))
 
-    if "e_event_id" in events:
-        ids = events["e_event_id"][perm].tolist()
-        columns["event_ids"] = object_column(
-            [ids[a:b] for a, b in zip(starts.tolist(), ends.tolist())])
-    if "e_words" in events:
-        columns["words"] = \
-            TokenColumn.of(events["e_words"])[perm].concat(seq_lens)
+    for source, name in (("e_event_id", "event_ids"), ("e_words", "words")):
+        if source in events:
+            columns[name] = \
+                TokenColumn.of(events[source])[perm].concat(seq_lens)
 
     meta = {"events_without_seq_id": skipped}
     if labels is not None:

@@ -8,13 +8,14 @@ exists in the same file, otherwise they are dropped; both cases are counted
 in ``table.meta`` and reported through the module logger, so no input is
 silently lost.
 
-Low-cardinality string columns are coded as they are read: each becomes a
-``CodedColumn``, its distinct values in first-seen order plus an int32 code
-per row. That keeps multi-gigabyte datasets loadable, and table files, CSV
-export and validation read the codes instead of coding the strings again.
-Nearly every value repeats one seen before, so each is coded in one
-dictionary probe: a ``defaultdict(count().__next__)`` gives a new value
-the next code on its first lookup.
+Every text column but the all-distinct time fields (``_PLAIN_FIELDS``) is
+coded as it is read: each becomes a ``CodedColumn``, its distinct values
+in first-seen order plus an int32 code per row. That keeps
+multi-gigabyte datasets loadable, and table files, CSV export and
+validation read the codes instead of coding the strings again. Nearly
+every value repeats one seen before, so each is coded in one dictionary
+probe: a ``defaultdict(count().__next__)`` gives a new value the next code
+on its first lookup.
 
 HDFS messages all but never repeat, since each carries its block id, but
 with that id's chunk cut out most do. ``load_hdfs`` keeps its message
@@ -35,7 +36,6 @@ from datetime import date as _date
 from itertools import compress, count, islice
 from operator import itemgetter
 from pathlib import Path
-from sys import intern
 
 import numpy as np
 
@@ -111,18 +111,18 @@ def load_raw(path) -> EventTable:
     There is no timestamp in the data, so every row is stamped with the
     file's modification time (a single stamp for the whole table), which
     keeps repeated loads of one file identical. Nothing is dropped; empty
-    lines become empty messages.
+    lines become empty messages. Lines are coded as they are read.
     """
-    messages = []
+    message_of = defaultdict(count().__next__)
     with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as f:
-        for line in f:
-            messages.append(line.rstrip("\n"))
+        codes = np.fromiter((message_of[line.rstrip("\n")] for line in f),
+                            np.int32)
     mtime_us = os.stat(path).st_mtime_ns // 1000
-    ts = np.full(len(messages), mtime_us, dtype=np.int64) \
+    ts = np.full(len(codes), mtime_us, dtype=np.int64) \
         .view(np.dtype("datetime64[us]"))
-    meta = {"source": str(path), "lines_read": len(messages),
+    meta = {"source": str(path), "lines_read": len(codes),
             "dropped_lines": 0, "merged_continuations": 0}
-    return EventTable({"m_message": object_column(messages),
+    return EventTable({"m_message": CodedColumn(list(message_of), codes),
                        "m_timestamp": ts}, meta=meta)
 
 
@@ -510,42 +510,6 @@ def _hadoop_epoch_us(datestr: str, timestr: str, cache: dict):
     return (day * 86400 + h * 3600 + m * 60 + s) * 1_000_000 + ms * 1000
 
 
-def _read_hadoop_file(app: str, path: Path):
-    """Parse one container log file. Layout per event line::
-
-        YYYY-MM-DD HH:MM:SS,mmm LEVEL class: message
-
-    Anything else continues the previous event in the same file.
-    """
-    rows = {"epoch": [], "level": [], "component": [], "message": []}
-    dropped = merged = 0
-    lines_read = 0
-    cache: dict = {}
-    with open(path, "r", encoding="utf-8", errors="replace",
-              newline="\n") as f:
-        for line in f:
-            lines_read += 1
-            line = line.rstrip("\n")
-            p = line.split(" ", 4)
-            epoch = None
-            if (len(p) >= 4 and _HADOOP_DATE_RE.match(p[0])
-                    and _HADOOP_TIME_RE.match(p[1]) and p[3].endswith(":")):
-                epoch = _hadoop_epoch_us(p[0], p[1], cache)
-            if epoch is None:
-                if rows["message"]:
-                    rows["message"][-1] = rows["message"][-1] + "\n" + line
-                    merged += 1
-                else:
-                    dropped += 1
-                continue
-            rows["epoch"].append(epoch)
-            rows["level"].append(intern(p[2]))
-            rows["component"].append(intern(p[3][:-1]))
-            rows["message"].append(p[4] if len(p) == 5 else "")
-    return app, rows, {"lines_read": lines_read, "dropped_lines": dropped,
-                       "merged_continuations": merged}
-
-
 def read_app_labels(path) -> dict[str, bool]:
     """Read an ``application,label`` csv.
 
@@ -565,9 +529,17 @@ def load_hadoop(root_dir, app_labels):
 
     ``root_dir`` contains one directory per application run; every regular
     file inside (any depth) is a container log. Files are read one after
-    another in sorted (application, file path) order. ``app_labels`` is either a dict or the path of
-    an ``application,label`` csv. Returns (events, sequences) with the
-    application name as seq_id.
+    another in sorted (application, file path) order. ``app_labels`` is
+    either a dict or the path of an ``application,label`` csv. Returns
+    (events, sequences) with the application name as seq_id. Layout per
+    event line::
+
+        YYYY-MM-DD HH:MM:SS,mmm LEVEL class: message
+
+    Anything else continues the previous event in the same file, or is
+    dropped when none came before it there; both are counted. The level,
+    the class (``component``) and the message are coded as they are read,
+    as ``load_supercomputer`` codes its fields.
     """
     root = Path(root_dir)
     if not root.is_dir():
@@ -578,47 +550,60 @@ def load_hadoop(root_dir, app_labels):
     apps = sorted(d.name for d in root.iterdir() if d.is_dir())
     if not apps:
         logger.warning("hadoop: no application directories under %s", root)
-    jobs = []
-    for app in apps:
-        files = sorted(p for p in (root / app).rglob("*") if p.is_file())
-        for path in files:
-            jobs.append((app, path))
-
-    results = [_read_hadoop_file(app, path) for app, path in jobs]
-
+    level_of, comp_of, message_of = (defaultdict(count().__next__)
+                                     for _ in range(3))
     seqs, epochs, levels, comps, messages = [], [], [], [], []
     dropped = merged = lines_read = 0
-    per_app_counts: dict[str, int] = {a: 0 for a in apps}
-    for app, rows, counts in results:
-        n = len(rows["message"])
-        seqs.extend([app] * n)
-        epochs.extend(rows["epoch"])
-        levels.extend(rows["level"])
-        comps.extend(rows["component"])
-        messages.extend(rows["message"])
-        per_app_counts[app] += n
-        dropped += counts["dropped_lines"]
-        merged += counts["merged_continuations"]
-        lines_read += counts["lines_read"]
+    days: dict = {}
+    for seq, app in enumerate(apps):
+        for path in sorted(filter(Path.is_file, (root / app).rglob("*"))):
+            last = None  # the message of the file's last event
+            with open(path, "r", encoding="utf-8", errors="replace",
+                      newline="\n") as f:
+                for line in f:
+                    lines_read += 1
+                    line = line.rstrip("\n")
+                    p = line.split(" ", 4)
+                    epoch = None
+                    if (len(p) >= 4 and _HADOOP_DATE_RE.match(p[0])
+                            and _HADOOP_TIME_RE.match(p[1])
+                            and p[3].endswith(":")):
+                        epoch = _hadoop_epoch_us(p[0], p[1], days)
+                    if epoch is None:
+                        if last is None:
+                            dropped += 1
+                        else:
+                            last = last + "\n" + line
+                            messages[-1] = message_of[last]
+                            merged += 1
+                        continue
+                    last = p[4] if len(p) == 5 else ""
+                    seqs.append(seq)
+                    epochs.append(epoch)
+                    levels.append(level_of[p[2]])
+                    comps.append(comp_of[p[3][:-1]])
+                    messages.append(message_of[last])
 
     meta = {"source": str(root), "lines_read": lines_read,
             "dropped_lines": dropped, "merged_continuations": merged,
             "sequences": len(apps)}
+    seq_codes = np.fromiter(seqs, np.int32, len(seqs))
+    # an application without events, or a merge, can leave an entry no row
+    # holds: ``first_seen`` drops it
     events = EventTable({
-        "seq_id": object_column([intern(s) for s in seqs]),
-        "m_message": object_column(messages),
+        "seq_id": CodedColumn(apps, seq_codes).first_seen(),
+        "m_message": CodedColumn(list(message_of), messages).first_seen(),
         "m_timestamp": _to_timestamps(epochs),
-        "level": object_column(levels),
-        "component": object_column(comps),
+        "level": CodedColumn(list(level_of), levels),
+        "component": CodedColumn(list(comp_of), comps),
     }, meta=meta)
 
     unlabeled = sum(1 for a in apps if a not in labels)
     seq_meta = {"source": str(root), "sequences_unlabeled": unlabeled}
     sequences = SequenceTable({
-        "seq_id": object_column(apps),
+        "seq_id": CodedColumn(apps, np.arange(len(apps))),
         "label": np.asarray([labels.get(a, False) for a in apps], dtype=bool),
-        "seq_len": np.asarray([per_app_counts[a] for a in apps],
-                              dtype=np.int64),
+        "seq_len": np.bincount(seq_codes, minlength=len(apps)),
     }, meta=seq_meta)
     _warn_counts("hadoop", {**meta, **seq_meta})
     return events, sequences

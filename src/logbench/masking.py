@@ -187,10 +187,11 @@ def normalize(messages, rules: list[MaskingRule] | None = None
     if rules is None:
         rules = default_rules()
     token_local = rules and all(r.token_local for r in rules)
-    if token_local and isinstance(messages, CodedColumn) \
-            and messages.parts is not None:
-        return CodedColumn(*_normalize_cut(*messages.parts, rules))
-    text = _coded(messages).first_seen()
+    # a cut column's codes are known before its text is rendered
+    text = _coded(messages)
+    if token_local and text.parts is not None:
+        return CodedColumn(*_normalize_cut(*text.parts, rules))
+    text = text.first_seen()
     if token_local:
         render, entry_of, code = _normalize_chunks(text.dictionary, rules)
         return CodedColumn(render, entry_of[text.codes], code)

@@ -9,9 +9,10 @@ against a real context too.
 from __future__ import annotations
 
 import json
-from itertools import chain
 
 import numpy as np
+
+from .tables import TokenColumn
 
 START_ID = -1  # reserved sentinel, never a real event id
 
@@ -78,13 +79,15 @@ class NGramModel:
 def _window_counts(sequences, n: int) -> list[list[int]]:
     """Every distinct window of n ids over the sequences, each padded on
     the left with n-1 ``START_ID``, with its count appended, in sorted
-    order. Each window is packed into one int64 key and the keys are
-    counted by one ``np.unique``; ids are ranked down first when their
-    range is wide, and the keys whenever one more id could overflow."""
-    seqs = list(sequences)
-    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
-    flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64,
-                       count=int(lengths.sum()))
+    order. The sequences are a ``TokenColumn`` of ids (as
+    ``aggregate_sequences`` makes ``event_ids``), or id lists coded into
+    one, and its flat codes give the ids of all sequences at once. Each
+    window is packed into one int64 key and the keys are counted by one
+    ``np.unique``; ids are ranked down first when their range is wide, and
+    the keys whenever one more id could overflow."""
+    seqs = TokenColumn.of(sequences)
+    codes, lengths = seqs.flat()
+    flat = np.array(seqs.tokens, dtype=np.int64)[codes]
     if not len(flat):
         return []
     # the id at flat[k], of sequence i, sits at k + (i + 1) * (n - 1)

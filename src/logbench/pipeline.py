@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import configparser
 import gc
-import itertools
 import logging
 import time
 from pathlib import Path
@@ -421,19 +420,16 @@ def _warn_degenerate(train, test, X_test, predictions) -> None:
 
 
 def _documents(table, config: PipelineConfig) -> TokenColumn:
-    """The features stage's documents of ``table``, as a token column."""
+    """The features stage's documents of ``table``, as a token column: its
+    words, or its event ids as terms ``e<id>``, per sequence
+    (``event_ids``) or per event (``e_event_id``)."""
     if config.feature_source == "words":
         # the token column itself: the featurizer does not mutate documents
         return table["words" if "words" in table else "e_words"]
-    if "event_ids" in table:  # one entry per sequence
-        seqs = table["event_ids"].tolist()
-        flat = np.fromiter(itertools.chain.from_iterable(seqs), np.int64)
-        offsets, rows = np.cumsum([0, *map(len, seqs)]), np.arange(len(seqs))
-        ids, codes = np.unique(flat, return_inverse=True)
-    else:  # one entry per distinct id, shared by the rows that hold it
-        ids, rows = np.unique(table["e_event_id"], return_inverse=True)
-        codes, offsets = np.arange(len(ids)), np.arange(len(ids) + 1)
-    return TokenColumn([f"e{e}" for e in ids.tolist()], codes, offsets, rows)
+    ids = TokenColumn.of(
+        table["event_ids" if "event_ids" in table else "e_event_id"])
+    return TokenColumn([f"e{e}" for e in ids.tokens], ids.codes,
+                       ids.offsets, ids.rows)
 
 
 def _detect(config: PipelineConfig, train, X_train, X_test):

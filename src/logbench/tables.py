@@ -63,8 +63,9 @@ class TokenColumn:
     """A column of token lists held as codes over one dictionary: entry
     ``e`` is ``tokens[c]`` for ``c`` in ``codes[offsets[e]:offsets[e + 1]]``
     and row ``i`` holds entry ``rows[i]`` (rows with equal messages share
-    one). ``col[i]`` is a new ``list[str]``; ``col[indices]`` gathers rows
-    over the same codes. Tables treat it as an object column of str lists.
+    one). ``col[i]`` is a new list of tokens: str for words, int for event
+    ids; ``col[indices]`` gathers rows over the same codes. Tables treat it
+    as an object column of lists.
     """
 
     dtype = np.dtype(object)
@@ -77,13 +78,21 @@ class TokenColumn:
 
     @classmethod
     def of(cls, lists) -> "TokenColumn":
-        """A token column as it is, or token lists coded, an entry each."""
+        """A token column as it is; a 1-d int array as one entry per
+        distinct id, in id order, holding that id alone (a Python int); or
+        token lists coded, an entry each."""
         if isinstance(lists, TokenColumn):
             return lists
+        if isinstance(lists, np.ndarray) and lists.dtype.kind in "iu" \
+                and lists.ndim == 1:
+            ids, rows = np.unique(lists, return_inverse=True)
+            return cls(ids.tolist(), np.arange(len(ids), dtype=np.int32),
+                       np.arange(len(ids) + 1), rows)
         lists = list(lists)
         flat = list(chain.from_iterable(lists))
         tokens, codes = _first_seen_codes(flat)
-        if not set(map(type, tokens)) <= {str}:
+        if not set(map(type, tokens)) <= {str} \
+                and len(set(map(type, flat))) > 1:
             # 1, True and 1.0 are equal keys: code by type and value
             keys, codes = _first_seen_codes(list(zip(map(type, flat), flat)))
             tokens = [token for _, token in keys]
@@ -100,7 +109,7 @@ class TokenColumn:
                            self.rows[key])
 
     def entry(self, e) -> list:
-        """Entry ``e``'s tokens as a new ``list[str]``."""
+        """Entry ``e``'s tokens as a new list."""
         return list(map(self.tokens.__getitem__, self.codes[
             self.offsets[e]:self.offsets[e + 1]].tolist()))
 
@@ -702,18 +711,26 @@ class SequenceTable(Table):
 class ValidationReport:
     """Outcome of structural validation of an event table.
 
-    The report is valid exactly when all three lists are empty.
+    ``warnings`` names each problem once: the missing columns, the null
+    cells, then any other warning given. The report is valid exactly when
+    it names none.
     """
 
     def __init__(self, missing_columns: list[str], null_cells: list[tuple],
-                 warnings: list[str]):
+                 warnings: list[str] = ()):
         self.missing_columns = list(missing_columns)
         self.null_cells = list(null_cells)
-        self.warnings = list(warnings)
+        self.warnings = []
+        if self.missing_columns:
+            self.warnings.append(
+                "missing columns: " + ", ".join(self.missing_columns))
+        if self.null_cells:
+            self.warnings.append(f"null cells: {len(self.null_cells)}")
+        self.warnings += warnings
 
     @property
     def is_valid(self) -> bool:
-        return not (self.missing_columns or self.null_cells or self.warnings)
+        return not self.warnings
 
     def __repr__(self) -> str:
         state = "valid" if self.is_valid else "invalid"
@@ -721,15 +738,8 @@ class ValidationReport:
                 f"nulls={len(self.null_cells)}, warnings={len(self.warnings)})")
 
     def summary(self) -> str:
-        if self.is_valid:
-            return "table is valid"
-        lines = []
-        if self.missing_columns:
-            lines.append("missing columns: " + ", ".join(self.missing_columns))
-        if self.null_cells:
-            lines.append(f"null cells: {len(self.null_cells)}")
-        lines.extend(self.warnings)
-        return "\n".join(lines)
+        return "\n".join(self.warnings) if self.warnings \
+            else "table is valid"
 
 
 def _null_mask(arr: np.ndarray) -> np.ndarray:
@@ -769,12 +779,7 @@ def validate_event_table(table: Table) -> ValidationReport:
         if mask.any():
             for i in np.flatnonzero(mask):
                 nulls.append((name, int(i)))
-    warnings = []
-    if missing:
-        warnings.append("missing mandatory columns: " + ", ".join(missing))
-    if nulls:
-        warnings.append(f"{len(nulls)} null cells found")
-    return ValidationReport(missing, nulls, warnings)
+    return ValidationReport(missing, nulls)
 
 
 def split_train_test(table: Table, train_fraction: float, seed: int):

@@ -212,27 +212,32 @@ def test_add_ngram_scores():
                          model)
 
 
-def _tracked_objects_held(events, normalized):
+def _tracked_objects_held(events, steps):
     """GC-tracked objects that the token and sequence tables built from
-    ``events`` hold while they are alive."""
+    ``events`` by ``steps`` hold while they are alive."""
     gc.collect()
     before = len(gc.get_objects())
-    words = add_tokens(add_normalized(events) if normalized else events)
+    if "normalize" in steps:
+        events = add_normalized(events)
+    words = add_tokens(events)
+    if "drain" in steps:  # the parser and its templates are dropped
+        words = add_event_ids(words, DrainParser())
     sequences = aggregate_sequences(words)
     gc.collect()
     held = len(gc.get_objects()) - before
-    del words, sequences
+    del events, words, sequences
     return held
 
 
-@pytest.mark.parametrize("normalized", [True, False],
-                         ids=["normalize-tokenize", "tokenize"])
-def test_token_tables_hold_no_objects_per_row(tmp_path, normalized):
+@pytest.mark.parametrize("steps", [("normalize", "tokenize"), ("tokenize",),
+                                   ("normalize", "tokenize", "drain")],
+                         ids="-".join)
+def test_token_tables_hold_no_objects_per_row(tmp_path, steps):
     held = {}
     for n in (2_000, 20_000):
         paths = generate_synthetic(tmp_path / str(n), format="hdfs",
                                    n_templates=10, n_lines=n, seed=5)
         events, _ = load(LoaderSpec("hdfs", paths["log"]))
-        _tracked_objects_held(events, normalized)  # first calls may cache
-        held[n] = _tracked_objects_held(events, normalized)
+        _tracked_objects_held(events, steps)  # first calls may cache
+        held[n] = _tracked_objects_held(events, steps)
     assert held[20_000] <= held[2_000] < 100, held

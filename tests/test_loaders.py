@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 from datetime import date
@@ -44,6 +45,38 @@ def test_load_raw_is_deterministic(tmp_path):
     assert a.meta == b.meta
     mtime_us = os.stat(p).st_mtime_ns // 1000
     assert a["m_timestamp"][0] == np.datetime64(mtime_us, "us")
+
+
+def _digests(tmp_path, tables):
+    """sha256 of each table's saved file and CSV, by name."""
+    out = {}
+    for name, table in tables.items():
+        for ext, write in ((".table.json", table.save),
+                           (".csv", table.write_csv)):
+            write(tmp_path / f"{name}{ext}")
+            out[name + ext] = hashlib.sha256(
+                (tmp_path / f"{name}{ext}").read_bytes()).hexdigest()
+    return out
+
+
+def test_raw_bytes_are_pinned(tmp_path):
+    # repeated and empty lines, a cell csv quotes, a tab, non-ASCII text
+    # and no final newline; the stamp is the file's, so it is set
+    p = tmp_path / "notes.log"
+    p.write_text("alpha 1\n\nbeta, \"quoted\"\nalpha 1\n\n\ngamma\tx "
+                 "\u00fcn\u00efcode\nalpha 1\nlast line, no newline",
+                 encoding="utf-8")
+    os.utime(p, ns=(1_445_087_491_445_000_000,) * 2)
+    events = load_raw(p)
+    assert isinstance(events["m_message"], CodedColumn)
+    assert events.meta == {"source": str(p), "lines_read": 9,
+                           "dropped_lines": 0, "merged_continuations": 0}
+    assert _digests(tmp_path, {"events": events}) == {
+        "events.table.json":
+            "ecafd5e0fea5a753b97cdce66bbb29270374a745155b59363311d047aad7eb48",
+        "events.csv":
+            "ff5ad3304e7c13e7c5dcac5847b61e28a25895287f3db2dd4f7898d6ba8edf16",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +585,28 @@ def test_hadoop_deterministic(data_dir):
     a, _ = load_hadoop(data_dir / "hadoop_tree", data_dir / "hadoop_labels.csv")
     b, _ = load_hadoop(data_dir / "hadoop_tree", data_dir / "hadoop_labels.csv")
     assert a.equals(b)
+
+
+def test_hadoop_bytes_are_pinned(data_dir, tmp_path):
+    root = data_dir / "hadoop_tree"
+    events, sequences = load_hadoop(root, data_dir / "hadoop_labels.csv")
+    for name in ("seq_id", "m_message", "level", "component"):
+        assert isinstance(events[name], CodedColumn), name
+    assert events.meta == {"source": str(root), "lines_read": 16,
+                           "dropped_lines": 1, "merged_continuations": 3,
+                           "sequences": 2}
+    assert sequences.meta == {"source": str(root), "sequences_unlabeled": 0}
+    assert _digests(tmp_path, {"events": events,
+                               "sequences": sequences}) == {
+        "events.table.json":
+            "53399f52e117119aa7085325568d8e27927c050211593f6ad6d3cac5cb9cfc2b",
+        "events.csv":
+            "59983540b10431b91530af59f7c0f7bfb248453b8d67efca52618a28b3aaea82",
+        "sequences.table.json":
+            "833cff915fa083ecfbabb0d788cff9c1687bc38167205fc187a794d1edd1fe19",
+        "sequences.csv":
+            "7ff6a65b71a38983ee92d4433256f48e56ca178b82f9112fbd8e9cdd8e389b97",
+    }
 
 
 def test_hadoop_label_dict_and_bad_root(data_dir, tmp_path):

@@ -577,6 +577,19 @@ def test_only_a_cut_column_takes_the_cut_path(tmp_path, monkeypatch):
             assert normalize(messages).tolist() == want
 
 
+def test_normalize_refuses_a_none_message_of_a_cut_column():
+    from logbench.tables import CodedColumn
+
+    # rows 1 and 3 are None: no key-free message and no cut
+    cut = CodedColumn.cut(CodedColumn(["a 12 b", "x 3"], [0, -1, 1, -1, 0]),
+                          CodedColumn(["k7"], [0, -1, -1, -1, 0]),
+                          [2, -1, -1, -1, 2])
+    assert cut.tolist() == ["a k712 b", None, "x 3", None, "a k712 b"]
+    for messages in (cut, cut.tolist()):
+        with pytest.raises(TypeError, match="messages must be str"):
+            normalize(messages)
+
+
 def test_normalize_of_an_empty_column_is_empty(tmp_path):
     import numpy as np
 

@@ -91,6 +91,13 @@ def test_validate_ok_and_missing():
     assert report.warnings
 
 
+def test_validation_summary_names_each_problem_once():
+    report = validate_event_table(Table({"m_message": [None]}))
+    assert report.summary() == "missing columns: m_timestamp\nnull cells: 1"
+    assert report.warnings == report.summary().split("\n")
+    assert validate_event_table(small_events()).summary() == "table is valid"
+
+
 def test_validate_finds_nulls_but_exempts_seq_id():
     t = EventTable({
         "m_message": ["ok", None],
