@@ -9,13 +9,14 @@ in ``table.meta`` and reported through the module logger, so no input is
 silently lost.
 
 Every text column but the all-distinct time fields (``_PLAIN_FIELDS``) is
-coded as it is read: each becomes a ``CodedColumn``, its distinct values
-in first-seen order plus an int32 code per row. That keeps
-multi-gigabyte datasets loadable, and table files, CSV export and
-validation read the codes instead of coding the strings again. Nearly
-every value repeats one seen before, so each is coded in one dictionary
+returned coded: each is a ``CodedColumn``, its distinct values in
+first-seen order plus an int32 code per row. That keeps multi-gigabyte
+datasets loadable, and table files, CSV export and validation read the
+codes instead of coding the strings again. Where nearly every value
+repeats one seen before, each is coded as it is read, in one dictionary
 probe: a ``defaultdict(count().__next__)`` gives a new value the next code
-on its first lookup.
+on its first lookup. Raw lines are mostly distinct and are coded once
+read, in ``CodedColumn.of``'s two passes.
 
 HDFS messages all but never repeat, since each carries its block id, but
 with that id's chunk cut out most do. ``load_hdfs`` keeps its message
@@ -111,18 +112,17 @@ def load_raw(path) -> EventTable:
     There is no timestamp in the data, so every row is stamped with the
     file's modification time (a single stamp for the whole table), which
     keeps repeated loads of one file identical. Nothing is dropped; empty
-    lines become empty messages. Lines are coded as they are read.
+    lines become empty messages. Raw lines are mostly distinct, so they are
+    coded once read, in ``CodedColumn.of``'s two passes.
     """
-    message_of = defaultdict(count().__next__)
     with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as f:
-        codes = np.fromiter((message_of[line.rstrip("\n")] for line in f),
-                            np.int32)
+        messages = [line.rstrip("\n") for line in f]
     mtime_us = os.stat(path).st_mtime_ns // 1000
-    ts = np.full(len(codes), mtime_us, dtype=np.int64) \
+    ts = np.full(len(messages), mtime_us, dtype=np.int64) \
         .view(np.dtype("datetime64[us]"))
-    meta = {"source": str(path), "lines_read": len(codes),
+    meta = {"source": str(path), "lines_read": len(messages),
             "dropped_lines": 0, "merged_continuations": 0}
-    return EventTable({"m_message": CodedColumn(list(message_of), codes),
+    return EventTable({"m_message": CodedColumn.of(messages),
                        "m_timestamp": ts}, meta=meta)
 
 
@@ -537,9 +537,10 @@ def load_hadoop(root_dir, app_labels):
         YYYY-MM-DD HH:MM:SS,mmm LEVEL class: message
 
     Anything else continues the previous event in the same file, or is
-    dropped when none came before it there; both are counted. The level,
-    the class (``component``) and the message are coded as they are read,
-    as ``load_supercomputer`` codes its fields.
+    dropped when none came before it there; both are counted. The level
+    and the class (``component``) are coded as they are read, as
+    ``load_supercomputer`` codes its fields, and the message once its event
+    ends, so no part of a multi-line message is kept as an entry.
     """
     root = Path(root_dir)
     if not root.is_dir():
@@ -557,7 +558,7 @@ def load_hadoop(root_dir, app_labels):
     days: dict = {}
     for seq, app in enumerate(apps):
         for path in sorted(filter(Path.is_file, (root / app).rglob("*"))):
-            last = None  # the message of the file's last event
+            last = None  # the message of the file's open event
             with open(path, "r", encoding="utf-8", errors="replace",
                       newline="\n") as f:
                 for line in f:
@@ -574,25 +575,27 @@ def load_hadoop(root_dir, app_labels):
                             dropped += 1
                         else:
                             last = last + "\n" + line
-                            messages[-1] = message_of[last]
                             merged += 1
                         continue
+                    if last is not None:
+                        messages.append(message_of[last])
                     last = p[4] if len(p) == 5 else ""
                     seqs.append(seq)
                     epochs.append(epoch)
                     levels.append(level_of[p[2]])
                     comps.append(comp_of[p[3][:-1]])
-                    messages.append(message_of[last])
+            if last is not None:
+                messages.append(message_of[last])
 
     meta = {"source": str(root), "lines_read": lines_read,
             "dropped_lines": dropped, "merged_continuations": merged,
             "sequences": len(apps)}
     seq_codes = np.fromiter(seqs, np.int32, len(seqs))
-    # an application without events, or a merge, can leave an entry no row
-    # holds: ``first_seen`` drops it
+    # an application without events leaves an entry no row holds:
+    # ``first_seen`` drops it
     events = EventTable({
         "seq_id": CodedColumn(apps, seq_codes).first_seen(),
-        "m_message": CodedColumn(list(message_of), messages).first_seen(),
+        "m_message": CodedColumn(list(message_of), messages),
         "m_timestamp": _to_timestamps(epochs),
         "level": CodedColumn(list(level_of), levels),
         "component": CodedColumn(list(comp_of), comps),

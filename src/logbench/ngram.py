@@ -9,6 +9,7 @@ against a real context too.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -79,21 +80,26 @@ class NGramModel:
 def _window_counts(sequences, n: int) -> list[list[int]]:
     """Every distinct window of n ids over the sequences, each padded on
     the left with n-1 ``START_ID``, with its count appended, in sorted
-    order. The sequences are a ``TokenColumn`` of ids (as
-    ``aggregate_sequences`` makes ``event_ids``), or id lists coded into
-    one, and its flat codes give the ids of all sequences at once. Each
-    window is packed into one int64 key and the keys are counted by one
-    ``np.unique``; ids are ranked down first when their range is wide, and
-    the keys whenever one more id could overflow."""
-    seqs = TokenColumn.of(sequences)
-    codes, lengths = seqs.flat()
-    flat = np.array(seqs.tokens, dtype=np.int64)[codes]
+    order. A ``TokenColumn`` of ids (as ``aggregate_sequences`` makes
+    ``event_ids``) gives the ids of all sequences by its flat codes; id
+    lists are flattened as they are, since coding them first costs more
+    than it saves. Each window is packed into one int64 key and the keys
+    are counted by one ``np.unique``; ids are ranked down first when their
+    range is wide, and the keys whenever one more id could overflow."""
+    if isinstance(sequences, TokenColumn):
+        codes, lengths = sequences.flat()
+        flat = np.array(sequences.tokens, dtype=np.int64)[codes]
+    else:
+        seqs = list(sequences)
+        lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+        flat = np.fromiter(chain.from_iterable(seqs), dtype=np.int64,
+                           count=int(lengths.sum()))
     if not len(flat):
         return []
     # the id at flat[k], of sequence i, sits at k + (i + 1) * (n - 1)
     at = np.arange(len(flat)) + np.repeat(
-        np.arange(1, len(seqs) + 1) * (n - 1), lengths)
-    padded = np.full(len(flat) + len(seqs) * (n - 1), START_ID,
+        np.arange(1, len(lengths) + 1) * (n - 1), lengths)
+    padded = np.full(len(flat) + len(lengths) * (n - 1), START_ID,
                      dtype=np.int64)
     padded[at] = flat
     # row k is the window that ends at flat[k]

@@ -711,13 +711,11 @@ class SequenceTable(Table):
 class ValidationReport:
     """Outcome of structural validation of an event table.
 
-    ``warnings`` names each problem once: the missing columns, the null
-    cells, then any other warning given. The report is valid exactly when
-    it names none.
+    ``warnings`` names each problem once: the missing columns, then the
+    null cells. The report is valid exactly when it names none.
     """
 
-    def __init__(self, missing_columns: list[str], null_cells: list[tuple],
-                 warnings: list[str] = ()):
+    def __init__(self, missing_columns: list[str], null_cells: list[tuple]):
         self.missing_columns = list(missing_columns)
         self.null_cells = list(null_cells)
         self.warnings = []
@@ -726,7 +724,6 @@ class ValidationReport:
                 "missing columns: " + ", ".join(self.missing_columns))
         if self.null_cells:
             self.warnings.append(f"null cells: {len(self.null_cells)}")
-        self.warnings += warnings
 
     @property
     def is_valid(self) -> bool:

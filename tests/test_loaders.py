@@ -1,6 +1,7 @@
 import hashlib
 import os
 import re
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -585,6 +586,28 @@ def test_hadoop_deterministic(data_dir):
     a, _ = load_hadoop(data_dir / "hadoop_tree", data_dir / "hadoop_labels.csv")
     b, _ = load_hadoop(data_dir / "hadoop_tree", data_dir / "hadoop_labels.csv")
     assert a.equals(b)
+
+
+def test_hadoop_keeps_no_prefix_of_a_long_trace(tmp_path):
+    # coding the message after each line would hold ~k**2 / 2 lines of text
+    app = tmp_path / "logs" / "application_1_0001"
+    app.mkdir(parents=True)
+    trace = [f"\tat org.example.Frame{i:05d}.call(Frame.java:{i})"
+             for i in range(1000)]
+    (app / "container.log").write_text(
+        "2015-10-18 18:01:47,978 WARN org.example.Task: failed\n"
+        + "\n".join(trace)
+        + "\n2015-10-18 18:01:48,000 INFO org.example.Task: done\n")
+    tracemalloc.start()
+    try:
+        events, _ = load_hadoop(tmp_path / "logs", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events["m_message"].dictionary == ["failed\n" + "\n".join(trace),
+                                              "done"]
+    assert events.meta["merged_continuations"] == 1000
+    assert peak < 2_000_000, peak
 
 
 def test_hadoop_bytes_are_pinned(data_dir, tmp_path):

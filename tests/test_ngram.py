@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from logbench.ngram import START_ID, NGramModel, ngram_score, ngram_train
+from logbench.tables import TokenColumn
 
 
 def test_n_validation():
@@ -23,6 +24,16 @@ def test_bigram_hand_case():
     probs, score = ngram_score(model, [5, 7, 9], p0=0.05)
     assert probs == [1.0, 1.0, 0.0]
     assert score == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_token_column_counts_match_lists(n):
+    rng = random.Random(5)
+    seqs = [[rng.choice([3, 7, -5, 2**40]) for _ in range(rng.randint(0, 9))]
+            for _ in range(30)]
+    rows = TokenColumn.of(seqs)[[4, 0, 4, 29, 11]]
+    assert ngram_train(rows, n=n).counts == \
+        ngram_train([seqs[i] for i in (4, 0, 4, 29, 11)], n=n).counts
 
 
 def test_probability_is_count_ratio():
