@@ -11,7 +11,7 @@ enhancers  derived columns and sequence aggregation
 features   vocabularies and sparse count matrices
 detectors  supervised / unsupervised detectors and evaluation
 synth      seeded synthetic corpora and log files
-bench      wall-clock benchmarks
+bench      paired timings of the paper's two speed claims
 pipeline   INI-configured end-to-end runs
 cli        the ``logbench`` command
 """
@@ -35,8 +35,7 @@ from .detectors import (DecisionTreeDetector, EvalReport,
                         train_unsupervised)
 from .synth import (generate_synthetic, make_sequence_dataset,
                     make_template_corpus)
-from .bench import (BenchReport, bench_loading, bench_masking_offload,
-                    bench_parsers)
+from .bench import BenchReport, bench_loading, bench_masking_offload
 from .pipeline import ConfigError, PipelineConfig, StageError, run_pipeline
 
 __version__ = "0.1.0"
@@ -58,7 +57,7 @@ __all__ = [
     "RarityDetector", "auc_roc", "evaluate", "load_model", "save_model",
     "scores_to_labels", "train_supervised", "train_unsupervised",
     "generate_synthetic", "make_sequence_dataset", "make_template_corpus",
-    "BenchReport", "bench_loading", "bench_masking_offload", "bench_parsers",
+    "BenchReport", "bench_loading", "bench_masking_offload",
     "ConfigError", "PipelineConfig", "StageError", "run_pipeline",
     "__version__",
 ]

@@ -1,32 +1,30 @@
-"""Wall-clock benchmarks for loading and template mining.
+"""Paired wall-clock benchmarks for the paper's two speed claims.
 
-Timings collect into a BenchReport: one row per (dataset, phase) holding the
-line count, every repeat, and the median and minimum. The median is the
-headline number; single timings on shared hardware are noise.
+Each times one step two ways, alternately, ``repeats`` times each, so slow
+drift of the machine hits both alike: loading a log (``bench_loading``) and
+masking before template mining (``bench_masking_offload``). Timings collect
+into a BenchReport: one row per phase holding the row count, every repeat,
+and the median and minimum. The median is the headline number; single
+timings on shared hardware are noise.
 """
 
 from __future__ import annotations
 
-import logging
+import re
 import statistics
 import time
-from pathlib import Path
+from dataclasses import dataclass
 
 from . import loaders, masking
 from .parsers import PARSERS, make_parser
 
-logger = logging.getLogger("logbench.bench")
 
-
+@dataclass
 class BenchRow:
-    __slots__ = ("data", "lines", "phase", "seconds")
-
-    def __init__(self, data: str, lines: int, phase: str,
-                 seconds: list[float]):
-        self.data = data
-        self.lines = lines
-        self.phase = phase
-        self.seconds = list(seconds)
+    data: str
+    lines: int
+    phase: str
+    seconds: list[float]
 
     @property
     def median(self) -> float:
@@ -51,9 +49,9 @@ class BenchReport:
         self.rows.append(row)
         return row
 
-    def row(self, phase: str, data: str | None = None) -> BenchRow:
+    def row(self, phase: str) -> BenchRow:
         for r in self.rows:
-            if r.phase == phase and (data is None or r.data == data):
+            if r.phase == phase:
                 return r
         raise KeyError(f"no bench row for phase {phase!r}")
 
@@ -72,105 +70,105 @@ class BenchReport:
         return "\n".join(out)
 
 
-def _timed(fn) -> tuple:
-    start = time.perf_counter()
-    result = fn()
-    return time.perf_counter() - start, result
-
-
-def bench_loading(specs, repeats: int = 3) -> BenchReport:
-    """Time each loader spec end to end, repeats times.
-
-    Specs whose log path does not exist are skipped with a notice instead of
-    failing the whole run, so one report can cover whichever datasets are
-    actually present on the machine.
-    """
-    report = BenchReport()
-    for spec in specs:
-        if not Path(spec.log_path).exists():
-            logger.warning("skipping %s: %s does not exist",
-                           spec.format, spec.log_path)
-            continue
-        seconds = []
-        lines = 0
-        for _ in range(repeats):
-            elapsed, (events, _) = _timed(lambda: loaders.load(spec))
-            seconds.append(elapsed)
-            lines = len(events)
-            del events
-        report.add(str(spec.log_path), lines, "load", seconds)
-    return report
-
-
-def bench_parsers(messages, parsers=("drain",), rules=None, repeats: int = 3,
-                  parser_params: dict | None = None) -> BenchReport:
-    """Time template mining over a message column.
-
-    Each repeat masks the whole column once (phase "mask"), then parses the
-    masked text with a fresh parser of each kind (phase "parse_<kind>");
-    the "total_<kind>" rows hold the per-repeat sums. In-parser masking is
-    timed by ``bench_masking_offload``.
-    """
-    for kind in parsers:
-        if kind not in PARSERS:
-            raise ValueError(f"unknown parser {kind!r}")
-    if rules is None:
-        rules = masking.default_rules()
-    params = parser_params or {}
-    messages = list(messages)
-    report = BenchReport()
-    n = len(messages)
-
-    mask_seconds = []
+def _interleaved(a, b, repeats: int):
+    """Call ``a`` and ``b`` alternately (a, b, a, b, ...), ``repeats``
+    times each; return each one's seconds per call and the ``len`` of its
+    last result. A result is dropped once its clock stops, so no call runs
+    beside the other's output and no timing includes freeing it."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    seconds, sizes = ([], []), [0, 0]
     for _ in range(repeats):
-        elapsed, masked = _timed(lambda: masking.normalize(messages, rules))
-        mask_seconds.append(elapsed)
-    report.add("messages", n, "mask", mask_seconds)
-    for kind in parsers:
-        parse_seconds = []
-        for _ in range(repeats):
-            parser = make_parser(kind, **params.get(kind, {}))
-            elapsed, _ = _timed(lambda: parser.parse(masked))
-            parse_seconds.append(elapsed)
-        report.add("messages", n, f"parse_{kind}", parse_seconds)
-        report.add("messages", n, f"total_{kind}",
-                   [a + b for a, b in zip(mask_seconds, parse_seconds)])
+        for i, fn in enumerate((a, b)):
+            start = time.perf_counter()
+            result = fn()
+            seconds[i].append(time.perf_counter() - start)
+            sizes[i] = len(result)
+            del result
+    return seconds, sizes
+
+
+# the loaders' field layouts in logparser's log format notation; Content
+# is the message, last in each
+_LAYOUTS = {
+    "hdfs": "<Date> <Time> <Pid> <Level> <Component>: <Content>",
+    "bgl": "<Label> <Timestamp> <Date> <Node> <Time> <NodeRepeat> <Type> "
+           "<Component> <Level> <Content>",
+    **dict.fromkeys(("thunderbird", "spirit", "liberty"),
+                    "<Label> <Timestamp> <Date> <Admin> <Month> <Day> "
+                    "<Time> <Location> <Content>"),
+}
+
+
+def reference_load(spec) -> list[list[str]]:
+    """The loading baseline: logparser's ``log_to_dataframe``, without pandas.
+
+    As logparser's ``generate_logformat_regex`` does, the format's layout
+    becomes one lazy named group per ``<Header>``, each run of spaces
+    between them ``\\s+``, anchored at both ends. Each stripped line is
+    searched; a match keeps one list of its group strings, the message
+    (Content) last, and a line that does not match is skipped. No timestamp
+    is parsed and no label file is read. Raw and hadoop logs, which have no
+    layout here, raise ValueError.
+    """
+    if spec.format not in _LAYOUTS:
+        raise ValueError(f"no reference layout for format {spec.format!r}, "
+                         f"expected one of {sorted(_LAYOUTS)}")
+    parts = re.split(r"(<[^<>]+>)", _LAYOUTS[spec.format])
+    pattern = "".join(f"(?P<{part[1:-1]}>.*?)" if k % 2
+                      else re.sub(" +", r"\\s+", part)
+                      for k, part in enumerate(parts))
+    search = re.compile(f"^{pattern}$").search
+    rows = []
+    with open(spec.log_path, "r", encoding="utf-8", errors="replace",
+              newline="\n") as f:
+        for line in f:
+            match = search(line.strip())
+            if match:
+                rows.append(list(match.groups()))
+    return rows
+
+
+def bench_loading(spec, repeats: int = 5) -> BenchReport:
+    """``reference_load(spec)`` against ``loaders.load(spec)``, interleaved.
+
+    The medians land in rows "load" and "reference", each with the number
+    of event rows it returned. Give the spec no label file: the reference
+    reads none. The reference runs first, so a format it cannot read
+    raises ValueError before anything is timed; a missing log raises
+    OSError.
+    """
+    (reference_s, load_s), (reference_rows, rows) = _interleaved(
+        lambda: reference_load(spec), lambda: loaders.load(spec)[0], repeats)
+    report = BenchReport()
+    report.add(str(spec.log_path), rows, "load", load_s)
+    report.add(str(spec.log_path), reference_rows, "reference", reference_s)
     return report
 
 
-def bench_masking_offload(messages, parser: str = "drain", rules=None,
-                          repeats: int = 5,
-                          parser_params: dict | None = None) -> BenchReport:
-    """Column-level versus in-parser masking on the same messages.
+def bench_masking_offload(messages, parser: str = "drain",
+                          repeats: int = 5) -> BenchReport:
+    """Column-level versus in-parser masking of the same messages, with the
+    default rules.
 
-    The two variants run interleaved (pipeline, internal, pipeline, ...) so
-    slow machine drift hits both equally, and the medians land in rows
-    "pipeline_total" and "parser_internal_total".
+    The two variants run interleaved (pipeline, internal, pipeline, ...)
+    and the medians land in rows "pipeline_total" and
+    "parser_internal_total".
     """
     if parser not in PARSERS:
         raise ValueError(f"unknown parser {parser!r}")
-    if rules is None:
-        rules = masking.default_rules()
-    params = (parser_params or {}).get(parser, {})
+    rules = masking.default_rules()
     messages = list(messages)
-    pipeline_seconds = []
-    internal_seconds = []
-    for _ in range(repeats):
-        def run_pipeline_variant():
-            masked = masking.normalize(messages, rules)
-            return make_parser(parser, **params).parse(masked)
 
-        elapsed, _ = _timed(run_pipeline_variant)
-        pipeline_seconds.append(elapsed)
+    def run_pipeline_variant():
+        return make_parser(parser).parse(masking.normalize(messages, rules))
 
-        def run_internal_variant():
-            return make_parser(parser, masking_rules=rules,
-                               **params).parse(messages)
+    def run_internal_variant():
+        return make_parser(parser, masking_rules=rules).parse(messages)
 
-        elapsed, _ = _timed(run_internal_variant)
-        internal_seconds.append(elapsed)
+    (pipeline_s, internal_s), (n, _) = _interleaved(
+        run_pipeline_variant, run_internal_variant, repeats)
     report = BenchReport()
-    n = len(messages)
-    report.add("messages", n, "pipeline_total", pipeline_seconds)
-    report.add("messages", n, "parser_internal_total", internal_seconds)
+    report.add("messages", n, "pipeline_total", pipeline_s)
+    report.add("messages", n, "parser_internal_total", internal_s)
     return report

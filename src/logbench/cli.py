@@ -2,8 +2,8 @@
 
 Subcommands mirror the library layers: ``load`` raw datasets into table
 files, ``enhance`` an event table with masking and template mining,
-``detect`` to run a full configured pipeline, ``bench`` the loading and
-parsing phases, ``synth`` to generate seeded synthetic logs.
+``detect`` to run a full configured pipeline, ``bench`` loading or
+masking against a reference, ``synth`` to generate seeded synthetic logs.
 
 Exit codes: 0 success, 1 configuration problem, 2 I/O problem, 3 a pipeline
 stage failed while running.
@@ -60,15 +60,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run a configured pipeline")
     p.add_argument("--config", required=True, help="pipeline INI file")
 
-    p = sub.add_parser("bench", help="benchmark loading or parsing")
-    p.add_argument("--task", required=True,
-                   choices=("loading", "parsers", "offload"))
-    p.add_argument("--format", choices=loaders.FORMATS)
-    p.add_argument("--log", action="append", default=[],
-                   help="log path (repeatable for loading)")
-    p.add_argument("--labels")
-    p.add_argument("--parsers", default="drain",
-                   help="comma separated parser kinds")
+    p = sub.add_parser("bench", help="time loading or masking against a "
+                       "reference")
+    p.add_argument("--task", required=True, choices=("loading", "offload"))
+    p.add_argument("--format", required=True, choices=loaders.FORMATS)
+    p.add_argument("--log", required=True)
+    p.add_argument("--parser", default="drain", choices=sorted(PARSERS),
+                   help="parser kind for offload")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--out", help="write the report csv here")
 
@@ -126,38 +124,23 @@ def _cmd_detect(args) -> int:
     return 0
 
 
-def _bench_messages(args):
-    if not args.log:
-        raise ConfigError("bench parsing needs --log")
-    if not args.format:
-        raise ConfigError("bench parsing needs --format")
-    spec = loaders.LoaderSpec(args.format, Path(args.log[0]),
-                              Path(args.labels) if args.labels else None)
-    events, _ = loaders.load(spec)
-    return list(events["m_message"])
-
-
 def _cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ConfigError("--repeats must be at least 1")
-    kinds = [k.strip() for k in args.parsers.split(",") if k.strip()]
-    if not kinds or not set(kinds) <= PARSERS.keys():
-        raise ConfigError(f"--parsers must name parsers of {sorted(PARSERS)}")
-    if args.task == "loading":
-        if not args.log or not args.format:
-            raise ConfigError("bench loading needs --format and --log")
-        specs = [loaders.LoaderSpec(args.format, Path(p),
-                                    Path(args.labels) if args.labels else None)
-                 for p in args.log]
-        report = bench.bench_loading(specs, repeats=args.repeats)
-    elif args.task == "parsers":
-        report = bench.bench_parsers(_bench_messages(args), kinds,
-                                     repeats=args.repeats)
-    else:
-        report = bench.bench_masking_offload(_bench_messages(args),
-                                             parser=kinds[0],
-                                             repeats=args.repeats)
+    spec = loaders.LoaderSpec(args.format, Path(args.log))
+    try:
+        if args.task == "loading":
+            report = bench.bench_loading(spec, repeats=args.repeats)
+        else:
+            events, _ = loaders.load(spec)
+            report = bench.bench_masking_offload(
+                list(events["m_message"]), parser=args.parser,
+                repeats=args.repeats)
+    except ValueError as exc:  # a format the task cannot read unlabelled
+        raise ConfigError(str(exc)) from None
     print(report)
+    a, b = report.rows
+    print(f"{b.phase} / {a.phase} median: {b.median / a.median:.2f}")
     if args.out:
         report.write_csv(args.out)
         print(f"csv -> {args.out}")

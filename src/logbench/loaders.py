@@ -421,8 +421,9 @@ def load_supercomputer(log_path, format: str) -> EventTable:
     Each line's few-valued fields are coded together: the tuple of them is
     one dictionary key, so a line costs one lookup, and each column's
     dictionary and codes come from the distinct tuples afterwards. The
-    message is coded as read too; a continuation line makes the merged
-    text a message of its own.
+    message is coded as read too, but a merged event's lines are kept apart
+    until the file ends and its text is coded once, so no part of a
+    multi-line message is kept as an entry.
     """
     if format not in SUPERCOMPUTER_FORMATS:
         raise ValueError(f"format must be one of {SUPERCOMPUTER_FORMATS}")
@@ -435,6 +436,7 @@ def load_supercomputer(log_path, format: str) -> EventTable:
     message_of = defaultdict(count().__next__)
     combos, epochs, times, messages = [], [], [], []
     last = ""  # the message of the last event
+    tails: dict[int, list[str]] = {}  # a merged row's lines, in order
     dropped = merged = 0
     lines_read = 0
     with open(log_path, "r", encoding="utf-8", errors="replace",
@@ -455,11 +457,13 @@ def load_supercomputer(log_path, format: str) -> EventTable:
                     times.append(p[plain])
                     continue
             if messages:
-                last = last + "\n" + line.rstrip("\n")
-                messages[-1] = message_of[last]
+                tails.setdefault(len(messages) - 1, [last]).append(
+                    line.rstrip("\n"))
                 merged += 1
             else:
                 dropped += 1
+    for row, parts in tails.items():
+        messages[row] = message_of["\n".join(parts)]
 
     meta = {"source": str(log_path), "lines_read": lines_read,
             "dropped_lines": dropped, "merged_continuations": merged}

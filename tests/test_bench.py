@@ -1,10 +1,8 @@
-import logging
-
 import pytest
 
-from logbench.bench import (BenchReport, bench_loading, bench_masking_offload,
-                            bench_parsers)
-from logbench.loaders import LoaderSpec
+from logbench.bench import (BenchReport, _interleaved, bench_loading,
+                            bench_masking_offload, reference_load)
+from logbench.loaders import LoaderSpec, load
 from logbench.synth import generate_synthetic, make_template_corpus
 
 
@@ -32,40 +30,53 @@ def test_report_csv(tmp_path):
     assert "load" in str(report)
 
 
-def test_bench_loading_skips_missing(tmp_path, caplog):
+def test_interleaved_alternates_the_two_calls():
+    calls = []
+    seconds, sizes = _interleaved(lambda: calls.append("a") or "aa",
+                                  lambda: calls.append("b") or "b", 3)
+    assert calls == ["a", "b"] * 3
+    assert [len(s) for s in seconds] == [3, 3]
+    assert sizes == [2, 1]
+    for repeats in (0, -1):
+        with pytest.raises(ValueError):
+            _interleaved(lambda: "", lambda: "", repeats)
+    assert calls == ["a", "b"] * 3
+
+
+@pytest.mark.parametrize("fmt", ["bgl", "hdfs"])
+def test_reference_rows_match_the_loader(tmp_path, fmt):
+    paths = generate_synthetic(tmp_path, format=fmt, n_lines=2000,
+                               anomaly_rate=0.1, seed=3)
+    spec = LoaderSpec(fmt, paths["log"])
+    events, _ = load(spec)
+    rows = reference_load(spec)
+    assert len(rows) == len(events) == 2000
+    assert len({len(r) for r in rows}) == 1
+    assert [r[-1] for r in rows] == \
+        [m.strip() for m in events["m_message"]]
+
+
+def test_bench_loading_rows(tmp_path):
     paths = generate_synthetic(tmp_path, format="bgl", n_lines=200, seed=0)
-    specs = [LoaderSpec("bgl", paths["log"]),
-             LoaderSpec("bgl", tmp_path / "missing.log")]
-    with caplog.at_level(logging.WARNING, logger="logbench.bench"):
-        report = bench_loading(specs, repeats=2)
-    assert len(report.rows) == 1
-    row = report.rows[0]
-    assert row.lines == 200
-    assert row.repeats == 2
-    assert row.min > 0
-    assert any("missing.log" in r.message for r in caplog.records)
+    report = bench_loading(LoaderSpec("bgl", paths["log"]), repeats=2)
+    assert [r.phase for r in report.rows] == ["load", "reference"]
+    for row in report.rows:
+        assert row.data == str(paths["log"])
+        assert row.lines == 200
+        assert row.repeats == 2
+        assert row.min > 0
 
 
-def test_bench_parsers_pipeline_mode():
-    corpus = make_template_corpus(n_templates=3, n_lines=120, seed=1)
-    report = bench_parsers(corpus["messages"], parsers=("drain", "spell"),
-                           repeats=2)
-    phases = [r.phase for r in report.rows]
-    assert phases == ["mask", "parse_drain", "total_drain",
-                      "parse_spell", "total_spell"]
-    mask = report.row("mask")
-    for kind in ("drain", "spell"):
-        parse = report.row(f"parse_{kind}")
-        total = report.row(f"total_{kind}")
-        assert total.repeats == 2
-        for i in range(2):
-            assert total.seconds[i] == pytest.approx(
-                mask.seconds[i] + parse.seconds[i])
-
-
-def test_bench_parsers_validation():
-    with pytest.raises(ValueError):
-        bench_parsers(["a"], parsers=("nosuch",))
+def test_bench_loading_errors(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        bench_loading(LoaderSpec("bgl", tmp_path / "missing.log"))
+    log = tmp_path / "raw.log"
+    log.write_text("a line\n")
+    for fmt in ("raw", "hadoop"):
+        with pytest.raises(ValueError, match="no reference layout"):
+            bench_loading(LoaderSpec(fmt, log))
+        with pytest.raises(ValueError, match="no reference layout"):
+            reference_load(LoaderSpec(fmt, log))
 
 
 def test_bench_masking_offload_rows():

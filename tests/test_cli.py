@@ -197,65 +197,55 @@ dir = {out}
 
 def test_bench_subcommands(tmp_path, capsys, synth_dirs):
     log = str(synth_dirs["log"])
-    labels = str(synth_dirs["labels"])
 
     code = main(["bench", "--task", "loading", "--format", "hdfs",
-                 "--log", log, "--log", log, "--labels", labels,
-                 "--repeats", "1"])
+                 "--log", log, "--repeats", "1"])
+    captured = capsys.readouterr()
     assert code == 0
+    assert "reference / load median:" in captured.out
 
-    out_csv = tmp_path / "parsers.csv"
+    out_csv = tmp_path / "offload.csv"
     code = main(["bench", "--task", "offload", "--format", "hdfs",
-                 "--log", log, "--labels", labels,
-                 "--parsers", "drain,spell",
+                 "--log", log, "--parser", "spell",
                  "--repeats", "1", "--out", str(out_csv)])
     captured = capsys.readouterr()
     assert code == 0
-    assert out_csv.exists()
+    phases = [line.split(",")[2] for line in
+              out_csv.read_text(encoding="utf-8").splitlines()[1:]]
+    assert phases == ["pipeline_total", "parser_internal_total"]
+    assert "parser_internal_total / pipeline_total median:" in captured.out
     assert "csv ->" in captured.out
 
     code = main(["bench", "--task", "offload", "--format", "hdfs",
-                 "--log", log, "--labels", labels, "--parsers", "drain",
-                 "--repeats", "1"])
+                 "--log", log, "--repeats", "1"])
     assert code == 0
-
-
-def test_bench_parsers_writes_pipeline_rows(tmp_path, synth_dirs):
-    out_csv = tmp_path / "parsers.csv"
-    code = main(["bench", "--task", "parsers", "--format", "hdfs",
-                 "--log", str(synth_dirs["log"]),
-                 "--labels", str(synth_dirs["labels"]),
-                 "--parsers", "drain,spell", "--repeats", "1",
-                 "--out", str(out_csv)])
-    assert code == 0
-    phases = [line.split(",")[2] for line in
-              out_csv.read_text(encoding="utf-8").splitlines()[1:]]
-    assert phases == ["mask", "parse_drain", "total_drain",
-                      "parse_spell", "total_spell"]
-    assert main(["bench", "--task", "parsers", "--mode", "pipeline"]) == 1
 
 
 def test_exit_code_config_error(capsys):
     assert main([]) == 1
     assert main(["load", "--format", "raw"]) == 1  # missing --log/--out
-    assert main(["bench", "--task", "parsers"]) == 1  # needs --log
+    assert main(["bench", "--task", "loading"]) == 1  # needs --log
     captured = capsys.readouterr()
     assert "config error:" in captured.err
 
 
 def test_bench_usage_errors(capsys, synth_dirs):
-    data = ["--format", "hdfs", "--log", str(synth_dirs["log"]),
-            "--labels", str(synth_dirs["labels"])]
-    for task in ("loading", "parsers", "offload"):
+    data = ["--format", "hdfs", "--log", str(synth_dirs["log"])]
+    for task in ("loading", "offload"):
         for repeats in ("0", "-1"):
             assert main(["bench", "--task", task, *data,
                          "--repeats", repeats]) == 1
             assert "config error: --repeats" in capsys.readouterr().err
-    for task in ("parsers", "offload"):
-        for parsers in (",", "drain,nope"):
-            assert main(["bench", "--task", task, *data, "--parsers",
-                         parsers, "--repeats", "1"]) == 1
-            assert "config error: --parsers" in capsys.readouterr().err
+    for parser in ("drain,spell", "nope"):
+        assert main(["bench", "--task", "offload", *data, "--parser",
+                     parser, "--repeats", "1"]) == 1
+        assert "config error: argument --parser" in capsys.readouterr().err
+    for task, removed in (("parsers", []), ("offload", ["--labels", "x"])):
+        assert main(["bench", "--task", task, *data, *removed]) == 1
+        assert "config error:" in capsys.readouterr().err
+    assert main(["bench", "--task", "loading", "--format", "raw", "--log",
+                 str(synth_dirs["log"])]) == 1
+    assert "config error: no reference layout" in capsys.readouterr().err
 
 
 def test_exit_code_io_error(tmp_path, capsys):
@@ -266,6 +256,8 @@ def test_exit_code_io_error(tmp_path, capsys):
     assert "io error:" in captured.err
 
     assert main(["detect", "--config", str(tmp_path / "missing.ini")]) == 2
+    assert main(["bench", "--task", "loading", "--format", "bgl", "--log",
+                 str(tmp_path / "missing.log")]) == 2
 
 
 def test_exit_code_stage_error(tmp_path, capsys):

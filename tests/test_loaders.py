@@ -549,6 +549,26 @@ def test_supercomputer_matches_per_line_reference(tmp_path, case, lines):
             (tmp_path / f"want{ext}").read_bytes()
 
 
+def test_supercomputer_keeps_no_prefix_of_a_long_event(tmp_path):
+    # coding the message after each line would hold ~k**2 / 2 lines of text
+    trace = [f"\tat org.example.Frame{i:05d}.call(Frame.java:{i})"
+             for i in range(1000)]
+    log = tmp_path / "bgl.log"
+    log.write_text("\n".join(
+        [_BGL_LINE.format(e=50, n=1, l="FATAL", m="failed"), *trace,
+         _BGL_LINE.format(e=51, n=1, l="INFO", m="done")]) + "\n")
+    tracemalloc.start()
+    try:
+        events = load_supercomputer(log, "bgl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert events["m_message"].dictionary == ["failed\n" + "\n".join(trace),
+                                              "done"]
+    assert events.meta["merged_continuations"] == 1000
+    assert peak < 2_000_000, peak
+
+
 # ---------------------------------------------------------------------------
 # Hadoop
 
