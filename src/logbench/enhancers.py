@@ -31,35 +31,26 @@ def _text_source(events: Table) -> str:
 
 
 def add_tokens(events: Table) -> Table:
-    """Token codes as ``e_words``, from the normalized text when present
-    (as ``normalize`` coded them, when it made that very column). The text
-    column is kept coded, and the rows of ``e_words`` are its codes."""
+    """Token codes as ``e_words``, from the normalized text when present:
+    the text column's ``CodedColumn.tokens``. The text column is kept
+    coded, so its tokens stay with it for the parser, and the rows of
+    ``e_words`` are its codes."""
     source = _text_source(events)
     text = CodedColumn.of(events[source])
-    tokens = text.tokens
-    if tokens is None:
-        tokens = masking.token_column(text)
-    return events.with_column(source, text).with_column("e_words", tokens)
+    return events.with_column(source, text).with_column("e_words",
+                                                        text.tokens)
 
 
 def add_event_ids(events: Table, parser) -> Table:
-    """Run a template miner over the table; adds ``e_event_id``.
-
-    When ``e_words`` was coded from the very column the parser reads (its
-    rows are that column's codes) and the parser has no masking rules of
-    its own, the parser reads that token column instead of coding the
-    messages again.
+    """Run a template miner over the normalized text when present, else the
+    raw messages; adds ``e_event_id``. The parser mines the text column's
+    ``CodedColumn.tokens``, which ``add_tokens`` already built when it read
+    that column.
 
     The parser keeps its state, so calling this again with more data
     continues the same template store.
     """
-    text = events[_text_source(events)]
-    tokens = events["e_words"] if "e_words" in events else None
-    if parser.masking_rules or not isinstance(tokens, TokenColumn) \
-            or not isinstance(text, CodedColumn) \
-            or tokens.rows is not text.codes:
-        tokens = None
-    ids = parser.parse(text, tokens)
+    ids = parser.parse(events[_text_source(events)])
     return events.with_column("e_event_id",
                               np.asarray(ids, dtype=np.int64))
 

@@ -41,7 +41,8 @@ from itertools import accumulate, count, repeat
 import numpy as np
 
 from .tables import (CodedColumn, TokenColumn, _first_seen,
-                     _first_seen_codes, object_column)
+                     _first_seen_codes, _text_column, object_column,
+                     split_tokens)
 
 # messages whose chunks are split and coded at a time
 _CHUNK_BLOCK = 4096
@@ -151,14 +152,6 @@ def mask_one(text: str, rules: list[MaskingRule]) -> str:
     return text
 
 
-def _coded(messages) -> CodedColumn:
-    """The messages as a coded column; a TypeError for a None message."""
-    text = CodedColumn.of(messages)
-    if len(text) and text.codes.min() < 0:
-        raise TypeError("messages must be str, not None")
-    return text
-
-
 def normalize(messages, rules: list[MaskingRule] | None = None
               ) -> CodedColumn:
     """Apply masking rules to a whole message column.
@@ -188,7 +181,7 @@ def normalize(messages, rules: list[MaskingRule] | None = None
         rules = default_rules()
     token_local = rules and all(r.token_local for r in rules)
     # a cut column's codes are known before its text is rendered
-    text = _coded(messages)
+    text = _text_column(messages)
     if token_local and text.parts is not None:
         return CodedColumn(*_normalize_cut(*text.parts, rules))
     text = text.first_seen()
@@ -367,33 +360,12 @@ def _joined(sep: str, items: list, ends: list[int]) -> list[str]:
                                   map(slice, [0] + ends[:-1], ends))))
 
 
-_WS_RE = re.compile(r"[ \t\r\n\f\v]+")
-
-
-def split_tokens(text: str) -> list[str]:
-    """Split one message on runs of ``[ \\t\\r\\n\\f\\v]``, dropping empty
-    tokens. ``str.split`` would also split at ``\\x1c``-``\\x1f``."""
-    if text.isascii() and not ("\x1f" in text or "\x1e" in text
-                               or "\x1d" in text or "\x1c" in text):
-        return text.split()
-    return [p for p in _WS_RE.split(text) if p]
-
-
-def token_column(messages, rules: list[MaskingRule] | None = None
-                 ) -> TokenColumn:
-    """``split_tokens`` of every message, masked by ``rules`` first when
-    given, as codes: each distinct message is masked and split once and
-    rows with equal messages share its entry. Without ``rules``, a
-    ``normalize`` result gives the token column its masking pass kept."""
-    text = _coded(messages)
-    if not rules and text.tokens is not None:
-        return text.tokens
-    distinct = text.dictionary
-    if rules:
-        distinct = [mask_one(m, rules) for m in distinct]
-    entries = TokenColumn.of(map(split_tokens, distinct))
-    return TokenColumn(entries.tokens, entries.codes, entries.offsets,
-                       text.codes)
+def token_column(messages) -> TokenColumn:
+    """``split_tokens`` of every message, as codes: the messages' coded
+    column's ``tokens``. A ``normalize`` result gives the token column its
+    masking pass kept; other messages are coded, and each distinct one is
+    split once, rows with equal messages sharing its entry."""
+    return CodedColumn.of(messages).tokens
 
 
 def tokenize(messages) -> list[list[str]]:

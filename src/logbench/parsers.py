@@ -6,13 +6,12 @@ templates in which volatile positions are replaced by the wildcard token
 ``<*>``. Parsing can continue across calls with the same parser object; the
 template store only ever grows.
 
-Masked placeholder tokens such as ``<IP>`` are ordinary tokens here. A parser
-can optionally run masking rules itself (``masking_rules=...``), which is the
-expensive way to do it; the intended flow masks the whole column once with
-``masking.normalize`` and feeds the parser clean text.
+Masked placeholder tokens such as ``<IP>`` are ordinary tokens here: the
+parsers do not mask, and a column is masked once, before parsing, by
+``masking.normalize``.
 
-``parse`` reads a ``TokenColumn``: the caller's, or one it codes from the
-messages. It gives the ids and store of ``parse_one`` per message, because
+``parse`` reads the messages' ``TokenColumn``, ``CodedColumn.tokens``. It
+gives the ids and store of ``parse_one`` per message, because
 ``parse_one`` is a deterministic function of the parser state and the
 message and cluster counts never influence a decision, so while the state
 stands still a message's id depends on its tokens alone. Drain matches
@@ -33,8 +32,7 @@ from operator import eq
 
 import numpy as np
 
-from .masking import MaskingRule, mask_one, split_tokens, token_column
-from .tables import TokenColumn
+from .tables import CodedColumn, TokenColumn, split_tokens
 
 WILDCARD = "<*>"
 
@@ -124,13 +122,12 @@ class TemplateStore:
 
 
 class _ParserBase:
-    """Shared plumbing: optional internal masking, batch parse of a token
+    """Shared plumbing: the template store and batch parse of a token
     column."""
 
     kind = "base"
 
-    def __init__(self, masking_rules: list[MaskingRule] | None = None):
-        self.masking_rules = masking_rules
+    def __init__(self):
         self.store = TemplateStore(self.kind)
         # bumped by _mine on every state change that can alter an answer;
         # read by the memo of _parse_column, which Drain replaces
@@ -138,8 +135,6 @@ class _ParserBase:
 
     def parse_one(self, message: str) -> int:
         """Assign an event id to one message, updating the store."""
-        if self.masking_rules:
-            message = mask_one(message, self.masking_rules)
         return self._mine(split_tokens(message))
 
     def _mine(self, tokens: list[str]) -> int:
@@ -147,23 +142,16 @@ class _ParserBase:
         list is only read."""
         raise NotImplementedError
 
-    def parse(self, messages, tokens=None) -> list[int]:
+    def parse(self, messages) -> list[int]:
         """Assign an event id to every message, updating the store.
 
         Same ids and store as calling ``parse_one`` on each message in turn.
-        ``tokens``, when given, is a ``TokenColumn`` (or one list per
-        message) holding exactly what ``parse_one`` would split from each
-        message, the parser's own masking included; it is only read.
-        Otherwise ``masking.token_column`` codes them: each distinct
-        message is masked and split once, unless they are a
-        ``masking.normalize`` result that kept its token column.
+        The parser mines the messages' ``CodedColumn.tokens``: the token
+        column a ``masking.normalize`` result kept, or the one a column
+        builds and keeps by splitting each distinct message once, so a
+        column is split at most once however often it is read.
         """
-        if tokens is None:
-            tokens = token_column(messages, self.masking_rules)
-        elif len(tokens) != len(messages):
-            raise ValueError(f"{len(tokens)} token lists for "
-                             f"{len(messages)} messages")
-        return self._parse_column(TokenColumn.of(tokens))
+        return self._parse_column(CodedColumn.of(messages).tokens)
 
     def _parse_column(self, col: TokenColumn) -> list[int]:
         """Mine each entry once while the version stands still: a repeat
@@ -230,15 +218,14 @@ class DrainParser(_ParserBase):
     kind = "drain"
 
     def __init__(self, depth: int = 4, sim_threshold: float = 0.4,
-                 max_children: int = 100,
-                 masking_rules: list[MaskingRule] | None = None):
+                 max_children: int = 100):
         if depth < 3:
             raise ValueError("depth must be at least 3")
         if not 0.0 < sim_threshold < 1.0:
             raise ValueError("sim_threshold must be in (0, 1)")
         if max_children < 1:
             raise ValueError("max_children must be positive")
-        super().__init__(masking_rules)
+        super().__init__()
         self.depth = depth
         self.sim_threshold = sim_threshold
         self.max_children = max_children
@@ -475,11 +462,10 @@ class SpellParser(_ParserBase):
 
     kind = "spell"
 
-    def __init__(self, tau: float = 0.5,
-                 masking_rules: list[MaskingRule] | None = None):
+    def __init__(self, tau: float = 0.5):
         if not 0.0 < tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
-        super().__init__(masking_rules)
+        super().__init__()
         self.tau = tau
         self._states: list[_SpellState] = []
         self._empty_id: int | None = None
@@ -558,11 +544,10 @@ class LenMaParser(_ParserBase):
 
     kind = "lenma"
 
-    def __init__(self, threshold: float = 0.9,
-                 masking_rules: list[MaskingRule] | None = None):
+    def __init__(self, threshold: float = 0.9):
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        super().__init__(masking_rules)
+        super().__init__()
         self.threshold = threshold
         self._by_count: dict[int, list[tuple[_Cluster, _LenState]]] = {}
 
@@ -613,10 +598,10 @@ PARSERS = {
 }
 
 
-def make_parser(kind: str, masking_rules=None, **params) -> _ParserBase:
+def make_parser(kind: str, **params) -> _ParserBase:
     try:
         cls = PARSERS[kind]
     except KeyError:
         raise ValueError(
             f"unknown parser {kind!r}, expected one of {sorted(PARSERS)}")
-    return cls(masking_rules=masking_rules, **params)
+    return cls(**params)

@@ -59,6 +59,18 @@ def object_column(values: Sequence) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
 
 
+_WS_RE = re.compile(r"[ \t\r\n\f\v]+")
+
+
+def split_tokens(text: str) -> list[str]:
+    """Split one message on runs of ``[ \\t\\r\\n\\f\\v]``, dropping empty
+    tokens. ``str.split`` would also split at ``\\x1c``-``\\x1f``."""
+    if text.isascii() and not ("\x1f" in text or "\x1e" in text
+                               or "\x1d" in text or "\x1c" in text):
+        return text.split()
+    return [p for p in _WS_RE.split(text) if p]
+
+
 class TokenColumn:
     """A column of token lists held as codes over one dictionary: entry
     ``e`` is ``tokens[c]`` for ``c`` in ``codes[offsets[e]:offsets[e + 1]]``
@@ -176,9 +188,11 @@ class CodedColumn:
     on its first read: a pass that reads only ``codes`` and ``tokens``
     never builds the strings; it must be in first-seen order of the codes,
     with no unused entry. ``tokens`` is the column's ``TokenColumn``, whose
-    rows are ``codes`` itself, when the code that built the column kept
-    what it takes (``code_tokens``: one compact entry per dictionary entry,
-    coded on first read), else None.
+    rows are ``codes`` itself, built on first read and kept: from what the
+    code that built the column kept (``code_tokens``: a function giving one
+    compact entry per dictionary entry), else by ``split_tokens`` of each
+    dictionary entry once. A column holding None has no tokens: reading
+    them raises TypeError.
 
     ``parts`` is None, or, for a column that ``cut`` built, the parts its
     cells were cut into; a gather drops them.
@@ -235,11 +249,12 @@ class CodedColumn:
         return render()
 
     @cached_property
-    def tokens(self) -> TokenColumn | None:
+    def tokens(self) -> TokenColumn:
+        # a row of code -1 would read a wrong slice of the entries
+        _text_column(self)
         code, self._code_tokens = self._code_tokens, None
-        if code is None:
-            return None
-        entries = code()
+        entries = TokenColumn.of(map(split_tokens, self.dictionary)) \
+            if code is None else code()
         return TokenColumn(entries.tokens, entries.codes, entries.offsets,
                            self.codes)
 
@@ -278,6 +293,14 @@ class CodedColumn:
         recoded, first = _first_seen(codes)
         return CodedColumn(list(map(self.dictionary.__getitem__,
                                     codes[first].tolist())), recoded)
+
+
+def _text_column(cells) -> CodedColumn:
+    """The cells as a coded column; a TypeError for a None cell."""
+    text = CodedColumn.of(cells)
+    if len(text) and text.codes.min() < 0:
+        raise TypeError("messages must be str, not None")
+    return text
 
 
 def _uncut(free: CodedColumn, keys: CodedColumn, at: np.ndarray,
@@ -380,7 +403,13 @@ class Table:
         return type(self)(cols, meta=self.meta)
 
     def take(self, indices) -> "Table":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at ``indices``, in that order. A boolean mask is
+        refused rather than read as row numbers 0 and 1."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind == "b":
+            raise TypeError("take needs row numbers, not a boolean mask; "
+                            "np.flatnonzero(mask) gives its row numbers")
+        idx = idx.astype(np.int64, copy=False)
         cols = {name: arr[idx] for name, arr in self._columns.items()}
         return type(self)(cols, meta=self.meta)
 

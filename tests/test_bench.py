@@ -1,8 +1,11 @@
 import pytest
 
+from logbench import bench
 from logbench.bench import (BenchReport, _interleaved, bench_loading,
                             bench_masking_offload, reference_load)
 from logbench.loaders import LoaderSpec, load
+from logbench.masking import normalize
+from logbench.parsers import make_parser
 from logbench.synth import generate_synthetic, make_template_corpus
 
 
@@ -91,3 +94,21 @@ def test_bench_masking_offload_rows():
     assert pipeline.min > 0 and internal.min > 0
     with pytest.raises(ValueError):
         bench_masking_offload(["a"], parser="nosuch")
+
+
+@pytest.mark.parametrize("kind", ["drain", "spell", "lenma"])
+def test_reference_parse_agrees_with_the_column_path(kind, monkeypatch):
+    msgs = make_template_corpus(n_templates=6, n_lines=400,
+                                seed=4)["messages"]
+    assert normalize(msgs).tolist() != msgs  # the rules mask something
+    made = []
+
+    def recording(kind):
+        made.append(make_parser(kind))
+        return made[-1]
+    monkeypatch.setattr(bench, "make_parser", recording)
+    ids = bench.reference_parse(kind, msgs)
+    column = make_parser(kind)
+    assert ids == column.parse(normalize(msgs))
+    assert [p.kind for p in made] == [kind]
+    assert made[0].store.templates == column.store.templates

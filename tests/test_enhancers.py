@@ -8,7 +8,6 @@ from logbench.enhancers import (add_event_ids, add_ngram_scores,
                                 add_normalized, add_tokens,
                                 aggregate_sequences)
 from logbench.loaders import LoaderSpec, load
-from logbench.masking import default_rules
 from logbench.ngram import ngram_train
 from logbench.parsers import DrainParser
 from logbench.synth import generate_synthetic
@@ -53,49 +52,34 @@ def test_add_event_ids_continues_parser_state():
     assert len(parser.store) == n_before
 
 
-class _RecordingDrain(DrainParser):
-    """Drain that remembers the token lists ``parse`` was given."""
-
-    def parse(self, messages, tokens=None):
-        self.tokens = tokens
-        return super().parse(messages, tokens)
-
-
-def _ids_with_tokens_seen(events):
-    parser = _RecordingDrain()
+def _parsed(events):
+    """The ids and templates ``add_event_ids`` gives with a fresh Drain."""
+    parser = DrainParser()
     ids = add_event_ids(events, parser)["e_event_id"].tolist()
-    return ids, parser.tokens
+    return ids, parser.store.template_strings()
 
 
-def test_add_event_ids_mines_tokens_of_the_parsed_column():
-    t = add_tokens(add_normalized(small_table()))
-    ids, seen = _ids_with_tokens_seen(t)
-    assert seen is t["e_words"]
-    assert ids == DrainParser().parse(t["e_message_normalized"])
-    raw = add_tokens(small_table())
-    assert _ids_with_tokens_seen(raw)[1] is raw["e_words"]
+def _reference(messages):
+    """The ids and templates of a fresh Drain parsing the messages as a
+    plain list, coded and split anew."""
+    parser = DrainParser()
+    return parser.parse(list(messages)), parser.store.template_strings()
 
 
-def test_add_event_ids_ignores_tokens_of_another_column():
-    # tokenize, normalize, drain: the tokens hold "100", the parsed text
-    # "<NUM>"
-    t = add_normalized(add_tokens(small_table()))
-    ids, seen = _ids_with_tokens_seen(t)
-    assert seen is None
-    assert ids == DrainParser().parse(t["e_message_normalized"])
-    # the parsed column replaced after tokenizing
-    t = add_tokens(add_normalized(small_table()))
-    t = t.with_column("e_message_normalized", t["m_message"])
-    assert _ids_with_tokens_seen(t)[1] is None
-    # the token column replaced
-    t = add_tokens(add_normalized(small_table()))
-    t = t.with_column("e_words", [["x"]] * len(t))
-    assert _ids_with_tokens_seen(t)[1] is None
-    # a parser that masks messages itself
-    t = add_tokens(add_normalized(small_table()))
-    parser = _RecordingDrain(masking_rules=default_rules())
-    add_event_ids(t, parser)
-    assert parser.tokens is None
+def test_add_event_ids_mines_the_text_it_parses():
+    normalized = add_tokens(add_normalized(small_table()))
+    want = _reference(normalized["e_message_normalized"])
+    assert "send <NUM> bytes" in want[1].values()
+    assert _parsed(normalized) == want
+    # tokenize, normalize: the tokens hold "100", the parsed text "<NUM>"
+    assert _parsed(add_normalized(add_tokens(small_table()))) == want
+    # a replaced token column is never what the parser reads
+    assert _parsed(normalized.with_column("e_words",
+                                          [["x"]] * len(normalized))) == want
+    # a replaced text column is parsed from its own text
+    raw = normalized.with_column("e_message_normalized",
+                                 normalized["m_message"])
+    assert _parsed(raw) == _reference(raw["e_message_normalized"]) != want
 
 
 def test_drain_parses_codes_without_per_entry_lists(monkeypatch):

@@ -343,7 +343,7 @@ def test_normalize_codes_against_mask_one(seed, block, monkeypatch):
         msgs = [rng.choice(pool) for _ in range(size)]
         expected = [mask_one(m, rules) for m in msgs]
         out = normalize(msgs, rules)
-        assert out.tokens is not None  # the chunk path ran
+        assert out._code_tokens is not None  # the chunk path ran
         assert out.tolist() == expected
         assert out.tokens.tolist() == list(map(split_tokens, expected))
         # the codes number the distinct masked messages in first-seen order
@@ -419,11 +419,8 @@ def test_token_codes_match_split_of_masked_text(name):
     expected = [split_tokens(mask_one(m, rules)) for m in msgs]
     out = normalize(msgs, rules)
     assert out.tolist() == [mask_one(m, rules) for m in msgs]
-    if name == "non-token-local":
-        assert out.tokens is None
-    else:
-        assert [out.tokens[i] for i in range(len(msgs))] == expected
-        assert out.tokens.tolist() == expected
+    assert [out.tokens[i] for i in range(len(msgs))] == expected
+    assert out.tokens.tolist() == expected
     table = EventTable({"m_message": msgs, "m_timestamp": [0] * len(msgs)})
     words = add_tokens(add_normalized(table, rules))["e_words"]
     assert [words[i] for i in range(len(msgs))] == expected
@@ -439,18 +436,15 @@ def test_token_column_of_a_normalize_result_is_its_kept_column():
     out = normalize(_PARITY_MESSAGES)
     assert token_column(out) is out.tokens
     assert out.tokens.tolist() == [split_tokens(m) for m in out]
-    # plain text, rules still to apply, or a pass that kept no codes
+    # plain text, or a pass that kept no codes
     assert token_column(list(out)).tolist() == out.tokens.tolist()
-    rules = _PARITY_RULES["tab-rule"]
-    assert token_column(out, rules).tolist() == \
-        [split_tokens(mask_one(m, rules)) for m in out]
     other = normalize(_PARITY_MESSAGES, _PARITY_RULES["non-token-local"])
-    assert other.tokens is None
+    assert token_column(other) is other.tokens
     assert token_column(other).tolist() == [split_tokens(m) for m in other]
 
 
 def test_tokenize_after_normalize_takes_its_codes(monkeypatch):
-    from logbench import masking
+    from logbench import tables
     from logbench.enhancers import add_normalized, add_tokens
     from logbench.tables import EventTable
 
@@ -458,9 +452,11 @@ def test_tokenize_after_normalize_takes_its_codes(monkeypatch):
                         "m_timestamp": [0] * len(_PARITY_MESSAGES)})
     normalized = add_normalized(table)
 
-    def no_split(messages):
+    # a coded column splits whole messages with tables.split_tokens;
+    # normalize's kept codes split only its masked chunks
+    def no_split(text):
         raise AssertionError("the normalized text was split again")
-    monkeypatch.setattr(masking, "token_column", no_split)
+    monkeypatch.setattr(tables, "split_tokens", no_split)
     words = add_tokens(normalized)["e_words"]
     assert list(words) == [split_tokens(m) for m in
                            normalized["e_message_normalized"]]
@@ -544,9 +540,7 @@ def test_normalize_of_cut_hdfs_messages_matches_mask_one(
     want = [mask_one(m, rules) for m in raw]
     assert out.tolist() == want
     assert out.dictionary == list(dict.fromkeys(want))
-    assert (out.tokens is not None) == token_local
-    if token_local:
-        assert out.tokens.tolist() == [split_tokens(m) for m in want]
+    assert out.tokens.tolist() == [split_tokens(m) for m in want]
     assert message.tolist() == raw
     assert message.dictionary == list(dict.fromkeys(raw))
 
@@ -656,4 +650,5 @@ def test_messages_holding_newlines_are_masked_in_one_blob(tmp_path,
     for name, col in columns.items():
         out = normalize(col, rules)
         assert out.tolist() == want[name], name
-        assert out.tokens is not None, name
+        assert out.tokens.tolist() == list(map(split_tokens, want[name])), \
+            name

@@ -3,8 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from logbench.masking import (default_rules, split_tokens, token_column,
-                               tokenize)
+from logbench.masking import split_tokens, token_column
 from logbench.parsers import (WILDCARD, DrainParser, LenMaParser, SpellParser,
                               TemplateStore, make_parser)
 
@@ -73,20 +72,6 @@ def test_drain_max_children_overflow():
     # c and d overflow into the wildcard branch and meet there
     assert ids == [0, 1, 2, 2]
     assert parser.store.template_strings()[2] == "<*> x"
-
-
-def test_drain_internal_masking_matches_premasked():
-    msgs = ["took 35 ms block 0xF3A2", "took 7 ms block 0xBEEF",
-            "from 10.0.0.1 port 80"]
-    rules = default_rules()
-    internal = DrainParser(masking_rules=rules)
-    ids_a = internal.parse(msgs)
-    from logbench.masking import normalize
-    external = DrainParser()
-    ids_b = external.parse(normalize(msgs, rules))
-    assert ids_a == ids_b
-    assert internal.store.template_strings() == \
-        external.store.template_strings()
 
 
 # ---------------------------------------------------------------------------
@@ -407,21 +392,13 @@ def test_parse_with_tokens_matches_parse_one(kind, params):
     for trial in range(15):
         pool = _token_corpus(rng, 40)
         msgs = [rng.choice(pool) for _ in range(300)]
-        tokens = tokenize(msgs)
-        before = [list(t) for t in tokens]
         ref = make_parser(kind, **params)
         ref_ids = [ref.parse_one(m) for m in msgs]
 
         parser = make_parser(kind, **params)
-        assert parser.parse(msgs, tokens) == ref_ids, f"{kind} {trial}"
+        assert parser.parse(msgs) == ref_ids, f"{kind} {trial}"
         assert parser.store.templates == ref.store.templates
         assert parser.store.counts == ref.store.counts
-        assert tokens == before  # the lists are only read
-
-
-def test_parse_rejects_token_lists_of_another_length():
-    with pytest.raises(ValueError):
-        DrainParser().parse(["a b", "c d"], [["a", "b"]])
 
 
 class _DrainReference(DrainParser):
@@ -499,7 +476,7 @@ def test_drain_walk_without_building_finds_the_built_leaf(params):
 
 
 def _assert_batch_is_sequential(parser, steps, params):
-    """Run ``steps`` on ``parser``, each ``("parse", msgs, tokens)`` or
+    """Run ``steps`` on ``parser``, each ``("parse", msgs)`` or
     ``("one", msgs)``, and compare ids, templates, counts and the routing
     tree with ``parse_one`` and ``_DrainReference`` per message. ``parse``
     must mine in Python exactly the rows that change the store."""
@@ -508,7 +485,7 @@ def _assert_batch_is_sequential(parser, steps, params):
     ids, msgs, batched = [], [], []
     for step in steps:
         if step[0] == "parse":
-            ids += parser.parse(step[1], step[2])
+            ids += parser.parse(step[1])
         else:
             ids += [parser.parse_one(m) for m in step[1]]
         msgs += list(step[1])
@@ -542,7 +519,7 @@ def test_drain_batch_change_after_long_settled_stretch():
     msgs += [f"open file f{rng.randrange(300)} mode r" for _ in range(3000)]
     parser = DrainParser()
     ids = _assert_batch_is_sequential(
-        parser, [("parse", msgs, tokenize(msgs))], {})
+        parser, [("parse", msgs)], {})
     assert ids[5000] == 1 and ids[5001:9000].count(1) > 1000
     assert parser.store.template_strings() == {
         0: "open file <*> mode <*>", 1: "close file <*> now"}
@@ -555,11 +532,10 @@ def test_drain_batch_continues_across_columns_and_parse_one():
              "read block x of 3 bytes", "read block y of 4 bytes"] * 50
     second = ["open file z mode w", "open file q mode w",
               "read block z of 5 bytes", "write block z of 6 bytes"] * 50
-    col1, col2 = token_column(first), token_column(second)
-    assert not {"r", "x", "y", "3", "4"} & set(col2.tokens)
+    assert not {"r", "x", "y", "3", "4"} & set(token_column(second).tokens)
     parser = DrainParser()
     _assert_batch_is_sequential(
-        parser, [("parse", first, col1), ("parse", second, col2)], {})
+        parser, [("parse", first), ("parse", second)], {})
     assert parser.store.template_strings() == {
         0: "open file <*> mode <*>", 1: "read block <*> of <*> bytes",
         2: "write block z of 6 bytes"}
@@ -567,17 +543,15 @@ def test_drain_batch_continues_across_columns_and_parse_one():
     # "x y x" must rewrite the template, not match it as it stands
     parser = DrainParser()
     _assert_batch_is_sequential(
-        parser, [("parse", ["x y r"] * 3, None),
-                 ("parse", ["x y x"] * 3, None)], {})
+        parser, [("parse", ["x y r"] * 3), ("parse", ["x y x"] * 3)], {})
     assert parser.store.template_strings() == {0: "x y <*>"}
     for params in ({}, {"depth": 3, "max_children": 2}):
         rng = random.Random(str(params))
         pool = _token_corpus(rng, 40)
         msgs = [rng.choice(pool) for _ in range(600)]
         _assert_batch_is_sequential(DrainParser(**params), [
-            ("parse", msgs[:200], token_column(msgs[:200])),
-            ("one", msgs[200:300]),
-            ("parse", msgs[300:], None)], params)
+            ("parse", msgs[:200]), ("one", msgs[200:300]),
+            ("parse", msgs[300:])], params)
 
 
 @pytest.mark.parametrize("params", [{"depth": 8},
@@ -609,7 +583,7 @@ def test_drain_batch_deep_routes_over_a_large_vocabulary(params):
     parser = DrainParser(**params)
     keys = parser._route_keys(col, np.diff(col.offsets)).tolist()
     assert len(set(zip(routes, keys))) == len(set(routes)) == len(set(keys))
-    _assert_batch_is_sequential(parser, [("parse", msgs, col)], params)
+    _assert_batch_is_sequential(parser, [("parse", msgs)], params)
 
 
 def test_drain_batch_empty_messages_digit_heads_literal_wildcards():
@@ -622,8 +596,7 @@ def test_drain_batch_empty_messages_digit_heads_literal_wildcards():
     for params in ({}, {"depth": 3}, {"max_children": 1},
                    {"sim_threshold": 0.9}):
         _assert_batch_is_sequential(DrainParser(**params),
-                                    [("parse", msgs, tokenize(msgs))],
-                                    params)
+                                    [("parse", msgs)], params)
 
 
 def test_drain_batch_ties_go_to_the_lowest_event_id():
@@ -631,7 +604,7 @@ def test_drain_batch_ties_go_to_the_lowest_event_id():
     # and neither needs a rewrite
     msgs = ["a p x", "a q x", "a b y", "a b z"] + ["a b x", "a r x"] * 50
     ids = _assert_batch_is_sequential(
-        DrainParser(depth=3), [("parse", msgs, None)], {"depth": 3})
+        DrainParser(depth=3), [("parse", msgs)], {"depth": 3})
     assert ids[:6] == [0, 0, 1, 1, 0, 0]
 
 

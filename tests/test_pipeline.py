@@ -10,7 +10,7 @@ import pytest
 
 from logbench import detectors, enhancers, pipeline
 from logbench.loaders import LoaderSpec, load
-from logbench.parsers import DrainParser
+from logbench.parsers import make_parser
 from logbench.pipeline import (ConfigError, PipelineConfig, StageError,
                                _documents, run_chain, run_pipeline, stage)
 from logbench.synth import generate_synthetic
@@ -278,26 +278,37 @@ def test_stage_pauses_gc_and_restores_callers_state(enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_chain_with_tokens_from_another_column(synth_hdfs, monkeypatch):
-    """tokenize, normalize, drain: the parser splits the normalized text
-    itself, and gets the ids of a parser that never saw tokens."""
-    seen = []
-    make = pipeline.make_parser
+@pytest.mark.parametrize("chain", [["tokenize", "drain"],
+                                   ["normalize", "tokenize", "spell"],
+                                   ["tokenize", "normalize", "drain"]],
+                         ids="-".join)
+def test_chain_splits_each_distinct_message_at_most_once(
+        synth_hdfs, monkeypatch, chain):
+    """The parser mines the tokens of the column it parses: those
+    ``tokenize`` built from it, or ``normalize`` coded from its masked
+    chunks, which splits no whole message. Its ids are those of a parser
+    given the text alone."""
+    from logbench import masking, tables
+    split, seen = tables.split_tokens, []
 
-    def recording(kind, **params):
-        parser = make(kind, **params)
-        parse = parser.parse
-        parser.parse = lambda msgs, tokens=None: (seen.append(tokens),
-                                                  parse(msgs, tokens))[1]
-        return parser
-    monkeypatch.setattr(pipeline, "make_parser", recording)
+    def counting(text):
+        seen.append(text)
+        return split(text)
+    for module in (tables, masking):
+        monkeypatch.setattr(module, "split_tokens", counting)
     events, _ = load(LoaderSpec("hdfs", synth_hdfs["log"]))
-    out, _, _ = run_chain(events, ["tokenize", "normalize", "drain"], None)
-    assert seen == [None]
+    message = events["m_message"]
+    out, _, _ = run_chain(events, chain, None)
+    monkeypatch.undo()
+    # a masked chunk holds no space
+    whole = [text for text in seen if " " in text]
+    want = [m for m in message.dictionary if " " in m] \
+        if chain[0] == "tokenize" else []
+    assert whole == want
+    text = out["e_message_normalized" if "normalize" in chain
+               else "m_message"]
     assert out["e_event_id"].tolist() == \
-        DrainParser().parse(out["e_message_normalized"])
-    out, _, _ = run_chain(events, ["normalize", "tokenize", "drain"], None)
-    assert seen[1] is out["e_words"]
+        make_parser(chain[-1]).parse(list(text))
 
 
 def test_each_step_logs_one_line(tmp_path, synth_hdfs, caplog):

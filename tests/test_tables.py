@@ -67,6 +67,16 @@ def test_with_column_and_take_and_head():
     assert len(t2.head(2)) == 2
 
 
+def test_take_refuses_a_boolean_mask():
+    t = Table({"a": [10, 20, 30]})
+    for mask in (np.array([True, False, True]), [True, False, True]):
+        with pytest.raises(TypeError, match="flatnonzero"):
+            t.take(mask)
+    kept = t.take(np.flatnonzero([True, False, True]))
+    assert kept["a"].tolist() == [10, 30]
+    assert len(t.take([])) == 0
+
+
 def test_equals():
     a = small_events()
     b = small_events()
@@ -843,6 +853,20 @@ def test_coded_column_gathers_like_an_object_column(tmp_path, monkeypatch,
     if idx.dtype != bool:  # Table.take reads row numbers
         taken = Table({"s": coded}).take(idx)
         assert isinstance(taken["s"], CodedColumn) and taken.equals(b)
+
+
+def test_coded_column_tokens_split_each_entry_once(monkeypatch):
+    split, seen = tables.split_tokens, []
+    monkeypatch.setattr(tables, "split_tokens",
+                        lambda text: (seen.append(text), split(text))[1])
+    col = CodedColumn(["a  b", "", "c\x1cd"], [0, 2, 0, 1, 2])
+    assert col.tokens.tolist() == [["a", "b"], ["c\x1cd"], ["a", "b"], [],
+                                   ["c\x1cd"]]
+    assert col.tokens.rows is col.codes
+    assert col.tokens is col.tokens and seen == col.dictionary
+    # a row of code -1 has no entry to read
+    with pytest.raises(TypeError, match="messages must be str"):
+        CodedColumn(["a b", "c"], [0, -1, 1]).tokens
 
 
 def test_coded_column_equals_compares_cells():
